@@ -31,12 +31,13 @@ for t, dets in enumerate(stream.frames):
     if out.num_dets:
         probs = out.init_probs.data[:out.num_dets]
         print(f"  init probabilities: {np.round(probs, 3)}")
-    for track in out.track_rows:
+    # existing tracks keep their rows of the stacked memory; newborns follow
+    for row, track in enumerate(out.track_rows):
         rec = track.records[-1]
         if rec.active:
             print(f"  track {track.id}: matched detection "
                   f"{rec.matched_detection}, box {np.round(rec.box, 2)}, "
-                  f"appearance sigma mean {track.appearance.sigma.data.mean():.4f}")
+                  f"appearance sigma mean {memory.sigma.data[row].mean():.4f}")
         else:
             print(f"  track {track.id}: inactive this frame")
     for track in out.born:

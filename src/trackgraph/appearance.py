@@ -1,11 +1,12 @@
 """Per-track Gaussian appearance model with a learnable conjugate-prior update.
 
 Each track keeps a diagonal-covariance Gaussian over the appearance
-descriptor space.  Edges of the association graph are seeded with the
-log-likelihood of a detection's descriptor under the track's Gaussian, and
-after each matched frame the Gaussian is blended toward the new observation
-with predicted rates, following the normal-inverse-chi-square posterior
-update
+descriptor space; the track memory stacks them as (M, A) rows, and every
+function here works on one Gaussian or on such a stack alike.  Edges of the
+association graph are seeded with the log-likelihood of a detection's
+descriptor under the track's Gaussian, and after each matched frame the
+Gaussian is blended toward the new observation with predicted rates,
+following the normal-inverse-chi-square posterior update
 
     mu+    = kappa x + (1 - kappa) mu
     sigma+ = nu s + (1 - nu) sigma + kappa (1 - nu) / (kappa + nu) * (x - mu)^2
@@ -31,19 +32,21 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass
 class GaussianAppearance:
-    """Diagonal Gaussian: mean and per-dimension variance, both (A,)."""
+    """Diagonal Gaussian: mean and per-dimension variance, both (A,), or a
+    stack of Gaussians with leading axes (e.g. (M, A))."""
 
     mu: Tensor
     sigma: Tensor
 
     @property
     def dim(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
 
 @dataclass
 class UpdateRates:
-    """Mean and covariance blending rates, each a scalar Tensor in (0, 1)."""
+    """Mean and covariance blending rates in (0, 1): scalar Tensors for one
+    Gaussian, (M, 1) columns for a stack of M."""
 
     kappa: Tensor
     nu: Tensor
@@ -60,17 +63,19 @@ def init_model(x, sigma0: float) -> GaussianAppearance:
 
 
 def log_likelihood(model: GaussianAppearance, x) -> Tensor:
-    """Scalar log density of x under the model:
-    sum_i [ -1/2 ln(2 pi sigma_i) - (x_i - mu_i)^2 / (2 sigma_i) ]."""
+    """Log density of x under the model, summed over the last axis:
+    sum_i [ -1/2 ln(2 pi sigma_i) - (x_i - mu_i)^2 / (2 sigma_i) ].
+    Model and x broadcast against each other, so (M, 1, A) stacked rows
+    against (1, N, A) descriptors give the (M, N) matrix."""
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.shape != model.mu.shape:
+    if x.shape[-1:] != model.mu.shape[-1:]:
         raise NumericError(
             f"descriptor shape {x.shape} does not match model dim {model.mu.shape}"
         )
     diff = x - model.mu
     quad = diff * diff / (model.sigma * 2.0)
     logdet = (nc.log(model.sigma) + LOG_2PI) * 0.5
-    return nc.reshape(nc.tsum(-logdet - quad), ())
+    return nc.tsum(-logdet - quad, axis=-1)
 
 
 def update(model: GaussianAppearance, x, rates: UpdateRates,
@@ -84,7 +89,7 @@ def update(model: GaussianAppearance, x, rates: UpdateRates,
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     kappa, nu = rates.kappa, rates.nu
-    if float(kappa.data) + float(nu.data) == 0.0:
+    if np.any(kappa.data + nu.data == 0.0):
         raise nc.NumericOverflowError(
             "kappa + nu must be nonzero in the appearance update")
     mu_new = kappa * x + (1.0 - kappa) * model.mu
@@ -108,9 +113,14 @@ def init_rate_params(params: ParamStore, embed_dim: int, rng: np.random.Generato
 
 def predict_rates(track_embedding: Tensor, params: ParamStore) -> UpdateRates:
     """(kappa, nu) = sigmoid of a 2-output linear head on the track embedding,
-    so both rates live strictly inside (0, 1)."""
+    so both rates live strictly inside (0, 1).  A (D,) embedding gives scalar
+    rates; stacked (M, D) embeddings give (M, 1) columns."""
     head = nc.linear(params["rate_head/w"], params["rate_head/b"], track_embedding)
     rates = nc.sigmoid(head)
-    kappa = nc.reshape(nc.gather(rates, [0]), ())
-    nu = nc.reshape(nc.gather(rates, [1]), ())
+    lead = track_embedding.shape[:-1]
+    if lead:
+        rates = nc.swapaxes01(rates)  # (2, M)
+    shape = lead + (1,) if lead else ()
+    kappa = nc.reshape(nc.gather(rates, [0]), shape)
+    nu = nc.reshape(nc.gather(rates, [1]), shape)
     return UpdateRates(kappa=kappa, nu=nu)

@@ -1,4 +1,4 @@
-"""Fixed-capacity bipartite association graph over tracks and detections.
+"""Bipartite association graph over the live tracks and one frame's detections.
 
 Row 0 of the track side is the learned empty-track node whose edges carry
 track-initialization evidence; it runs through the same block structure as
@@ -8,9 +8,9 @@ updated edges; blocks are optionally interleaved with per-element residual
 bottlenecks.  Logistic heads on the final edges give match probabilities
 (real rows) and initialization probabilities (row 0).
 
-All learned transforms run on gathered active rows and are scattered back
-into the padded fixed-capacity layout, so inactive slots stay exactly zero
-and enlarging the capacity never changes an active output bit.
+The graph holds exactly the m live tracks (plus the empty-track row) and
+the n detections of the frame, so the capacities in ModelConfig only bound
+how many tracks may be born and how many detections a frame keeps.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import appearance as ap
 from . import numcore as nc
 from .numcore import NumericError, ParamStore, Tensor
+from .synthworld import top_foreground_score
 
 EDGE_FEATURES = 2  # [appearance log-likelihood / A, IoU]  (row 0: [0, top score])
 
@@ -43,8 +45,8 @@ class ModelConfig:
     gate_mode: str = "lstm"           # lstm | simple | none (none is unstable)
     heuristic_scoring: bool = False
     heuristic_association: bool = False
-    max_tracks: int = 24
-    max_detections: int = 16
+    max_tracks: int = 24              # births are refused once this many tracks exist
+    max_detections: int = 16          # a frame keeps its highest-scoring detections
     sigma0: float = 1e-3
 
     @property
@@ -64,17 +66,14 @@ class ModelConfig:
 
 @dataclass
 class GraphBatch:
-    """Padded graph state.  tracks: (M_max+1, D) with row 0 the empty-track
-    node; dets: (N_max, *); edges: (M_max+1, N_max, *); edge_feats keeps the
-    initial two-feature edges for the limited-mode heads.  Masks are 0/1
-    float arrays; track_mask[0] is always 1."""
+    """Graph state for m live tracks and n detections.  tracks: (m+1, D) with
+    row 0 the empty-track node; dets: (n, *); edges: (m+1, n, *); edge_feats
+    keeps the initial two-feature edges for the limited-mode heads."""
 
     tracks: Tensor
     dets: Tensor
     edges: Tensor
     edge_feats: Tensor
-    track_mask: np.ndarray
-    det_mask: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +83,8 @@ class GraphBatch:
 def iou(box_a, box_b) -> float:
     """Intersection over union of two (cx, cy, w, h) boxes; 0 for an empty
     union."""
-    ax0, ay0, ax1, ay1 = _corners(box_a)
-    bx0, by0, bx1, by1 = _corners(box_b)
+    ax0, ay0, ax1, ay1 = _corners(*(float(v) for v in box_a))
+    bx0, by0, bx1, by1 = _corners(*(float(v) for v in box_b))
     iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
     ih = max(0.0, min(ay1, by1) - max(ay0, by0))
     inter = iw * ih
@@ -95,16 +94,23 @@ def iou(box_a, box_b) -> float:
     return inter / union
 
 
-def _corners(box):
-    cx, cy, w, h = (float(v) for v in box)
+def _corners(cx, cy, w, h):
     return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    out = np.zeros((len(boxes_a), len(boxes_b)))
-    for i, a in enumerate(boxes_a):
-        for j, b in enumerate(boxes_b):
-            out[i, j] = iou(a, b)
+    """(len(boxes_a), len(boxes_b)) IoUs; the same operations in the same
+    order as `iou`, so every entry equals the scalar result bit for bit."""
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
+    ax0, ay0, ax1, ay1 = _corners(*a)
+    bx0, by0, bx1, by1 = _corners(*b)
+    iw = np.maximum(0.0, np.minimum(ax1, bx1) - np.maximum(ax0, bx0))
+    ih = np.maximum(0.0, np.minimum(ay1, by1) - np.maximum(ay0, by0))
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    out = np.zeros(union.shape)
+    np.divide(inter, union, out=out, where=~(union <= 0.0))
     return out
 
 
@@ -116,25 +122,6 @@ def init_detection_embedding(det, num_classes: int) -> np.ndarray:
             f"expected {num_classes + 1} class scores, got shape {scores.shape}"
         )
     return np.concatenate([scores, np.asarray(det.box, dtype=np.float64)])
-
-
-def top_foreground_score(det) -> float:
-    return float(np.max(np.asarray(det.scores)[:-1]))
-
-
-def init_edge_features(track, det, *, use_appearance: bool = True) -> Tensor:
-    """Two-feature edge seed for a real track-detection pair: the detection's
-    appearance log-likelihood under the track's Gaussian (normalized per
-    dimension) and the IoU of the track's last box with the detection box."""
-    from . import appearance as ap
-
-    if use_appearance:
-        ll = ap.log_likelihood(track.appearance, det.appearance)
-        ll = ll * (1.0 / track.appearance.dim)
-    else:
-        ll = Tensor(0.0)
-    pair_iou = Tensor(float(iou(track.last_box, det.box)))
-    return nc.concat([nc.reshape(ll, (1,)), nc.reshape(pair_iou, (1,))])
 
 
 def empty_track_edge_features(det) -> np.ndarray:
@@ -194,7 +181,7 @@ def init_gnn_params(params: ParamStore, config: ModelConfig, rng: np.random.Gene
 
 
 # ---------------------------------------------------------------------------
-# forward pieces (all on gathered active rows)
+# forward pieces
 
 
 def _lin(params, name, x):
@@ -220,16 +207,11 @@ def _node_update(params, block, node, x, agg, gated):
     return h
 
 
-def _aggregate(params, gate_name, edges, slot_mask, axis, gated):
-    """Sum of (optionally gated) edge messages over `axis`, restricted by the
-    0/1 slot mask (None: all slots active)."""
+def _aggregate(params, gate_name, edges, axis, gated):
+    """Sum of (optionally gated) edge messages over `axis`."""
     msg = edges
     if gated:
         msg = _gate_mlp(params, gate_name, edges) * edges
-    if slot_mask is not None:
-        shape = [1, 1, 1]
-        shape[axis] = len(slot_mask)
-        msg = msg * Tensor(np.asarray(slot_mask).reshape(shape))
     return nc.slot_sum(msg, axis=axis)
 
 
@@ -239,39 +221,19 @@ def _check_finite(tensors, label: str):
             raise nc.NumericOverflowError(f"non-finite values after {label}")
 
 
-def _gather_edges(edges: Tensor, t_idx, d_idx) -> Tensor:
-    part = nc.gather(edges, t_idx)
-    part = nc.swapaxes01(part)
-    part = nc.gather(part, d_idx)
-    return nc.swapaxes01(part)
-
-
-def _scatter_edges(edges: Tensor, t_idx, d_idx, t_size, d_size) -> Tensor:
-    part = nc.swapaxes01(edges)
-    part = nc.scatter_rows(part, d_idx, d_size)
-    part = nc.swapaxes01(part)
-    return nc.scatter_rows(part, t_idx, t_size)
-
-
 def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> GraphBatch:
-    """Run the block stack and return the batch with updated embeddings.
-    Inactive slots are exactly zero on the way in and the way out."""
-    t_idx = np.flatnonzero(batch.track_mask)
-    d_idx = np.flatnonzero(batch.det_mask)
-    tr = nc.gather(batch.tracks, t_idx)            # (ma, D) incl. row 0
-    de = nc.gather(batch.dets, d_idx)              # (na, din)
-    ed = _gather_edges(batch.edges, t_idx, d_idx)  # (ma, na, EDGE_FEATURES)
-    ma, na = len(t_idx), len(d_idx)
+    """Run the block stack and return the batch with updated embeddings."""
+    tr, de, ed = batch.tracks, batch.dets, batch.edges
+    ma, na = ed.shape[0], ed.shape[1]
     gated = config.gated_aggregation
 
     if config.limited_gnn:
         # Pairwise probabilities from the raw features pick, per real track,
         # the single detection it may gather from; detections get no messages.
-        feats = _gather_edges(batch.edge_feats, t_idx, d_idx)
         ed = _edge_update(params, 0, ed, tr, de, gated)
         track_agg_mask = np.zeros((ma, na))
         if ma > 1 and na > 0:
-            probs = _head_probs(params, "match_feat_head", feats).data[1:]
+            probs = _head_probs(params, "match_feat_head", batch.edge_feats).data[1:]
             track_agg_mask[np.arange(1, ma), np.argmax(probs, axis=1)] = 1.0
         msg = _gate_mlp(params, "block0/g_tau", ed) * ed if gated else ed
         msg = msg * Tensor(track_agg_mask[:, :, None])
@@ -288,10 +250,10 @@ def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> G
     else:
         for k in range(config.num_blocks):
             ed = _edge_update(params, k, ed, tr, de, gated)
-            agg_t = _aggregate(params, f"block{k}/g_tau", ed, None, 1, gated)
-            agg_t0 = _aggregate(params, f"block{k}/g_tau0", ed, None, 1, gated)
+            agg_t = _aggregate(params, f"block{k}/g_tau", ed, 1, gated)
+            agg_t0 = _aggregate(params, f"block{k}/g_tau0", ed, 1, gated)
             tr = _split_track_update(params, k, tr, agg_t, gated, agg_row0=agg_t0)
-            agg_d = _aggregate(params, f"block{k}/g_delta", ed, None, 0, gated)
+            agg_d = _aggregate(params, f"block{k}/g_delta", ed, 0, gated)
             de = _node_update(params, f"block{k}", "delta", de, agg_d, gated)
             _check_finite((ed, tr, de), f"GNN block {k}")
             if config.interleave_residuals:
@@ -300,16 +262,7 @@ def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> G
                 de = _residual(params, f"res{k}/dets", de)
                 _check_finite((ed, tr, de), f"residual block {k}")
 
-    m_size = batch.tracks.shape[0]
-    d_size = batch.dets.shape[0]
-    return GraphBatch(
-        tracks=nc.scatter_rows(tr, t_idx, m_size),
-        dets=nc.scatter_rows(de, d_idx, d_size),
-        edges=_scatter_edges(ed, t_idx, d_idx, m_size, d_size),
-        edge_feats=batch.edge_feats,
-        track_mask=batch.track_mask,
-        det_mask=batch.det_mask,
-    )
+    return GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats)
 
 
 def _edge_update(params, k, ed, tr, de, gated):
@@ -342,98 +295,50 @@ def _head_probs(params, head, edges):
 
 def match_probabilities(batch: GraphBatch, params: ParamStore,
                         config: ModelConfig) -> Tensor:
-    """(M_max, N_max) match probabilities for real track rows; inactive
-    entries are exactly zero."""
-    t_idx = np.flatnonzero(batch.track_mask[1:]) + 1
-    d_idx = np.flatnonzero(batch.det_mask)
+    """(m, n) match probabilities for the real track rows."""
     source = batch.edge_feats if config.limited_gnn else batch.edges
     head = "match_feat_head" if config.limited_gnn else "match_head"
-    probs = _head_probs(params, head, _gather_edges(source, t_idx, d_idx))
-    m_cap, n_cap = batch.tracks.shape[0] - 1, batch.dets.shape[0]
-    padded = _scatter_edges(nc.reshape(probs, probs.shape + (1,)),
-                            t_idx - 1, d_idx, m_cap, n_cap)
-    return nc.reshape(padded, (m_cap, n_cap))
+    return _head_probs(params, head, nc.gather(source, np.arange(1, source.shape[0])))
 
 
 def init_probabilities(batch: GraphBatch, params: ParamStore,
                        config: ModelConfig) -> Tensor:
-    """(N_max,) new-track probabilities from the empty-track row's edges."""
-    d_idx = np.flatnonzero(batch.det_mask)
+    """(n,) new-track probabilities from the empty-track row's edges."""
     source = batch.edge_feats if config.limited_gnn else batch.edges
     head = "init_feat_head" if config.limited_gnn else "init_head"
-    row0 = _gather_edges(source, np.array([0]), d_idx)
-    probs = _head_probs(params, head, row0)
-    return nc.scatter_rows(nc.reshape(probs, (len(d_idx),)), d_idx,
-                           batch.dets.shape[0])
+    probs = _head_probs(params, head, nc.gather(source, [0]))
+    return nc.reshape(probs, (source.shape[1],))
 
 
 # ---------------------------------------------------------------------------
 # batch construction
 
 
-def build_graph_batch(tracks, detections, params: ParamStore,
+def build_graph_batch(memory, detections, params: ParamStore,
                       config: ModelConfig) -> GraphBatch:
-    """Assemble the padded graph from live track states and one frame of
-    detections.  `tracks` need .recurrent.y, .appearance, .last_box;
-    detections need .box, .scores, .appearance."""
-    from . import appearance as ap
-
-    m_cap = config.max_tracks + 1
-    n_cap = config.max_detections
-    m, n = len(tracks), len(detections)
-    if m > config.max_tracks:
-        raise NumericError(f"{m} tracks exceed capacity {config.max_tracks}")
-    if n > n_cap:
-        raise NumericError(f"{n} detections exceed capacity {n_cap}")
-
-    track_mask = np.zeros(m_cap)
-    track_mask[: m + 1] = 1.0
-    det_mask = np.zeros(n_cap)
-    det_mask[:n] = 1.0
-
+    """Assemble the live graph from the track memory and one frame of
+    detections.  `memory` has len() m and stacked rows: .y (m, D), .mu and
+    .sigma (m, A) Tensors and .boxes (m, 4); detections need .box, .scores,
+    .appearance."""
+    m, n = len(memory), len(detections)
+    a_dim = config.appearance_dim
     tau0 = nc.reshape(params["tau0"], (1, config.embed_dim))
-    rows = [tau0] + [nc.reshape(t.recurrent.y, (1, config.embed_dim)) for t in tracks]
-    tracks_t = nc.scatter_rows(nc.concat(rows, axis=0), np.arange(m + 1), m_cap)
+    tracks_t = nc.concat([tau0, memory.y], axis=0)
+    det_arr = np.array([init_detection_embedding(d, config.num_classes)
+                        for d in detections]).reshape(n, config.det_input_dim)
+    row0 = np.array([empty_track_edge_features(d)
+                     for d in detections]).reshape(1, n, EDGE_FEATURES)
 
-    if n == 0:
-        det_rows = Tensor(np.zeros((n_cap, config.det_input_dim)))
-        feats = Tensor(np.zeros((m_cap, n_cap, EDGE_FEATURES)))
-        return GraphBatch(tracks=tracks_t, dets=det_rows, edges=feats,
-                          edge_feats=feats, track_mask=track_mask, det_mask=det_mask)
-
-    det_arr = np.stack([init_detection_embedding(d, config.num_classes)
-                        for d in detections])
-    dets_t = nc.scatter_rows(Tensor(det_arr), np.arange(n), n_cap)
-
-    det_apps = np.stack([np.asarray(d.appearance, dtype=np.float64)
-                         for d in detections])
-    top_fg = np.array([top_foreground_score(d) for d in detections])
-    row0_feats = np.zeros((1, n, EDGE_FEATURES))
-    row0_feats[0, :, 1] = top_fg
-
-    if m > 0:
-        if config.use_appearance:
-            mu = nc.concat([nc.reshape(t.appearance.mu, (1, config.appearance_dim))
-                            for t in tracks], axis=0)
-            sig = nc.concat([nc.reshape(t.appearance.sigma, (1, config.appearance_dim))
-                             for t in tracks], axis=0)
-            mu3 = nc.reshape(mu, (m, 1, config.appearance_dim))
-            sig3 = nc.reshape(sig, (m, 1, config.appearance_dim))
-            x3 = Tensor(det_apps[None, :, :])
-            diff = x3 - mu3
-            quad = diff * diff / (sig3 * 2.0)
-            logdet = (nc.log(sig3) + ap.LOG_2PI) * 0.5
-            ll = nc.tsum(-logdet - quad, axis=2) * (1.0 / config.appearance_dim)
-        else:
-            ll = Tensor(np.zeros((m, n)))
-        ious = Tensor(iou_matrix([t.last_box for t in tracks],
-                                 [d.box for d in detections]))
-        real = nc.concat([nc.reshape(ll, (m, n, 1)), nc.reshape(ious, (m, n, 1))],
-                         axis=2)
-        feats = nc.concat([Tensor(row0_feats), real], axis=0)
+    if config.use_appearance:
+        det_apps = np.array([np.asarray(d.appearance, dtype=np.float64)
+                             for d in detections]).reshape(1, n, a_dim)
+        rows = ap.GaussianAppearance(mu=nc.reshape(memory.mu, (m, 1, a_dim)),
+                                     sigma=nc.reshape(memory.sigma, (m, 1, a_dim)))
+        ll = ap.log_likelihood(rows, det_apps) * (1.0 / a_dim)
     else:
-        feats = Tensor(row0_feats)
-
-    feats = _scatter_edges(feats, np.arange(m + 1), np.arange(n), m_cap, n_cap)
-    return GraphBatch(tracks=tracks_t, dets=dets_t, edges=feats, edge_feats=feats,
-                      track_mask=track_mask, det_mask=det_mask)
+        ll = Tensor(np.zeros((m, n)))
+    ious = Tensor(iou_matrix(memory.boxes, [d.box for d in detections]))
+    real = nc.concat([nc.reshape(ll, (m, n, 1)), nc.reshape(ious, (m, n, 1))], axis=2)
+    feats = nc.concat([Tensor(row0), real], axis=0)
+    return GraphBatch(tracks=tracks_t, dets=Tensor(det_arr), edges=feats,
+                      edge_feats=feats)

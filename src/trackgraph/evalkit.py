@@ -278,41 +278,16 @@ def make_crossing_suite(num_sequences: int, seed: int, *, num_classes=5,
     return suite
 
 
-def worker_count() -> int:
-    import os
-
-    raw = os.environ.get("TRACKGRAPH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_model_on_suite(model, suite, thresholds=None) -> EvalReport:
-    """Track every sequence (in parallel workers when TRACKGRAPH_THREADS > 1)
-    and pool the tracks for one report."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Track every sequence and pool the tracks for one report."""
     from . import trackman as tm
 
     thresholds = thresholds or tm.Thresholds()
-
-    def run_one(item):
-        seq_idx, (det_frames, gt) = item
+    all_preds, all_gts = [], []
+    for seq_idx, (det_frames, gt) in enumerate(suite):
         memory, _ = tm.run_sequence(det_frames, model, thresholds, mode="infer")
-        preds = tracks_from_memory(memory, model.config.num_classes, seq_idx)
-        gts = tracks_from_gt(gt, seq_idx)
-        return preds, gts
-
-    workers = worker_count()
-    items = list(enumerate(suite))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(it) for it in items]
-    all_preds = [p for preds, _ in results for p in preds]
-    all_gts = [g for _, gts in results for g in gts]
+        all_preds.extend(tracks_from_memory(memory, model.config.num_classes, seq_idx))
+        all_gts.extend(tracks_from_gt(gt, seq_idx))
     return evaluate(all_preds, all_gts)
 
 

@@ -85,21 +85,18 @@ def check_gnn(epsilon=1e-4) -> float:
     rng = np.random.default_rng(2)
     det, gt = _tiny_world(seed=11, frames=1)
     dets = det.frames[0]
-    tracks = []
-    for i in range(2):
-        tracks.append(tm.TrackState(
-            id=i, birth_frame=0,
-            recurrent=rec.RecurrentState(
-                y=Tensor(rng.uniform(-0.8, 0.8, size=config.embed_dim)),
-                c=Tensor(rng.normal(size=config.embed_dim))),
-            appearance=ap.init_model(rng.normal(size=3), 0.05),
-            last_box=np.array([0.4, 0.5, 0.2, 0.2]),
-        ))
-    probe_t = Tensor(rng.normal(size=(config.max_tracks + 1, config.embed_dim)))
-    probe_m = Tensor(rng.normal(size=(config.max_tracks, config.max_detections)))
+    rows = [(rng.uniform(-0.8, 0.8, size=config.embed_dim),
+             rng.normal(size=config.embed_dim), rng.normal(size=3)) for _ in range(2)]
+    y, c, mu = (Tensor(np.array(col)) for col in zip(*rows))
+    memory = tm.TrackMemory(
+        tracks=[tm.TrackState(id=i, birth_frame=0, last_box=np.array([0.4, 0.5, 0.2, 0.2]))
+                for i in range(2)],
+        y=y, c=c, mu=mu, sigma=Tensor(np.full(mu.shape, 0.05)))
+    probe_t = Tensor(rng.normal(size=(len(memory) + 1, config.embed_dim)))
+    probe_m = Tensor(rng.normal(size=(len(memory), len(dets))))
 
     def fn(p):
-        batch = ag.build_graph_batch(tracks, dets, params, config)
+        batch = ag.build_graph_batch(memory, dets, params, config)
         out = ag.gnn_forward(batch, params, config)
         probs = ag.match_probabilities(out, params, config)
         init_p = ag.init_probabilities(out, params, config)
@@ -173,8 +170,7 @@ def _loss_target(component: str):
         model, det_frames, gt = _loss_fixture(LOSS_SEED, frames=2)
 
         def fn(p):
-            parts = learn.unroll_sequence(model, det_frames, gt,
-                                          learn.LossConfig(), tm.Thresholds(),
+            parts = learn.unroll_sequence(model, det_frames, gt, tm.Thresholds(),
                                           mode="train")
             return parts[component]
 

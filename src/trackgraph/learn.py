@@ -73,18 +73,14 @@ def assign_targets(detections, gt_objects, iou_threshold: float = 0.5) -> dict[i
     """Label detections with gt identities: global greedy over (gt, detection)
     pairs by descending IoU, one-to-one, at IoU >= threshold.  Unlabeled
     detections are background.  gt_objects: list of (gt_id, box)."""
-    pairs = []
-    for gi, (gt_id, box) in enumerate(gt_objects):
-        for j, det in enumerate(detections):
-            v = ag.iou(box, det.box)
-            if v >= iou_threshold:
-                pairs.append((v, gi, j, gt_id))
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
+    ious = ag.iou_matrix([box for _, box in gt_objects], [d.box for d in detections])
+    pairs = sorted(zip(*np.nonzero(ious >= iou_threshold)),
+                   key=lambda p: (-ious[p], p[0], p[1]))
     used_g, used_d, labels = set(), set(), {}
-    for v, gi, j, gt_id in pairs:
+    for gi, j in pairs:
         if gi in used_g or j in used_d:
             continue
-        labels[j] = gt_id
+        labels[int(j)] = gt_objects[gi][0]
         used_g.add(gi)
         used_d.add(j)
     return labels
@@ -98,12 +94,6 @@ def _clamped_log(p: Tensor) -> Tensor:
     return nc.log(nc.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
-def cross_entropy(dist: Tensor, target: int) -> Tensor:
-    """-log p[target] with the distribution clamped away from 0/1."""
-    p = nc.reshape(nc.gather(dist, [target]), ())
-    return -_clamped_log(p)
-
-
 def ramp_weights(seq_len: int) -> np.ndarray:
     """Late-frame emphasis: w_t = t / sum(1..T) for t = 1..T; sums to one."""
     t = np.arange(1, seq_len + 1, dtype=np.float64)
@@ -111,34 +101,35 @@ def ramp_weights(seq_len: int) -> np.ndarray:
 
 
 def loss_score(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
-    """per_frame: list over frames of lists of (distribution Tensor, target
-    class).  Ramp-weighted cross-entropy summed over tracks, averaged over
-    the batch (the ramp itself carries the sequence normalization)."""
+    """per_frame: list over frames of (scores Tensor (K, C+1), target classes
+    (K,)).  Ramp-weighted cross-entropy -log p[target], with p clamped away
+    from 0/1, summed over tracks and averaged over the batch (the ramp
+    itself carries the sequence normalization)."""
     weights = ramp_weights(seq_len)
-    total = Tensor(0.0)
-    for t, entries in enumerate(per_frame):
-        for dist, target in entries:
-            total = total + cross_entropy(dist, target) * float(weights[t])
-    return total * (1.0 / batch_size)
+    picked, picked_w = [], []
+    for t, (scores, targets) in enumerate(per_frame):
+        rows = np.arange(len(targets))
+        picked.append(nc.gather(nc.reshape(scores, (-1,)),
+                                rows * scores.shape[-1] + np.asarray(targets, dtype=int)))
+        picked_w.append(np.full(len(rows), weights[t]))
+    ce = -_clamped_log(nc.concat(picked, axis=0))
+    return nc.tsum(ce * Tensor(np.concatenate(picked_w))) * (1.0 / batch_size)
 
 
-def masked_bce_sum(probs: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Sum of binary cross-entropies over mask = 1 entries."""
+def bce_sum(probs: Tensor, targets: np.ndarray) -> Tensor:
+    """Sum of binary cross-entropies over every entry."""
     t = Tensor(np.asarray(targets, dtype=np.float64))
-    m = Tensor(np.asarray(mask, dtype=np.float64))
     logp = _clamped_log(probs)
     lognot = _clamped_log(1.0 - probs)
-    bce = t * logp + (1.0 - t) * lognot
-    return -nc.reshape(nc.tsum(bce * m), ())
+    return -nc.tsum(t * logp + (1.0 - t) * lognot)
 
 
 def loss_bce(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
-    """per_frame: list of (probs Tensor, targets, mask).  Sum over active
-    pairs; normalize by batch size and sequence length only."""
-    total = Tensor(0.0)
-    for probs, targets, mask in per_frame:
-        total = total + masked_bce_sum(probs, targets, mask)
-    return total * (1.0 / (batch_size * seq_len))
+    """per_frame: list of (probs Tensor, targets) over the live entries.  Sum
+    over all of them; normalize by batch size and sequence length only."""
+    probs = nc.concat([nc.reshape(p, (-1,)) for p, _ in per_frame], axis=0)
+    targets = np.concatenate([np.ravel(t) for _, t in per_frame])
+    return bce_sum(probs, targets) * (1.0 / (batch_size * seq_len))
 
 
 def lovasz_grad_vector(fg_sorted: np.ndarray) -> np.ndarray:
@@ -222,67 +213,47 @@ def _paint_gt_map(gt, t, grid: int) -> np.ndarray:
 
 
 def unroll_sequence(model: tm.TrackModel, det_frames, gt,
-                    loss_config: LossConfig, thresholds: tm.Thresholds,
-                    mode: str = "train"):
+                    thresholds: tm.Thresholds, mode: str = "train"):
     """Run step() over the sequence, assemble loss inputs, and return the
     four loss Tensors plus the final memory."""
     config = model.config
     seq_len = len(det_frames)
-    identity: dict[int, int | None] = {}
+    identity: dict[int, int] = {}  # track id -> gt id, -1 for none
     class_of = {obj.id: obj.class_id for obj in gt.objects}
-    memory: list[tm.TrackState] = []
+    memory = tm.TrackMemory.empty(config)
     score_frames, match_frames, init_frames, seg_frames = [], [], [], []
 
     for t, dets in enumerate(det_frames):
         memory, out = tm.step(memory, dets, model, thresholds, mode, t)
         labels = assign_targets(out.detections, _gt_frame_objects(gt, t))
+        det_ids = np.array([labels.get(j, -1) for j in range(out.num_dets)])
+        row_ids = np.array([identity[track.id] for track in out.track_rows])
 
-        # match targets over pre-birth rows x detections
-        m_cap = config.max_tracks
-        n_cap = config.max_detections
-        targets = np.zeros((m_cap, n_cap))
-        mask = np.zeros((m_cap, n_cap))
-        existing_ids = set()
-        for i, track in enumerate(out.track_rows):
-            tid = identity.get(track.id)
-            if tid is not None:
-                existing_ids.add(tid)
-            for j in range(out.num_dets):
-                mask[i, j] = 1.0
-                if tid is not None and labels.get(j) == tid:
-                    targets[i, j] = 1.0
-        match_frames.append((out.match_probs, targets, mask))
+        # match targets over pre-birth rows x detections: same gt identity
+        match_t = (row_ids[:, None] == det_ids[None, :]) & (det_ids[None, :] >= 0)
+        match_frames.append((out.match_probs, match_t))
 
         # init targets: labeled detection whose object has no track yet
-        init_t = np.zeros(n_cap)
-        init_m = np.zeros(n_cap)
-        for j in range(out.num_dets):
-            init_m[j] = 1.0
-            g = labels.get(j)
-            if g is not None and g not in existing_ids:
-                init_t[j] = 1.0
-        init_frames.append((out.init_probs, init_t, init_m))
+        init_t = (det_ids >= 0) & ~np.isin(det_ids, row_ids)
+        init_frames.append((out.init_probs, init_t))
 
         # newborn tracks inherit the label of their initializing detection
         for track in out.born:
             j = track.records[-1].matched_detection
-            identity[track.id] = labels.get(j)
+            identity[track.id] = labels.get(j, -1)
 
-        # score targets
-        entries = []
-        for track, dist in out.score_dists:
-            tid = identity.get(track.id)
-            target = class_of[tid] if tid is not None else config.num_classes
-            entries.append((dist, target))
-        score_frames.append(entries)
+        # score targets, one per row of the new memory
+        targets = [class_of.get(identity[track.id], config.num_classes)
+                   for track in memory]
+        score_frames.append((out.scores, targets))
 
         # segmentation targets: earliest identity-carrying track owns the
         # object's pixels
         if out.seg_logits is not None:
             owner_row: dict[int, int] = {}
             for k, track in enumerate(out.seg_tracks):
-                tid = identity.get(track.id)
-                if tid is not None and tid not in owner_row:
+                tid = identity[track.id]
+                if tid >= 0 and tid not in owner_row:
                     owner_row[tid] = k + 1
             gt_map = _paint_gt_map(gt, t, config.mask_grid)
             labels_map = np.zeros_like(gt_map)
@@ -303,7 +274,7 @@ def unroll_sequence(model: tm.TrackModel, det_frames, gt,
 
 def sequence_loss(model, det_frames, gt, loss_config: LossConfig,
                   thresholds: tm.Thresholds, mode: str = "train"):
-    parts = unroll_sequence(model, det_frames, gt, loss_config, thresholds, mode)
+    parts = unroll_sequence(model, det_frames, gt, thresholds, mode)
     total, breakdown = total_loss(parts["score"], parts["seg"], parts["match"],
                                   parts["init"], loss_config)
     return total, breakdown
@@ -330,8 +301,8 @@ def train(dataset, model: tm.TrackModel, config: TrainConfig,
                 acc = np.zeros(4)
                 for bi in batch_idx:
                     det_frames, gt = dataset[bi]
-                    parts = unroll_sequence(model, det_frames, gt, config.loss,
-                                            thresholds, mode="train")
+                    parts = unroll_sequence(model, det_frames, gt, thresholds,
+                                            mode="train")
                     seq_total, bd = total_loss(parts["score"], parts["seg"],
                                                parts["match"], parts["init"],
                                                config.loss)

@@ -5,11 +5,11 @@ Every primitive runs eagerly on numpy float64 arrays and, when a tape is
 active, records (op name, inputs, output, aux) so that the tape can be
 replayed forward bit-exactly and swept backward.  The primitive set is
 intentionally small: affine maps, elementwise activations, concatenation,
-gather/scatter, broadcasting products, reductions, and a 3x3 sliding-window
-patch extractor for the tiny mask head.  Reductions delegate to numpy's
-summation, which is deterministic for a fixed shape; `slot_sum` additionally
-fixes the accumulation order to ascending slot index so that appending
-exact-zero padding slots never changes a result bit.
+row gathers, axis swaps, broadcasting products, reductions, and a 3x3
+sliding-window patch extractor for the tiny mask head.  Reductions delegate
+to numpy's summation, which is deterministic for a fixed shape; `slot_sum`
+additionally fixes the accumulation order to ascending slot index, so a
+graph node's aggregate is one sequential sum however large the graph is.
 """
 
 from __future__ import annotations
@@ -224,17 +224,6 @@ def _():
     return fwd, bwd
 
 
-@_op("matmul")
-def _():
-    def fwd(aux, a, b):
-        return a @ b
-
-    def bwd(aux, g, out, a, b):
-        return g @ b.T, a.T @ g
-
-    return fwd, bwd
-
-
 @_op("affine")
 def _():
     # x (R, in), w (out, in), b (out,) -> x @ w.T + b
@@ -292,22 +281,6 @@ def _():
         acc = np.zeros_like(a)
         np.add.at(acc, np.asarray(idx), g)
         return (acc,)
-
-    return fwd, bwd
-
-
-@_op("scatter_rows")
-def _():
-    # Place rows at unique indices of an otherwise-zero axis-0 extent.
-    def fwd(aux, a):
-        idx, size = aux
-        out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
-        out[np.asarray(idx)] = a
-        return out
-
-    def bwd(aux, g, out, a):
-        idx, _ = aux
-        return (g[np.asarray(idx)],)
 
     return fwd, bwd
 
@@ -493,12 +466,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _run("div", (a, b))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise NumericError(f"matmul shapes {a.shape} and {b.shape} do not agree")
-    return _run("matmul", (a, b))
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _run("reshape", (a,), tuple(shape))
 
@@ -514,13 +481,6 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
 
 def gather(a: Tensor, idx) -> Tensor:
     return _run("gather", (a,), np.asarray(idx, dtype=np.intp))
-
-
-def scatter_rows(a: Tensor, idx, size: int) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    if len(np.unique(idx)) != len(idx):
-        raise NumericError("scatter_rows requires unique indices")
-    return _run("scatter_rows", (a,), (idx, size))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -599,21 +559,6 @@ def linear(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         out = reshape(out, lead + (weight.shape[0],))
     return out
-
-
-@_op("transpose2d")
-def _():
-    def fwd(aux, a):
-        return a.T.copy()
-
-    def bwd(aux, g, out, a):
-        return (g.T.copy(),)
-
-    return fwd, bwd
-
-
-def _transpose(a: Tensor) -> Tensor:
-    return _run("transpose2d", (a,))
 
 
 @_op("swapaxes01")

@@ -61,8 +61,9 @@ def gate_step(tau_tilde: Tensor, state: RecurrentState, params: ParamStore,
 
 
 def new_track_state(delta_out: Tensor) -> RecurrentState:
-    """State for a track born from a detection embedding: tanh keeps the
-    emitted embedding inside the (-1,1) range contract, cell starts at zero."""
+    """State for tracks born from detection embeddings (one per row): tanh
+    keeps the emitted embedding inside the (-1,1) range contract, cell starts
+    at zero."""
     y = nc.tanh(delta_out)
     c = Tensor(np.zeros(delta_out.shape))
     return RecurrentState(y=y, c=c)

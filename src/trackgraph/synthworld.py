@@ -271,12 +271,22 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int) -> Detection
                     appearance=rng.normal(size=cfg.appearance_dim),
                     source="fp",
                 ))
-        if len(dets) > 16:
-            conf = [float(np.max(d.scores[:-1])) for d in dets]
-            keep = sorted(np.argsort(conf)[::-1][:16])
-            dets = [dets[i] for i in keep]
-        out.frames.append(dets)
+        out.frames.append(truncate_detections(dets, 16))
     return out
+
+
+def top_foreground_score(det) -> float:
+    return float(np.max(np.asarray(det.scores)[:-1]))
+
+
+def truncate_detections(detections, cap: int) -> list:
+    """The `cap` detections with the highest foreground scores, in their
+    original order."""
+    if len(detections) <= cap:
+        return list(detections)
+    conf = [top_foreground_score(d) for d in detections]
+    keep = sorted(np.argsort(np.asarray(conf))[::-1][:cap])
+    return [detections[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------

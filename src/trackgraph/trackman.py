@@ -1,6 +1,12 @@
 """Per-frame track management: graph construction, assignment, track birth,
 scoring, mask reweighting, and memory update.
 
+The track memory is one TrackMemory: the recurrent state and appearance
+Gaussians of all M tracks as stacked (M, D) and (M, A) tensors, with identity
+and per-frame records in a TrackState side table, one per row.  Every
+learned piece of a frame (graph, gate, rate head, appearance update, mask
+head, score head) runs once over those stacked rows.
+
 step() is the full inference loop for one frame and is the same code path
 during training (a tape is simply active, so every probability, score, and
 logit stays differentiable).  Tracks are never deleted; they are marked
@@ -22,6 +28,7 @@ from . import numcore as nc
 from . import recurrence as rec
 from .assocgraph import ModelConfig
 from .numcore import NumericError, ParamStore, Tensor
+from .synthworld import top_foreground_score, truncate_detections
 
 
 @dataclass
@@ -50,11 +57,12 @@ class FrameRecord:
 
 @dataclass
 class TrackState:
+    """Identity and bookkeeping of one track.  Its recurrent state and
+    appearance Gaussian live in the matching row of TrackMemory."""
+
     id: int
     birth_frame: int
-    recurrent: rec.RecurrentState
-    appearance: ap.GaussianAppearance
-    last_box: np.ndarray
+    last_box: np.ndarray | None = None
     active: bool = True
     records: list[FrameRecord] = field(default_factory=list)
     # matched-detection history for the heuristic scoring variant
@@ -67,6 +75,38 @@ class TrackState:
 
 
 @dataclass
+class TrackMemory:
+    """Every track as one row of stacked tensors: recurrent state y and c
+    (M, D), appearance mean mu and variance sigma (M, A).  Row i belongs to
+    tracks[i]; iterating, len() and indexing go over that TrackState table."""
+
+    tracks: list[TrackState]
+    y: Tensor
+    c: Tensor
+    mu: Tensor
+    sigma: Tensor
+
+    @classmethod
+    def empty(cls, config: ModelConfig) -> "TrackMemory":
+        rows = Tensor(np.zeros((0, config.embed_dim)))
+        apps = Tensor(np.zeros((0, config.appearance_dim)))
+        return cls(tracks=[], y=rows, c=rows, mu=apps, sigma=apps)
+
+    def __len__(self) -> int:
+        return len(self.tracks)
+
+    def __iter__(self):
+        return iter(self.tracks)
+
+    def __getitem__(self, i) -> TrackState:
+        return self.tracks[i]
+
+    @property
+    def boxes(self) -> np.ndarray:
+        return np.array([t.last_box for t in self.tracks]).reshape(-1, 4)
+
+
+@dataclass
 class TrackModel:
     config: ModelConfig
     params: ParamStore
@@ -76,7 +116,9 @@ class TrackModel:
 class FrameOutput:
     """Everything the losses and reporters need for one processed frame.
     match/init probabilities refer to the memory as it stood when the graph
-    ran (before any births this frame)."""
+    ran (before any births this frame): match_probs is (m, n), init_probs
+    (n,).  scores holds one class distribution per row of the returned
+    memory (track_rows, then born)."""
 
     frame: int
     num_tracks: int
@@ -86,7 +128,7 @@ class FrameOutput:
     init_probs: Tensor
     track_rows: list[TrackState]
     born: list[TrackState]
-    score_dists: list[tuple[TrackState, Tensor]]
+    scores: Tensor
     seg_logits: Tensor | None
     seg_tracks: list[TrackState]
     instance_map: np.ndarray | None
@@ -185,17 +227,18 @@ def greedy_assignment(scores: np.ndarray, cutoff: float) -> dict[int, int]:
     return out
 
 
-def _heuristic_association(memory, detections, weights):
+def _heuristic_association(memory: TrackMemory, detections, weights):
     m, n = len(memory), len(detections)
+    ious = ag.iou_matrix(memory.boxes, [d.box for d in detections])
     scores = np.zeros((m, n))
     for i, track in enumerate(memory):
         track_class = int(np.argmax(track.class_distribution[:-1])) if track.records else 0
         for j, det in enumerate(detections):
             feats = [
-                _cosine(track.appearance.mu.data, det.appearance),
-                ag.iou(track.last_box, det.box),
+                _cosine(memory.mu.data[i], det.appearance),
+                ious[i, j],
                 1.0 if int(np.argmax(det.scores[:-1])) == track_class else 0.0,
-                ag.top_foreground_score(det),
+                top_foreground_score(det),
             ]
             scores[i, j] = association_linear(feats, weights)
     return greedy_assignment(scores, cutoff=sum(weights) / 2.0)
@@ -213,38 +256,36 @@ def render_box_mask(box, grid: int) -> np.ndarray:
     return inside.astype(np.float64)
 
 
-def reweight_masks(entries, params: ParamStore, grid: int):
+def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
     """Resolve pixel ownership among overlapping track masks.
 
-    entries: list of (track, mask (G,G), box, embedding Tensor (D,)).
-    Returns (instance_map, logits): the map holds a row index per pixel
-    (0 = background, i+1 = entries[i]); logits is the (K+1, G, G) stack with
-    the fixed background row of zeros first.  Equal-logit ties go to the
-    background because argmax keeps the first maximal row.
+    embeddings: (K, D) track embeddings; masks: K (G,G) detection masks;
+    boxes: K detection boxes.  Returns (instance_map, logits): the map holds
+    a row index per pixel (0 = background, i+1 = entry i); logits is the
+    (K+1, G, G) stack with the fixed background row of zeros first.
+    Equal-logit ties go to the background because argmax keeps the first
+    maximal row.
     """
-    if not entries:
+    k = len(masks)
+    if k == 0:
         return None, None
-    planes = []
-    for track, mask, box, emb in entries:
-        if mask.shape != (grid, grid):
-            raise NumericError(f"mask shape {mask.shape} does not match grid {grid}")
-        proj = nc.relu(nc.linear(params["mask_head/proj/w"],
-                                 params["mask_head/proj/b"], emb))
-        proj = nc.broadcast_to(nc.reshape(proj, (16, 1, 1)), (16, grid, grid))
-        chans = nc.concat([
-            proj,
-            Tensor(np.asarray(mask, dtype=np.float64)[None]),
-            Tensor(render_box_mask(box, grid)[None]),
-        ], axis=0)
-        planes.append(nc.reshape(chans, (1, 18, grid, grid)))
-    x = nc.concat(planes, axis=0)                                  # (K,18,G,G)
+    for mask in masks:
+        if np.shape(mask) != (grid, grid):
+            raise NumericError(f"mask shape {np.shape(mask)} does not match grid {grid}")
+    masks = np.asarray(masks, dtype=np.float64)
+    proj = nc.relu(nc.linear(params["mask_head/proj/w"], params["mask_head/proj/b"],
+                             embeddings))                          # (K,16)
+    proj = nc.broadcast_to(nc.reshape(proj, (k, 16, 1, 1)), (k, 16, grid, grid))
+    box_masks = np.array([render_box_mask(box, grid) for box in boxes])
+    x = nc.concat([proj, Tensor(masks[:, None]), Tensor(box_masks[:, None])],
+                  axis=1)                                          # (K,18,G,G)
     h = nc.linear(params["mask_head/conv1/w"], params["mask_head/conv1/b"],
                   nc.im2col3x3(x))                                 # (K,GG,16)
     h = nc.relu(h)
-    h = nc.reshape(nc.swapaxes12(h), (len(entries), 16, grid, grid))
+    h = nc.reshape(nc.swapaxes12(h), (k, 16, grid, grid))
     h = nc.linear(params["mask_head/conv2/w"], params["mask_head/conv2/b"],
                   nc.im2col3x3(h))                                 # (K,GG,1)
-    logits = nc.reshape(h, (len(entries), grid, grid))
+    logits = nc.reshape(h, (k, grid, grid))
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)
     instance_map = np.argmax(stack.data, axis=0)
     return instance_map, stack
@@ -254,22 +295,34 @@ def reweight_masks(entries, params: ParamStore, grid: int):
 # the per-frame loop
 
 
-def truncate_detections(detections, cap: int):
-    if len(detections) <= cap:
-        return list(detections)
-    conf = [ag.top_foreground_score(d) for d in detections]
-    keep = sorted(np.argsort(np.asarray(conf))[::-1][:cap])
-    return [detections[i] for i in keep]
+def _advance(memory: TrackMemory, tau_tilde: Tensor, params: ParamStore,
+             config: ModelConfig) -> rec.RecurrentState:
+    """Next (y, c) rows of the existing tracks from their graph outputs."""
+    if config.gate_mode == "lstm":
+        return rec.gate_step(tau_tilde, rec.RecurrentState(y=memory.y, c=memory.c),
+                             params)
+    zeros = Tensor(np.zeros(tau_tilde.shape))
+    if config.gate_mode == "simple":
+        return rec.RecurrentState(y=rec.simple_gate_step(tau_tilde, params), c=zeros)
+    if config.gate_mode == "none":
+        # Experimental: no gating; known to destabilize training.
+        return rec.RecurrentState(y=tau_tilde, c=zeros)
+    raise NumericError(f"unknown gate mode {config.gate_mode!r}")
 
 
-def step(memory: list[TrackState], detections, model: TrackModel,
+def step(memory: TrackMemory, detections, model: TrackModel,
          thresholds: Thresholds, mode: str, frame_index: int):
-    """Process one frame; returns (memory, FrameOutput).  Track states are
-    advanced in place and newborn tracks are appended."""
+    """Process one frame; returns (memory, FrameOutput).  `memory` may be []
+    for an empty memory.  The returned memory holds the existing tracks, in
+    order and advanced one frame, followed by this frame's newborns."""
     config, params = model.config, model.params
+    if not len(memory):
+        memory = TrackMemory.empty(config)
     thr_init = thresholds.init_for(mode)
     dets = truncate_detections(detections, config.max_detections)
     m, n = len(memory), len(dets)
+    det_apps = np.array([np.asarray(d.appearance, dtype=np.float64)
+                         for d in dets]).reshape(n, config.appearance_dim)
 
     batch = ag.build_graph_batch(memory, dets, params, config)
     out_batch = ag.gnn_forward(batch, params, config)
@@ -279,136 +332,85 @@ def step(memory: list[TrackState], detections, model: TrackModel,
     # -- assignment ---------------------------------------------------------
     if config.heuristic_association:
         assigned = _heuristic_association(memory, dets, HEURISTIC_ASSOC_WEIGHTS)
-        matches = {i: assigned.get(i) for i in range(m)}
-        hard_init = np.zeros(config.max_detections)
-        taken = set(assigned.values())
-        hard_init[[j for j in range(n) if j not in taken]] = 1.0
-        match_data = np.zeros(match_p.shape)
-        for i, j in assigned.items():
-            match_data[i, j] = 1.0
-        match_p = Tensor(match_data)
-        init_p = Tensor(hard_init)
-        init_decisions = hard_init[:n] >= 0.5
+        matches = [assigned.get(i) for i in range(m)]
+        match_data = np.zeros((m, n))
+        match_data[list(assigned), list(assigned.values())] = 1.0
+        init_data = np.ones(n)
+        init_data[list(assigned.values())] = 0.0
+        match_p, init_p = Tensor(match_data), Tensor(init_data)
+        init_decisions = init_data >= 0.5
     else:
-        matches = {}
-        for i in range(m):
-            if n == 0:
-                matches[i] = None
-                continue
-            row = match_p.data[i, :n]
-            j = int(np.argmax(row))
-            matches[i] = j if row[j] >= thresholds.match_active else None
-        init_decisions = init_p.data[:n] >= thr_init
+        matches = [None] * m
+        if n:
+            best = np.argmax(match_p.data, axis=1)
+            matches = [int(j) if match_p.data[i, j] >= thresholds.match_active
+                       else None for i, j in enumerate(best)]
+        init_decisions = init_p.data >= thr_init
 
-    # -- advance existing tracks through the gate ---------------------------
-    if m > 0:
-        tau_tilde = nc.gather(out_batch.tracks, np.arange(1, m + 1))
-        if config.gate_mode == "lstm":
-            y_prev = nc.concat([nc.reshape(t.recurrent.y, (1, config.embed_dim))
-                                for t in memory], axis=0)
-            c_prev = nc.concat([nc.reshape(t.recurrent.c, (1, config.embed_dim))
-                                for t in memory], axis=0)
-            state = rec.gate_step(tau_tilde,
-                                  rec.RecurrentState(y=y_prev, c=c_prev), params)
-            new_y, new_c = state.y, state.c
-        elif config.gate_mode == "simple":
-            new_y = rec.simple_gate_step(tau_tilde, params)
-            new_c = Tensor(np.zeros((m, config.embed_dim)))
-        elif config.gate_mode == "none":
-            # Experimental: no gating; known to destabilize training.
-            new_y = tau_tilde
-            new_c = Tensor(np.zeros((m, config.embed_dim)))
-        else:
-            raise NumericError(f"unknown gate mode {config.gate_mode!r}")
-        for i, track in enumerate(memory):
-            track.recurrent = rec.RecurrentState(
-                y=nc.reshape(nc.gather(new_y, [i]), (config.embed_dim,)),
-                c=nc.reshape(nc.gather(new_c, [i]), (config.embed_dim,)),
-            )
-
-    # -- births --------------------------------------------------------------
-    born_pairs: list[tuple[TrackState, int]] = []
+    # -- advance existing tracks through the gate; births (refused once the
+    # memory holds max_tracks) ----------------------------------------------
+    state = _advance(memory, nc.gather(out_batch.tracks, np.arange(1, m + 1)),
+                     params, config)
+    born_js = [int(j) for j in np.flatnonzero(init_decisions)[: config.max_tracks - m]]
+    born_state = rec.new_track_state(nc.gather(out_batch.dets, born_js))
     next_id = max((t.id for t in memory), default=-1) + 1
-    for j in range(n):
-        if not init_decisions[j]:
-            continue
-        if m + len(born_pairs) >= config.max_tracks:
-            break  # capacity reached: refuse further initializations
-        det = dets[j]
-        delta_out = nc.reshape(nc.gather(out_batch.dets, [j]), (config.embed_dim,))
-        track = TrackState(
-            id=next_id,
-            birth_frame=frame_index,
-            recurrent=rec.new_track_state(delta_out),
-            appearance=ap.init_model(np.asarray(det.appearance, dtype=np.float64),
-                                     config.sigma0),
-            last_box=np.asarray(det.box, dtype=np.float64).copy(),
-        )
-        track.conf_votes.append(ag.top_foreground_score(det))
-        track.class_votes.append(int(np.argmax(np.asarray(det.scores)[:-1])))
-        born_pairs.append((track, j))
-        next_id += 1
-    born = [t for t, _ in born_pairs]
+    born = [TrackState(id=next_id + k, birth_frame=frame_index)
+            for k in range(len(born_js))]
 
     # -- matched-track bookkeeping and appearance updates --------------------
-    active_entries: list[tuple[TrackState, np.ndarray, np.ndarray, Tensor, int]] = []
-    for i, track in enumerate(memory):
-        j = matches[i]
+    tracks = memory.tracks + born
+    row_js = matches + born_js  # each next-memory row's detection, or None
+    for track, j in zip(tracks, row_js):
         track.active = j is not None
         if track.active:
             det = dets[j]
             track.last_box = np.asarray(det.box, dtype=np.float64).copy()
-            track.conf_votes.append(ag.top_foreground_score(det))
+            track.conf_votes.append(top_foreground_score(det))
             track.class_votes.append(int(np.argmax(np.asarray(det.scores)[:-1])))
-            rates = ap.predict_rates(track.recurrent.y, params)
-            track.appearance = ap.update(
-                track.appearance, np.asarray(det.appearance, dtype=np.float64),
-                rates, freeze_sigma=config.const_variance)
-            active_entries.append((track, np.asarray(det.mask), det.box,
-                                   track.recurrent.y, j))
-    for track, j in born_pairs:  # newborns are active with their detection
-        track.active = True
-        det = dets[j]
-        active_entries.append((track, np.asarray(det.mask), det.box,
-                               track.recurrent.y, j))
+    # active rows: matched existing tracks in memory order, then the newborns
+    seg_rows = [row for row, j in enumerate(row_js) if j is not None]
+    seg_js = [row_js[row] for row in seg_rows]
+    u = len(seg_rows) - len(born)
+    upd_rows, upd_js = seg_rows[:u], seg_js[:u]
+    rates = ap.predict_rates(nc.gather(state.y, upd_rows), params)
+    updated = ap.update(
+        ap.GaussianAppearance(mu=nc.gather(memory.mu, upd_rows),
+                              sigma=nc.gather(memory.sigma, upd_rows)),
+        det_apps[upd_js], rates, freeze_sigma=config.const_variance)
+    newborn = ap.init_model(det_apps[born_js], config.sigma0)
+
+    # -- the next memory: one concat (and gather) per stacked tensor ----------
+    app_rows = np.arange(m + len(born))
+    app_rows[upd_rows] = m + np.arange(u)
+    app_rows[m:] += u
+    nxt = TrackMemory(
+        tracks=tracks,
+        y=nc.concat([state.y, born_state.y], axis=0),
+        c=nc.concat([state.c, born_state.c], axis=0),
+        mu=nc.gather(nc.concat([memory.mu, updated.mu, newborn.mu], axis=0), app_rows),
+        sigma=nc.gather(nc.concat([memory.sigma, updated.sigma, newborn.sigma], axis=0),
+                        app_rows))
 
     instance_map, seg_logits = reweight_masks(
-        [(t, mask, box, emb) for t, mask, box, emb, _ in active_entries],
-        params, config.mask_grid)
+        nc.gather(nxt.y, seg_rows), [dets[j].mask for j in seg_js],
+        [dets[j].box for j in seg_js], params, config.mask_grid)
 
-    # -- scoring --------------------------------------------------------------
-    all_tracks = memory + born
-    score_dists: list[tuple[TrackState, Tensor]] = []
-    if all_tracks:
-        if config.heuristic_scoring:
-            for track in all_tracks:
-                dist = _heuristic_distribution(track, config.num_classes)
-                score_dists.append((track, Tensor(dist)))
-        else:
-            ys = nc.concat([nc.reshape(t.recurrent.y, (1, config.embed_dim))
-                            for t in all_tracks], axis=0)
-            dists = score_tracks(ys, params)
-            for i, track in enumerate(all_tracks):
-                score_dists.append((track, nc.reshape(
-                    nc.gather(dists, [i]), (config.num_classes + 1,))))
+    # -- scoring and per-frame records -----------------------------------------
+    if config.heuristic_scoring:
+        scores = Tensor(np.array([_heuristic_distribution(t, config.num_classes)
+                                  for t in tracks]).reshape(-1, config.num_classes + 1))
+    else:
+        scores = score_tracks(nxt.y, params)
+    for row, track in enumerate(tracks):
+        record = FrameRecord(t=frame_index, active=track.active,
+                             scores=scores.data[row].copy())
+        if track.active:
+            k = seg_rows.index(row)
+            record.matched_detection = seg_js[k]
+            record.box = track.last_box.copy()
+            record.mask = (instance_map == k + 1).astype(np.uint8)
+        track.records.append(record)
 
-    # -- per-frame records ------------------------------------------------------
-    claimed = {id(t): (mask, box, j)
-               for t, mask, box, _, j in active_entries}
-    row_of = {id(e[0]): k + 1 for k, e in enumerate(active_entries)}
-    for track, dist in score_dists:
-        if id(track) in claimed:
-            mask, box, j = claimed[id(track)]
-            own_mask = (instance_map == row_of[id(track)]).astype(np.uint8)
-            track.records.append(FrameRecord(
-                t=frame_index, active=True, scores=dist.data.copy(),
-                matched_detection=j, box=np.asarray(box, dtype=np.float64).copy(),
-                mask=own_mask))
-        else:
-            track.records.append(FrameRecord(
-                t=frame_index, active=False, scores=dist.data.copy()))
-
-    memory.extend(born)
     output = FrameOutput(
         frame=frame_index,
         num_tracks=m,
@@ -416,21 +418,21 @@ def step(memory: list[TrackState], detections, model: TrackModel,
         detections=dets,
         match_probs=match_p,
         init_probs=init_p,
-        track_rows=list(memory[:m]),
+        track_rows=memory.tracks,
         born=born,
-        score_dists=score_dists,
+        scores=scores,
         seg_logits=seg_logits,
-        seg_tracks=[t for t, *_ in active_entries],
+        seg_tracks=[tracks[row] for row in seg_rows],
         instance_map=instance_map,
     )
-    return memory, output
+    return nxt, output
 
 
 def run_sequence(detection_frames, model: TrackModel,
                  thresholds: Thresholds | None = None, mode: str = "infer"):
     """Feed every frame through step(); returns (memory, outputs)."""
     thresholds = thresholds or Thresholds()
-    memory: list[TrackState] = []
+    memory = TrackMemory.empty(model.config)
     outputs = []
     for t, dets in enumerate(detection_frames):
         memory, out = step(memory, dets, model, thresholds, mode, t)
@@ -442,7 +444,7 @@ def run_sequence(detection_frames, model: TrackModel,
 # track output serialization
 
 
-def tracks_to_json(memory: list[TrackState], num_frames: int) -> dict:
+def tracks_to_json(memory: TrackMemory, num_frames: int) -> dict:
     tracks = []
     for t in memory:
         frames = []

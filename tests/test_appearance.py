@@ -199,3 +199,32 @@ def test_full_update_chain_is_differentiable():
         return ap.log_likelihood(model, q)
 
     assert grad_check(fn, params) < 1e-6
+
+
+def test_stacked_rows_match_single_rows():
+    # One call over (M, .) rows gives what M single-Gaussian calls give.
+    rng = np.random.default_rng(5)
+    params = ParamStore()
+    ap.init_rate_params(params, 4, rng)
+    emb = rng.normal(size=(3, 4))
+    mu = rng.normal(size=(3, 2))
+    sigma = rng.uniform(0.2, 1.5, size=(3, 2))
+    x = rng.normal(size=(3, 2))
+    queries = rng.normal(size=(5, 2))
+    stacked = ap.update(ap.GaussianAppearance(mu=Tensor(mu), sigma=Tensor(sigma)), x,
+                        ap.predict_rates(Tensor(emb), params))
+    lls = ap.log_likelihood(
+        ap.GaussianAppearance(mu=nc.reshape(stacked.mu, (3, 1, 2)),
+                              sigma=nc.reshape(stacked.sigma, (3, 1, 2))),
+        queries[None])
+    assert lls.shape == (3, 5)
+    for i in range(3):
+        rates = ap.predict_rates(Tensor(emb[i]), params)
+        assert rates.kappa.shape == ()
+        single = ap.update(ap.GaussianAppearance(mu=Tensor(mu[i]), sigma=Tensor(sigma[i])),
+                           x[i], rates)
+        np.testing.assert_allclose(stacked.mu.data[i], single.mu.data, rtol=1e-13)
+        np.testing.assert_allclose(stacked.sigma.data[i], single.sigma.data, rtol=1e-13)
+        for j in range(5):
+            assert lls.data[i, j] == pytest.approx(
+                ap.log_likelihood(single, queries[j]).item(), rel=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from trackgraph import appearance as ap
 from trackgraph import assocgraph as ag
 from trackgraph import numcore as nc
+from trackgraph import trackman as tm
 from trackgraph.numcore import NumericError, ParamStore, Tape, Tensor, backward, grad_check
 
 
@@ -14,15 +15,24 @@ class DetStub:
         self.appearance = np.asarray(appearance, dtype=np.float64)
 
 
-class TrackStub:
-    class _Rec:
-        def __init__(self, y):
-            self.y = Tensor(y)
+def make_memory(rows, embed_dim, appearance_dim):
+    """TrackMemory from per-track (mu, sigma, box, y) rows."""
+    def stack(k, width):
+        return Tensor(np.array([r[k] for r in rows], dtype=np.float64).reshape(-1, width))
 
-    def __init__(self, mu, sigma, box, y):
-        self.appearance = ap.GaussianAppearance(mu=Tensor(mu), sigma=Tensor(sigma))
-        self.last_box = np.asarray(box, dtype=np.float64)
-        self.recurrent = self._Rec(y)
+    return tm.TrackMemory(
+        tracks=[tm.TrackState(id=i, birth_frame=0,
+                              last_box=np.asarray(r[2], dtype=np.float64))
+                for i, r in enumerate(rows)],
+        y=stack(3, embed_dim), c=Tensor(np.zeros((len(rows), embed_dim))),
+        mu=stack(0, appearance_dim), sigma=stack(1, appearance_dim))
+
+
+def permute(memory, perm):
+    return tm.TrackMemory(tracks=[memory.tracks[i] for i in perm],
+                          y=Tensor(memory.y.data[perm]), c=Tensor(memory.c.data[perm]),
+                          mu=Tensor(memory.mu.data[perm]),
+                          sigma=Tensor(memory.sigma.data[perm]))
 
 
 def small_config(**kw):
@@ -33,15 +43,14 @@ def small_config(**kw):
 
 
 def random_inputs(rng, config, m, n):
-    tracks = [
-        TrackStub(
-            mu=rng.normal(size=config.appearance_dim),
-            sigma=rng.uniform(0.2, 1.5, size=config.appearance_dim),
-            box=[rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.3],
-            y=rng.uniform(-0.9, 0.9, size=config.embed_dim),
-        )
+    rows = [
+        (rng.normal(size=config.appearance_dim),
+         rng.uniform(0.2, 1.5, size=config.appearance_dim),
+         [rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.3],
+         rng.uniform(-0.9, 0.9, size=config.embed_dim))
         for _ in range(m)
     ]
+    tracks = make_memory(rows, config.embed_dim, config.appearance_dim)
     dets = []
     for _ in range(n):
         raw = rng.uniform(0.05, 1.0, size=config.num_classes + 1)
@@ -165,6 +174,22 @@ def test_iou_corner_boxes_matches_raster_oracle():
     exact = ag.iou(a, b)
     assert exact == pytest.approx(1.0 / 7.0, abs=1e-12)
     assert exact == pytest.approx(raster, abs=2e-3)
+    assert ag.iou_matrix([a], [b])[0, 0] == exact
+
+
+def test_iou_matrix_equals_scalar_iou_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        m, n = rng.integers(0, 6, size=2)
+        boxes_a = np.column_stack([rng.uniform(0, 1, (m, 2)), rng.uniform(0, 0.5, (m, 2))])
+        boxes_b = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(0, 0.5, (n, 2))])
+        if n:
+            boxes_b[0, 2:] = 0.0  # an empty box: zero union against itself
+        got = ag.iou_matrix(boxes_a, boxes_b)
+        assert got.shape == (m, n)
+        want = np.array([[ag.iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(m, n)
+        np.testing.assert_array_equal(got, want)
+    assert ag.iou_matrix([[0.5, 0.5, 0.0, 0.0]], [[0.5, 0.5, 0.0, 0.0]])[0, 0] == 0.0
 
 
 def test_detection_embedding_dimensions():
@@ -189,19 +214,25 @@ def test_detection_embedding_rejects_bad_score_count():
 
 
 def test_edge_features_perfect_pair():
+    config = small_config(num_classes=2)
     mu = np.array([0.1, -0.4, 0.8])
-    track = TrackStub(mu=mu, sigma=np.ones(3), box=[0.5, 0.5, 0.2, 0.2], y=np.zeros(4))
+    memory = make_memory([(mu, np.ones(3), [0.5, 0.5, 0.2, 0.2], np.zeros(8))], 8, 3)
     det = DetStub([0.5, 0.5, 0.2, 0.2], [0.7, 0.2, 0.1], mu)
-    feats = ag.init_edge_features(track, det).data
-    max_ll = ap.log_likelihood(track.appearance, mu).item()
+    batch = ag.build_graph_batch(memory, [det], make_params(config), config)
+    feats = batch.edge_feats.data[1, 0]
+    max_ll = ap.log_likelihood(ap.GaussianAppearance(mu=Tensor(mu), sigma=Tensor(np.ones(3))),
+                               mu).item()
     assert feats[0] == pytest.approx(max_ll / 3)
     assert feats[1] == 1.0
 
 
 def test_edge_features_disjoint_boxes():
-    track = TrackStub(np.zeros(2), np.ones(2), [0.1, 0.1, 0.1, 0.1], np.zeros(4))
+    config = small_config(num_classes=1, appearance_dim=2)
+    memory = make_memory([(np.zeros(2), np.ones(2), [0.1, 0.1, 0.1, 0.1], np.zeros(8))],
+                         8, 2)
     det = DetStub([0.9, 0.9, 0.1, 0.1], [1.0, 0.0], np.zeros(2))
-    assert ag.init_edge_features(track, det).data[1] == 0.0
+    batch = ag.build_graph_batch(memory, [det], make_params(config), config)
+    assert batch.edge_feats.data[1, 0, 1] == 0.0
 
 
 def test_empty_track_edge_features_top_score():
@@ -248,7 +279,7 @@ def test_zero_gate_weights_mean_half_gates():
     batch = ag.build_graph_batch(tracks, dets, params, config)
     out = ag.gnn_forward(batch, params, config)
     # oracle with the same zeroed gates reproduces the 0.5-gated sums
-    tr0 = [params["tau0"].data] + [t.recurrent.y.data for t in tracks]
+    tr0 = [params["tau0"].data] + list(tracks.y.data)
     de0 = [ag.init_detection_embedding(d, config.num_classes) for d in dets]
     edges0 = {(m, n): batch.edge_feats.data[m, n] for m in range(3) for n in range(3)}
     otr, ode, _ = oracle_forward(params, config, tr0, de0, edges0)
@@ -264,7 +295,7 @@ def test_forward_matches_straight_line_oracle():
     batch = ag.build_graph_batch(tracks, dets, params, config)
     out = ag.gnn_forward(batch, params, config)
 
-    tr0 = [params["tau0"].data] + [t.recurrent.y.data for t in tracks]
+    tr0 = [params["tau0"].data] + list(tracks.y.data)
     de0 = [ag.init_detection_embedding(d, config.num_classes) for d in dets]
     edges0 = {(m, n): batch.edge_feats.data[m, n] for m in range(3) for n in range(3)}
     otr, ode, oed = oracle_forward(params, config, tr0, de0, edges0)
@@ -289,7 +320,7 @@ def test_forward_oracle_mlp_mode():
         h = relu(params[f"{prefix}/w"].data @ z + params[f"{prefix}/b"].data)
         return h
 
-    tr = [params["tau0"].data] + [t.recurrent.y.data for t in tracks]
+    tr = [params["tau0"].data] + list(tracks.y.data)
     de = [ag.init_detection_embedding(d, config.num_classes) for d in dets]
     e0 = batch.edge_feats.data
     new_e = {}
@@ -319,7 +350,7 @@ def test_permutation_equivariance_randomized():
 
         perm_d = rng.permutation(n)
         perm_t = rng.permutation(m)
-        batch_p = ag.build_graph_batch([tracks[i] for i in perm_t],
+        batch_p = ag.build_graph_batch(permute(tracks, perm_t),
                                        [dets[j] for j in perm_d], params, config)
         out_p = ag.gnn_forward(batch_p, params, config)
 
@@ -360,10 +391,6 @@ def test_padding_independence_bit_exact():
         np.testing.assert_array_equal(out_s.dets.data[:n], out_b.dets.data[:n])
         np.testing.assert_array_equal(out_s.edges.data[: m + 1, :n],
                                       out_b.edges.data[: m + 1, :n])
-        assert np.all(out_b.tracks.data[m + 1 :] == 0.0)
-        assert np.all(out_b.dets.data[n:] == 0.0)
-        assert np.all(out_b.edges.data[:, n:] == 0.0)
-        assert np.all(out_b.edges.data[m + 1 :] == 0.0)
 
 
 def test_match_probabilities_zero_head():
@@ -376,9 +403,8 @@ def test_match_probabilities_zero_head():
     batch = ag.gnn_forward(ag.build_graph_batch(tracks, dets, params, config),
                            params, config)
     probs = ag.match_probabilities(batch, params, config).data
-    np.testing.assert_array_equal(probs[:2, :3], 0.5)
-    assert np.all(probs[2:, :] == 0.0)
-    assert np.all(probs[:, 3:] == 0.0)
+    assert probs.shape == (2, 3)
+    np.testing.assert_array_equal(probs, 0.5)
 
 
 def test_init_probabilities_zero_head_and_masking():
@@ -391,8 +417,8 @@ def test_init_probabilities_zero_head_and_masking():
     batch = ag.gnn_forward(ag.build_graph_batch(tracks, dets, params, config),
                            params, config)
     probs = ag.init_probabilities(batch, params, config).data
-    np.testing.assert_array_equal(probs[:2], 0.5)
-    assert np.all(probs[2:] == 0.0)
+    assert probs.shape == (2,)
+    np.testing.assert_array_equal(probs, 0.5)
 
 
 def test_match_probability_monotone_in_logit():
@@ -419,13 +445,13 @@ def test_limited_gnn_outputs_well_formed():
         batch = ag.build_graph_batch(tracks, dets, params, config)
         out = ag.gnn_forward(batch, params, config)
         assert np.all(np.isfinite(out.tracks.data))
-        assert np.all(out.tracks.data[m + 1 :] == 0.0)
-        assert np.all(out.dets.data[n:] == 0.0)
+        assert out.tracks.shape == (m + 1, config.embed_dim)
+        assert out.dets.shape == (n, config.embed_dim)
         probs = ag.match_probabilities(out, params, config).data
-        assert np.all(probs[m:] == 0.0) and np.all(probs[:, n:] == 0.0)
+        assert probs.shape == (m, n)
         assert np.all((probs >= 0) & (probs <= 1))
         init_p = ag.init_probabilities(out, params, config).data
-        assert np.all(init_p[n:] == 0.0)
+        assert init_p.shape == (n,)
 
 
 def test_limited_gnn_permutation_equivariance():
@@ -452,7 +478,7 @@ def test_gnn_gradients_match_finite_differences():
     params = make_params(config, seed=15, generic_point=True)
     rng = np.random.default_rng(10)
     tracks, dets = random_inputs(rng, config, 2, 2)
-    probe = rng.normal(size=(config.max_tracks + 1, config.embed_dim))
+    probe = rng.normal(size=(len(tracks) + 1, config.embed_dim))
 
     def fn(p):
         batch = ag.build_graph_batch(tracks, dets, p, config)

@@ -75,25 +75,25 @@ def test_ramp_weights_sum_to_one():
 
 
 def test_loss_score_perfect_predictions_near_zero():
-    dist = Tensor([0.0, 1.0, 0.0, 0.0])
-    frames = [[(dist, 1)] for _ in range(4)]
+    scores = Tensor([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    frames = [(scores, [1, 2]) for _ in range(4)]
     out = learn.loss_score(frames, seq_len=4)
     assert out.item() < 1e-6
 
 
 def test_loss_score_uniform_is_log5_per_weighted_frame():
-    dist = Tensor(np.full(5, 0.2))
-    frames = [[(dist, 0)] for _ in range(3)]
+    scores = Tensor(np.full((1, 5), 0.2))
+    frames = [(scores, [0]) for _ in range(3)]
     out = learn.loss_score(frames, seq_len=3)
     # ramp weights sum to 1, one track per frame -> exactly ln 5
     assert out.item() == pytest.approx(math.log(5.0), abs=1e-10)
 
 
 def test_loss_score_later_frames_weigh_more():
-    good = Tensor([1.0, 0.0])
-    bad = Tensor([0.0, 1.0])
-    early_bad = learn.loss_score([[(bad, 0)], [(good, 0)]], seq_len=2)
-    late_bad = learn.loss_score([[(good, 0)], [(bad, 0)]], seq_len=2)
+    good = Tensor([[1.0, 0.0]])
+    bad = Tensor([[0.0, 1.0]])
+    early_bad = learn.loss_score([(bad, [0]), (good, [0])], seq_len=2)
+    late_bad = learn.loss_score([(good, [0]), (bad, [0])], seq_len=2)
     assert late_bad.item() > early_bad.item()
 
 
@@ -104,8 +104,7 @@ def test_loss_score_later_frames_weigh_more():
 def test_loss_bce_extremes_near_zero():
     probs = Tensor(np.array([[1.0, 0.0]]))
     targets = np.array([[1.0, 0.0]])
-    mask = np.ones((1, 2))
-    out = learn.loss_bce([(probs, targets, mask)], seq_len=1)
+    out = learn.loss_bce([(probs, targets)], seq_len=1)
     assert out.item() < 1e-5
 
 
@@ -113,9 +112,8 @@ def test_loss_bce_half_probability_count():
     k = 6
     probs = Tensor(np.full((2, 3), 0.5))
     targets = np.zeros((2, 3))
-    mask = np.ones((2, 3))
     for T, B in ((1, 1), (4, 2)):
-        out = learn.loss_bce([(probs, targets, mask)], seq_len=T, batch_size=B)
+        out = learn.loss_bce([(probs, targets)], seq_len=T, batch_size=B)
         assert out.item() == pytest.approx(k * math.log(2.0) / (B * T), rel=1e-12)
 
 
@@ -124,11 +122,10 @@ def test_loss_bce_false_positives_do_not_dilute():
     # exactly their own BCE; the true pairs' contribution is untouched.
     p_true = 0.8
     probs_a = Tensor(np.array([[p_true]]))
-    loss_a = learn.loss_bce([(probs_a, np.array([[1.0]]), np.ones((1, 1)))],
-                            seq_len=1)
+    loss_a = learn.loss_bce([(probs_a, np.array([[1.0]]))], seq_len=1)
     probs_b = Tensor(np.array([[p_true, 0.1, 0.1]]))
     targets_b = np.array([[1.0, 0.0, 0.0]])
-    loss_b = learn.loss_bce([(probs_b, targets_b, np.ones((1, 3)))], seq_len=1)
+    loss_b = learn.loss_bce([(probs_b, targets_b)], seq_len=1)
     fp_only = -2 * math.log(1 - 0.1)
     assert loss_b.item() == pytest.approx(loss_a.item() + fp_only, rel=1e-10)
     assert loss_b.item() > loss_a.item()
@@ -139,11 +136,10 @@ def test_bce_gradients_match_finite_differences():
     store = nc.ParamStore()
     store.add("logits", rng.normal(size=(2, 3)))
     targets = rng.integers(0, 2, size=(2, 3)).astype(np.float64)
-    mask = np.ones((2, 3))
 
     def fn(p):
         probs = nc.sigmoid(p["logits"])
-        return learn.masked_bce_sum(probs, targets, mask)
+        return learn.bce_sum(probs, targets)
 
     assert nc.grad_check(fn, store, epsilon=1e-5) < 1e-6
 
@@ -250,8 +246,7 @@ def test_unroll_sequence_identities_and_targets():
     model.params["init_head/b"].data[...] = 2.0  # births everywhere
     gt = sw.generate_sequence(small_world(seed=3))
     det = sw.corrupt(gt, sw.NoiseConfig(), seed=4)
-    parts = learn.unroll_sequence(model, det.frames, gt, learn.LossConfig(),
-                                  tm.Thresholds(), mode="train")
+    parts = learn.unroll_sequence(model, det.frames, gt, tm.Thresholds(), mode="train")
     for key in ("score", "seg", "match", "init"):
         v = parts[key].item()
         assert np.isfinite(v) and v >= 0.0

@@ -43,8 +43,8 @@ def test_empty_memory_one_detection_spawns_track():
     memory, out = tm.step([], [det], model, tm.Thresholds(), "infer", 0)
     assert len(memory) == 1
     track = memory[0]
-    np.testing.assert_array_equal(track.appearance.mu.data, [1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(track.appearance.sigma.data, config.sigma0)
+    np.testing.assert_array_equal(memory.mu.data, [[1.0, -2.0, 0.5]])
+    np.testing.assert_array_equal(memory.sigma.data, config.sigma0)
     assert track.birth_frame == 0 and track.active
     assert track.records[0].matched_detection == 0
     assert out.init_probs.data[0] == pytest.approx(0.5)
@@ -69,14 +69,14 @@ def test_track_without_detections_goes_inactive_but_advances():
     force_head(model.params, "init_head", 0.0, 0.0)
     det = make_det([0.5, 0.5, 0.2, 0.3], one_hot(1), [1.0, 0.0, 0.0])
     memory, _ = tm.step([], [det], model, tm.Thresholds(), "infer", 0)
-    y_before = memory[0].recurrent.y.data.copy()
-    sigma_before = memory[0].appearance.sigma.data.copy()
+    y_before = memory.y.data.copy()
+    sigma_before = memory.sigma.data.copy()
     memory, out = tm.step(memory, [], model, tm.Thresholds(), "infer", 1)
     track = memory[0]
     assert not track.active
     assert track.records[-1].box is None and track.records[-1].mask is None
-    assert not np.array_equal(track.recurrent.y.data, y_before)
-    np.testing.assert_array_equal(track.appearance.sigma.data, sigma_before)
+    assert not np.array_equal(memory.y.data, y_before)
+    np.testing.assert_array_equal(memory.sigma.data, sigma_before)
     assert len(memory) == 1
 
 
@@ -96,7 +96,7 @@ def test_best_match_argmax_and_tie_break():
     memory, out = tm.step(memory, [det_a, det_b], model, tm.Thresholds(), "infer", 1)
     assert memory[0].records[-1].matched_detection == 0
     p = out.match_probs.data
-    assert p.shape == (config.max_tracks, config.max_detections)
+    assert p.shape == (1, 2)
     assert p[0, 0] == p[0, 1] == pytest.approx(1 / (1 + np.exp(-5.0)))
 
 
@@ -178,6 +178,58 @@ def test_active_tracks_report_exactly_one_box():
             seen[r.t] = True
 
 
+def test_run_sequence_under_tape_replays_bit_exactly():
+    config = small_config()
+    model = tm.build_model(config, seed=9)
+    force_head(model.params, "init_head", 0.0, 0.0)  # births on the first frame
+    gt = sw.generate_sequence(sw.WorldConfig(
+        seed=12, max_objects=3, frames=3, num_classes=3, appearance_dim=3,
+        mask_grid=6, exit_prob=0.0, entry_window=1))
+    det = sw.corrupt(gt, sw.NoiseConfig(box_jitter=0.01, appearance_noise=0.1), seed=13)
+    with nc.Tape() as tape:
+        memory, outputs = tm.run_sequence(det.frames, model, mode="train")
+    assert len(memory) > 0 and outputs[-1].num_tracks > 0
+    ops = {node.op for node in tape.nodes}
+    assert {"affine", "gather", "slot_sum", "im2col3x3"} <= ops
+    tape.replay()
+
+
+def test_memory_rows_stay_aligned_with_track_table():
+    config = small_config()
+    model = tm.build_model(config, seed=4)
+    force_head(model.params, "init_head", 0.0, 0.0)  # p=0.5: births every frame
+    force_head(model.params, "match_head", 0.0, 5.0)  # and every track matches
+    rng = np.random.default_rng(3)
+    memory = []
+    for t in range(4):
+        dets = [make_det([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.2, 0.2],
+                         one_hot(int(rng.integers(0, 3))), rng.normal(size=3))
+                for _ in range(2)]
+        before = len(memory)
+        memory, out = tm.step(memory, dets, model, tm.Thresholds(), "infer", t)
+        rows = len(memory)
+        assert rows == before + len(out.born)
+        assert memory.y.shape == memory.c.shape == (rows, config.embed_dim)
+        assert memory.mu.shape == memory.sigma.shape == (rows, config.appearance_dim)
+        assert out.scores.shape == (rows, config.num_classes + 1)
+        assert [tr.id for tr in memory] == list(range(rows))
+        assert all(a is b for a, b in zip(memory.tracks, out.track_rows + out.born))
+        for row, track in enumerate(memory):
+            rec = track.records[-1]
+            np.testing.assert_array_equal(rec.scores, out.scores.data[row])
+            if track.birth_frame == t:
+                # a newborn's row is its initializing detection's Gaussian
+                j = rec.matched_detection
+                np.testing.assert_array_equal(memory.mu.data[row], dets[j].appearance)
+                np.testing.assert_array_equal(memory.sigma.data[row], config.sigma0)
+                np.testing.assert_array_equal(memory.c.data[row], 0.0)
+            elif rec.active:
+                # a matched track's mean moved toward its detection
+                x = dets[rec.matched_detection].appearance
+                assert np.all(np.abs(memory.mu.data[row] - x) <= np.abs(mu_prev[row] - x))
+        mu_prev = memory.mu.data.copy()
+
+
 def test_step_infer_deterministic():
     config = small_config()
     model = tm.build_model(config, seed=10)
@@ -250,14 +302,10 @@ def test_reweight_single_track_positive_logits():
         params[name].data[...] = 0.0
     params["mask_head/conv2/b"].data[...] = 10.0  # strong positive everywhere
 
-    class Stub:
-        id = 0
-
     mask = np.zeros((6, 6), dtype=np.uint8)
     mask[2:4, 2:4] = 1
-    emb = Tensor(np.zeros(config.embed_dim))
-    inst, logits = tm.reweight_masks([(Stub(), mask, [0.5, 0.5, 0.3, 0.3], emb)],
-                                     params, 6)
+    emb = Tensor(np.zeros((1, config.embed_dim)))
+    inst, logits = tm.reweight_masks(emb, [mask], [[0.5, 0.5, 0.3, 0.3]], params, 6)
     # positive logits everywhere: the single track claims every pixel
     assert np.all(inst == 1)
 
@@ -269,13 +317,9 @@ def test_reweight_zero_params_ties_to_background():
         if name.startswith("mask_head"):
             model.params[name].data[...] = 0.0
 
-    class Stub:
-        id = 0
-
     mask = np.ones((6, 6), dtype=np.uint8)
-    inst, logits = tm.reweight_masks(
-        [(Stub(), mask, [0.5, 0.5, 0.5, 0.5], Tensor(np.zeros(8)))],
-        model.params, 6)
+    inst, logits = tm.reweight_masks(Tensor(np.zeros((1, 8))), [mask],
+                                     [[0.5, 0.5, 0.5, 0.5]], model.params, 6)
     assert np.all(inst == 0)
     np.testing.assert_array_equal(logits.data[1], 0.0)
 
@@ -302,15 +346,9 @@ def test_reweight_contested_pixels_to_higher_logit():
     maskB = np.zeros((6, 6), dtype=np.uint8)
     maskB[2:6, 2:6] = 1
 
-    class Stub:
-        def __init__(self, i):
-            self.id = i
-
-    entries = [
-        (Stub(0), maskA, [0.4, 0.4, 0.4, 0.4], Tensor(np.zeros(8))),
-        (Stub(1), maskB * 2.0, [0.6, 0.6, 0.6, 0.6], Tensor(np.zeros(8))),
-    ]
-    inst, logits = tm.reweight_masks(entries, params, 6)
+    inst, logits = tm.reweight_masks(Tensor(np.zeros((2, 8))), [maskA, maskB * 2.0],
+                                     [[0.4, 0.4, 0.4, 0.4], [0.6, 0.6, 0.6, 0.6]],
+                                     params, 6)
     stack = logits.data
     oracle = np.argmax(stack, axis=0)
     np.testing.assert_array_equal(inst, oracle)
@@ -386,8 +424,7 @@ def test_simple_gate_mode_runs():
         mask_grid=6))
     det = sw.corrupt(gt, sw.NoiseConfig(), seed=25)
     memory, _ = tm.run_sequence(det.frames, model)
-    for track in memory:
-        assert np.all(np.abs(track.recurrent.y.data) < 1.0)
+    assert np.all(np.abs(memory.y.data) < 1.0)
 
 
 def test_tracks_to_json_schema():

@@ -1,6 +1,7 @@
 """Short end-to-end training on the crossing-objects suite, then a budget
 comparison of the full model against one ablation.  Expect a few minutes;
-numbers improve with a larger budget (see the acceptance suite).
+numbers should improve with a larger budget; no test checks that yet (see
+ROADMAP item 3).
 
 Run:  python demos/05_train_and_compare.py
 """
@@ -34,5 +35,5 @@ for name, flags in (("full", {}), ("limited_gnn", {"limited_gnn": True})):
           f"mAP {report.mean_map:.3f}  assoc {report.association_accuracy:.3f}  "
           f"switches {report.id_switches}  ({time.time() - t0:.0f}s)")
 
-print("\nwith a real budget (the acceptance suite trains longer) the full "
-      "model pulls further ahead of the ablations")
+print("\nwith a larger budget the full model should pull further ahead of the "
+      "ablation; no test checks this yet (ROADMAP item 3)")

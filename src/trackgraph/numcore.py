@@ -5,11 +5,12 @@ Every primitive runs eagerly on numpy float64 arrays and, when a tape is
 active, records (op name, inputs, output, aux) so that the tape can be
 replayed forward bit-exactly and swept backward.  The primitive set is
 intentionally small: affine maps, elementwise activations, concatenation,
-row gathers, axis swaps, broadcasting products, reductions, and a 3x3
-sliding-window patch extractor for the tiny mask head.  Reductions delegate
-to numpy's summation, which is deterministic for a fixed shape; `slot_sum`
-additionally fixes the accumulation order to ascending slot index, so a
-graph node's aggregate is one sequential sum however large the graph is.
+row gathers, axis swaps, broadcasting products, reductions, and for the tiny
+mask head a 3x3 sliding-window patch extractor plus its tap-first dual, a
+shifted sum of per-tap planes.  Reductions delegate to numpy's summation,
+which is deterministic for a fixed shape; `slot_sum` additionally fixes the
+accumulation order to ascending slot index, so a graph node's aggregate is
+one sequential sum however large the graph is.
 """
 
 from __future__ import annotations
@@ -446,6 +447,34 @@ def _():
     return fwd, bwd
 
 
+@_op("tap_sum3x3")
+def _():
+    # (B, G, G, 9) -> (B, G, G): the 3x3 conv that im2col3x3 feeds, run
+    # tap-first.  Tap plane t = 3*di + dj holds each pixel's contribution
+    # through tap t, the same order as im2col3x3's columns, so
+    # out[i, j] = sum_t a[i + di - 1, j + dj - 1, t], zero outside the grid,
+    # accumulated in ascending tap order.
+    def fwd(aux, a):
+        g = a.shape[1]
+        padded = np.pad(a, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        out = np.zeros(a.shape[:3], dtype=a.dtype)
+        for di in range(3):
+            for dj in range(3):
+                out += padded[:, di : di + g, dj : dj + g, 3 * di + dj]
+        return out
+
+    def bwd(aux, grad, out, a):
+        g = a.shape[1]
+        padded = np.pad(grad, ((0, 0), (1, 1), (1, 1)))
+        acc = np.empty_like(a)
+        for di in range(3):
+            for dj in range(3):
+                acc[..., 3 * di + dj] = padded[:, 2 - di : 2 - di + g, 2 - dj : 2 - dj + g]
+        return (acc,)
+
+    return fwd, bwd
+
+
 # ---------------------------------------------------------------------------
 # public primitives
 
@@ -529,6 +558,12 @@ def im2col3x3(a: Tensor) -> Tensor:
     return _run("im2col3x3", (a,))
 
 
+def tap_sum3x3(a: Tensor) -> Tensor:
+    if a.data.ndim != 4 or a.shape[1] != a.shape[2] or a.shape[3] != 9:
+        raise NumericError(f"tap_sum3x3 expects (B, G, G, 9), got {a.shape}")
+    return _run("tap_sum3x3", (a,))
+
+
 _ACTIVATIONS = {
     "relu": relu,
     "sigmoid": sigmoid,
@@ -574,21 +609,6 @@ def _():
 
 def swapaxes01(a: Tensor) -> Tensor:
     return _run("swapaxes01", (a,))
-
-
-@_op("swapaxes12")
-def _():
-    def fwd(aux, a):
-        return np.swapaxes(a, 1, 2).copy()
-
-    def bwd(aux, g, out, a):
-        return (np.swapaxes(g, 1, 2).copy(),)
-
-    return fwd, bwd
-
-
-def swapaxes12(a: Tensor) -> Tensor:
-    return _run("swapaxes12", (a,))
 
 
 # ---------------------------------------------------------------------------

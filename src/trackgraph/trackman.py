@@ -248,11 +248,13 @@ def _heuristic_association(memory: TrackMemory, detections, weights):
 # mask reweighting
 
 
-def render_box_mask(box, grid: int) -> np.ndarray:
-    cx, cy, w, h = (float(v) for v in box)
+def render_box_masks(boxes, grid: int) -> np.ndarray:
+    """(K, G, G) 0/1 rasters: a pixel is inside a box when its center is."""
+    cx, cy, w, h = (v[:, None, None] for v in
+                    np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T)
     centers = (np.arange(grid) + 0.5) / grid
-    gx, gy = np.meshgrid(centers, centers)
-    inside = (np.abs(gx - cx) <= w / 2) & (np.abs(gy - cy) <= h / 2)
+    inside = ((np.abs(centers[None, None, :] - cx) <= w / 2)
+              & (np.abs(centers[None, :, None] - cy) <= h / 2))
     return inside.astype(np.float64)
 
 
@@ -265,6 +267,15 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     (K+1, G, G) stack with the fixed background row of zeros first.
     Equal-logit ties go to the background because argmax keeps the first
     maximal row.
+
+    The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
+    over the track projection (16 channels, broadcast to every pixel), the
+    detection mask and the box mask.  A projection channel is constant over
+    the grid, so its share of conv1 at a pixel depends only on which of the
+    pixel's taps fall inside the grid: it is proj @ S with the per-pixel
+    weight S = inside (GG, 9) @ conv1's projection taps, and only the two
+    data channels go through im2col3x3.  Conv2 runs tap-first: h @ conv2
+    gives one plane per tap, and tap_sum3x3 adds the shifted planes.
     """
     k = len(masks)
     if k == 0:
@@ -272,20 +283,27 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     for mask in masks:
         if np.shape(mask) != (grid, grid):
             raise NumericError(f"mask shape {np.shape(mask)} does not match grid {grid}")
-    masks = np.asarray(masks, dtype=np.float64)
+    gg = grid * grid
     proj = nc.relu(nc.linear(params["mask_head/proj/w"], params["mask_head/proj/b"],
                              embeddings))                          # (K,16)
-    proj = nc.broadcast_to(nc.reshape(proj, (k, 16, 1, 1)), (k, 16, grid, grid))
-    box_masks = np.array([render_box_mask(box, grid) for box in boxes])
-    x = nc.concat([proj, Tensor(masks[:, None]), Tensor(box_masks[:, None])],
-                  axis=1)                                          # (K,18,G,G)
-    h = nc.linear(params["mask_head/conv1/w"], params["mask_head/conv1/b"],
-                  nc.im2col3x3(x))                                 # (K,GG,16)
-    h = nc.relu(h)
-    h = nc.reshape(nc.swapaxes12(h), (k, 16, grid, grid))
-    h = nc.linear(params["mask_head/conv2/w"], params["mask_head/conv2/b"],
-                  nc.im2col3x3(h))                                 # (K,GG,1)
-    logits = nc.reshape(h, (k, grid, grid))
+    # conv1 weight rows (o, c) of 9 taps: c < 16 projection, 16/17 data
+    w1 = nc.reshape(params["mask_head/conv1/w"], (16 * 18, 9))
+    w1_proj = nc.gather(w1, [o * 18 + c for o in range(16) for c in range(16)])
+    w1_data = nc.reshape(nc.gather(w1, [o * 18 + c for o in range(16) for c in (16, 17)]),
+                         (16, 18))
+    inside = nc.reshape(nc.im2col3x3(Tensor(np.ones((1, 1, grid, grid)))), (gg, 9))
+    s = nc.linear(w1_proj, Tensor(np.zeros(16 * 16)), inside)     # (GG, 16o*16c)
+    h_proj = nc.linear(nc.reshape(s, (gg * 16, 16)), Tensor(np.zeros(gg * 16)),
+                       proj)                                       # (K, GG*16)
+    data = np.stack([np.asarray(masks, dtype=np.float64),
+                     render_box_masks(boxes, grid)], axis=1)
+    h_data = nc.linear(w1_data, params["mask_head/conv1/b"],
+                       nc.im2col3x3(Tensor(data)))                 # (K,GG,16)
+    h = nc.relu(nc.reshape(h_proj, (k, gg, 16)) + h_data)
+    # conv2 per tap: (9 taps, 16 channels) weights, one (G,G) plane per tap
+    w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))
+    z = nc.reshape(nc.linear(w2, Tensor(np.zeros(9)), h), (k, grid, grid, 9))
+    logits = nc.tap_sum3x3(z) + params["mask_head/conv2/b"]       # (K,G,G)
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)
     instance_map = np.argmax(stack.data, axis=0)
     return instance_map, stack

@@ -71,3 +71,56 @@ def map_oracle(preds, gts, thresholds) -> float:
                for c in classes]
         vals.append(np.mean(aps) if aps else 0.0)
     return float(np.mean(vals)) if vals else 0.0
+
+
+def mask_head_oracle(params: dict, embeddings, masks, boxes, grid: int):
+    """The mask head from its definition, pixel by pixel: the ReLU track
+    projection broadcast to every pixel, concatenated with the detection mask
+    and the box raster (18 channels), a zero-padded 3x3 convolution to 16
+    channels, ReLU, and a zero-padded 3x3 convolution to one logit map.
+    Conv weights are (out, in*9) with column in*9 + 3*di + dj reading the
+    input at (i + di - 1, j + dj - 1).  `params` maps mask_head names to
+    arrays.  Returns (logits (K, G, G), instance_map (G, G)), where pixels go
+    to the first strictly largest of [background 0, logits...]."""
+    pw, pb = params["mask_head/proj/w"], params["mask_head/proj/b"]
+    w1, b1 = params["mask_head/conv1/w"], params["mask_head/conv1/b"]
+    w2, b2 = params["mask_head/conv2/w"], params["mask_head/conv2/b"]
+
+    def conv3x3(x, w, b):
+        cin, cout = x.shape[0], w.shape[0]
+        out = np.zeros((cout, grid, grid))
+        for o in range(cout):
+            for i in range(grid):
+                for j in range(grid):
+                    acc = b[o]
+                    for c in range(cin):
+                        for di in range(3):
+                            for dj in range(3):
+                                y, x_ = i + di - 1, j + dj - 1
+                                if 0 <= y < grid and 0 <= x_ < grid:
+                                    acc += w[o, c * 9 + 3 * di + dj] * x[c, y, x_]
+                    out[o, i, j] = acc
+        return out
+
+    logits = []
+    for emb, mask, box in zip(embeddings, masks, boxes):
+        proj = [max(0.0, float(np.dot(pw[c], emb) + pb[c])) for c in range(pw.shape[0])]
+        cx, cy, bw, bh = (float(v) for v in box)
+        x = np.zeros((len(proj) + 2, grid, grid))
+        for i in range(grid):
+            for j in range(grid):
+                x[: len(proj), i, j] = proj
+                x[len(proj), i, j] = mask[i][j]
+                px, py = (j + 0.5) / grid, (i + 0.5) / grid
+                x[len(proj) + 1, i, j] = float(abs(px - cx) <= bw / 2
+                                               and abs(py - cy) <= bh / 2)
+        h = np.maximum(conv3x3(x, w1, b1), 0.0)
+        logits.append(conv3x3(h, w2, b2)[0])
+    instance_map = np.zeros((grid, grid), dtype=int)
+    for i in range(grid):
+        for j in range(grid):
+            best = 0.0
+            for k, lg in enumerate(logits):
+                if lg[i, j] > best:
+                    best, instance_map[i, j] = lg[i, j], k + 1
+    return np.array(logits), instance_map

@@ -286,6 +286,44 @@ def test_im2col3x3_gradient_matches_finite_differences():
     assert grad_check(fn, store) < 1e-8
 
 
+def test_tap_sum3x3_matches_direct_shifted_sum():
+    # Oracle: out[i, j] = sum over taps (di, dj) of plane 3*di + dj read at
+    # (i + di - 1, j + dj - 1), zero outside the grid.
+    rng = np.random.default_rng(17)
+    z = rng.normal(size=(2, 5, 5, 9))
+    want = np.zeros((2, 5, 5))
+    for b in range(2):
+        for i in range(5):
+            for j in range(5):
+                for di in range(3):
+                    for dj in range(3):
+                        y, x = i + di - 1, j + dj - 1
+                        if 0 <= y < 5 and 0 <= x < 5:
+                            want[b, i, j] += z[b, y, x, 3 * di + dj]
+    np.testing.assert_allclose(nc.tap_sum3x3(Tensor(z)).data, want, atol=1e-12)
+    # tap-first equals im2col3x3 then the same weights
+    img = rng.normal(size=(2, 3, 5, 5))
+    w = rng.normal(size=(27,))
+    cols = nc.im2col3x3(Tensor(img)).data                   # (2, 25, 27)
+    planes = np.transpose(img, (0, 2, 3, 1)) @ w.reshape(3, 9)
+    np.testing.assert_allclose(nc.tap_sum3x3(Tensor(planes)).data.reshape(2, 25),
+                               cols @ w, atol=1e-12)
+    with pytest.raises(NumericError):
+        nc.tap_sum3x3(Tensor(np.zeros((1, 4, 4, 8))))
+
+
+def test_tap_sum3x3_gradient_matches_finite_differences():
+    rng = np.random.default_rng(19)
+    store = ParamStore()
+    store.add("planes", rng.normal(size=(2, 4, 4, 9)))
+    probe = Tensor(rng.normal(size=(2, 4, 4)))
+
+    def fn(p):
+        return nc.reshape(nc.tsum(nc.tap_sum3x3(p["planes"]) * probe), ())
+
+    assert grad_check(fn, store) < 1e-8
+
+
 def test_param_store_flat_roundtrip():
     rng = np.random.default_rng(1)
     store = ParamStore()

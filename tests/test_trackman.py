@@ -7,6 +7,8 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import ParamStore, Tensor, grad_check
 
+from oracles import mask_head_oracle
+
 
 def small_config(**kw):
     base = dict(num_classes=3, embed_dim=8, appearance_dim=3, mask_grid=6,
@@ -190,7 +192,7 @@ def test_run_sequence_under_tape_replays_bit_exactly():
         memory, outputs = tm.run_sequence(det.frames, model, mode="train")
     assert len(memory) > 0 and outputs[-1].num_tracks > 0
     ops = {node.op for node in tape.nodes}
-    assert {"affine", "gather", "slot_sum", "im2col3x3"} <= ops
+    assert {"affine", "gather", "slot_sum", "im2col3x3", "tap_sum3x3"} <= ops
     tape.replay()
 
 
@@ -354,6 +356,28 @@ def test_reweight_contested_pixels_to_higher_logit():
     np.testing.assert_array_equal(inst, oracle)
     # contested region (2..3, 2..3): B's mask value 2 beats A's 1
     assert np.all(inst[2:4, 2:4] == 2)
+
+
+@pytest.mark.parametrize("k,grid", [(1, 5), (3, 6)])
+def test_reweight_masks_matches_two_conv_oracle(k, grid):
+    # Small grids, where border pixels (partial 3x3 windows) dominate.
+    config = small_config(mask_grid=grid)
+    model = tm.build_model(config, seed=21 + k)
+    rng = np.random.default_rng(k)
+    for name, t in model.params.items():
+        if name.startswith("mask_head") and name.endswith("/b"):
+            t.data[...] = rng.normal(scale=0.2, size=t.shape)
+    emb = rng.normal(size=(k, config.embed_dim))
+    masks = [(rng.random((grid, grid)) < 0.4).astype(np.uint8) for _ in range(k)]
+    boxes = [rng.uniform(0.2, 0.7, size=4) for _ in range(k)]
+    inst, stack = tm.reweight_masks(Tensor(emb), masks, boxes, model.params, grid)
+    want_logits, want_map = mask_head_oracle(
+        {n: t.data for n, t in model.params.items() if n.startswith("mask_head")},
+        emb, masks, boxes, grid)
+    assert stack.shape == (k + 1, grid, grid)
+    np.testing.assert_array_equal(stack.data[0], 0.0)
+    np.testing.assert_allclose(stack.data[1:], want_logits, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(inst, want_map)
 
 
 def test_pixel_ownership_unique():

@@ -133,14 +133,15 @@ def loss_bce(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
 
 
 def lovasz_grad_vector(fg_sorted: np.ndarray) -> np.ndarray:
-    """Jaccard-extension gradient for errors sorted descending (constant
-    vector; the sort permutation carries the data dependence)."""
-    gts = fg_sorted.sum()
-    intersection = gts - np.cumsum(fg_sorted)
-    union = gts + np.cumsum(1.0 - fg_sorted)
+    """Jaccard-extension gradient for errors sorted descending along the last
+    axis, one vector per row (constant; the sort permutation carries the
+    data dependence)."""
+    gts = fg_sorted.sum(axis=-1, keepdims=True)
+    intersection = gts - np.cumsum(fg_sorted, axis=-1)
+    union = gts + np.cumsum(1.0 - fg_sorted, axis=-1)
     jaccard = 1.0 - intersection / union
     out = jaccard.copy()
-    out[1:] = jaccard[1:] - jaccard[:-1]
+    out[..., 1:] = jaccard[..., 1:] - jaccard[..., :-1]
     return out
 
 
@@ -148,27 +149,25 @@ def lovasz_softmax_frame(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Multi-class Lovasz-softmax over one frame's (K+1, G, G) logit stack
     (row 0 = background) against integer labels in [0, K].  Averages the
     per-class terms over the K track rows; the background row competes in
-    the softmax but has no term of its own."""
-    k_plus_1 = logits.shape[0]
-    n_pix = int(np.prod(logits.shape[1:]))
-    flat = nc.reshape(logits, (k_plus_1, n_pix))
-    probs = nc.swapaxes01(nc.softmax(nc.swapaxes01(flat)))  # (K+1, n_pix)
-    labels_flat = np.asarray(labels).reshape(-1)
-    terms = []
-    for c in range(1, k_plus_1):
-        fg = (labels_flat == c).astype(np.float64)
-        p_c = nc.reshape(nc.gather(probs, [c]), (n_pix,))
-        errors = Tensor(fg) * (1.0 - p_c) + Tensor(1.0 - fg) * p_c
-        order = np.argsort(-errors.data, kind="stable")
-        errors_sorted = nc.gather(errors, order)
-        grad = lovasz_grad_vector(fg[order])
-        terms.append(nc.reshape(nc.tsum(errors_sorted * Tensor(grad)), ()))
-    if not terms:
+    the softmax but has no term of its own.  All K rows go in one pass: a
+    row-wise stable sort of the errors, one flat gather, and the row terms
+    summed in ascending row order."""
+    k = logits.shape[0] - 1
+    if k == 0:
         return Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+    n_pix = int(np.prod(logits.shape[1:]))
+    flat = nc.reshape(logits, (k + 1, n_pix))
+    probs = nc.swapaxes01(nc.softmax(nc.swapaxes01(flat)))  # (K+1, n_pix)
+    fg = (np.asarray(labels).reshape(1, -1)
+          == np.arange(1, k + 1)[:, None]).astype(np.float64)      # (K, n_pix)
+    p = nc.gather(probs, np.arange(1, k + 1))
+    errors = Tensor(fg) * (1.0 - p) + Tensor(1.0 - fg) * p
+    order = np.argsort(-errors.data, axis=1, kind="stable")
+    flat_order = order + (np.arange(k) * n_pix)[:, None]
+    errors_sorted = nc.gather(nc.reshape(errors, (-1,)), flat_order)
+    grad = lovasz_grad_vector(np.take_along_axis(fg, order, axis=1))
+    terms = nc.tsum(errors_sorted * Tensor(grad), axis=1)            # (K,)
+    return nc.slot_sum(terms, 0) * (1.0 / k)
 
 
 def loss_seg(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:

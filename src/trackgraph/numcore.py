@@ -227,9 +227,12 @@ def _():
 
 @_op("affine")
 def _():
-    # x (R, in), w (out, in), b (out,) -> x @ w.T + b
+    # x (R, in), w (out, in), b (out,) -> x @ w.T + b; the bias goes into
+    # the fresh matmul output in place (same bits, one buffer fewer).
     def fwd(aux, x, w, b):
-        return x @ w.T + b
+        out = x @ w.T
+        out += b
+        return out
 
     def bwd(aux, g, out, x, w, b):
         return g @ w, g.T @ x, g.sum(axis=0)
@@ -425,24 +428,26 @@ def _():
 @_op("im2col3x3")
 def _():
     # (B, C, G, G) -> (B, G*G, C*9) with zero padding 1; patch column order is
-    # c*9 + (3*di + dj) for offsets di, dj in {0,1,2}.
+    # c*9 + (3*di + dj) for offsets di, dj in {0,1,2}.  Built channels-last,
+    # so the result is a reshape of the tap buffer, not a transposed copy.
     def fwd(aux, a):
         b, c, g, _ = a.shape
-        padded = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        cols = np.empty((b, c, 9, g, g), dtype=a.dtype)
+        padded = np.zeros((b, g + 2, g + 2, c), dtype=a.dtype)
+        padded[:, 1:-1, 1:-1] = a.transpose(0, 2, 3, 1)
+        cols = np.empty((b, g, g, c, 9), dtype=a.dtype)
         for di in range(3):
             for dj in range(3):
-                cols[:, :, 3 * di + dj] = padded[:, :, di : di + g, dj : dj + g]
-        return cols.reshape(b, c * 9, g * g).transpose(0, 2, 1).copy()
+                cols[..., 3 * di + dj] = padded[:, di : di + g, dj : dj + g]
+        return cols.reshape(b, g * g, c * 9)
 
     def bwd(aux, grad, out, a):
         b, c, g, _ = a.shape
-        cols = grad.transpose(0, 2, 1).reshape(b, c, 9, g, g)
-        acc = np.zeros((b, c, g + 2, g + 2), dtype=a.dtype)
+        cols = grad.reshape(b, g, g, c, 9)
+        acc = np.zeros((b, g + 2, g + 2, c), dtype=a.dtype)
         for di in range(3):
             for dj in range(3):
-                acc[:, :, di : di + g, dj : dj + g] += cols[:, :, 3 * di + dj]
-        return (acc[:, :, 1:-1, 1:-1],)
+                acc[:, di : di + g, dj : dj + g] += cols[..., 3 * di + dj]
+        return (acc[:, 1:-1, 1:-1].transpose(0, 3, 1, 2).copy(),)
 
     return fwd, bwd
 
@@ -453,19 +458,23 @@ def _():
     # tap-first.  Tap plane t = 3*di + dj holds each pixel's contribution
     # through tap t, the same order as im2col3x3's columns, so
     # out[i, j] = sum_t a[i + di - 1, j + dj - 1, t], zero outside the grid,
-    # accumulated in ascending tap order.
+    # accumulated in ascending tap order.  A tap adds only where its source
+    # lies inside the grid: adding the outside zeros would change no bit.
     def fwd(aux, a):
         g = a.shape[1]
-        padded = np.pad(a, ((0, 0), (1, 1), (1, 1), (0, 0)))
         out = np.zeros(a.shape[:3], dtype=a.dtype)
         for di in range(3):
+            i0, i1 = max(0, 1 - di), min(g, g + 1 - di)
             for dj in range(3):
-                out += padded[:, di : di + g, dj : dj + g, 3 * di + dj]
+                j0, j1 = max(0, 1 - dj), min(g, g + 1 - dj)
+                out[:, i0:i1, j0:j1] += a[:, i0 + di - 1 : i1 + di - 1,
+                                          j0 + dj - 1 : j1 + dj - 1, 3 * di + dj]
         return out
 
     def bwd(aux, grad, out, a):
         g = a.shape[1]
-        padded = np.pad(grad, ((0, 0), (1, 1), (1, 1)))
+        padded = np.zeros((grad.shape[0], g + 2, g + 2), dtype=grad.dtype)
+        padded[:, 1:-1, 1:-1] = grad
         acc = np.empty_like(a)
         for di in range(3):
             for dj in range(3):
@@ -616,11 +625,19 @@ def swapaxes01(a: Tensor) -> Tensor:
 
 
 def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
-    """Reverse sweep from a scalar output.  Fills `.grad` on every tensor that
-    participates; when a ParamStore is given, returns {name: grad} with zeros
-    for parameters the tape never touched."""
+    """Reverse sweep from a scalar output.  Without a ParamStore, fills
+    `.grad` on every tensor that participates.  With one, only tensors that
+    descend from a parameter in the store receive gradient, so a node none of
+    whose inputs does is never swept.  Returns {name: grad} for the store,
+    with zeros for parameters the tape never touched."""
     if output.data.shape != ():
         raise NumericError(f"backward needs a scalar output, got shape {output.shape}")
+    live = None
+    if params is not None:
+        live = {id(t) for t in params.tensors()}
+        for node in tape.nodes:
+            if any(id(t) in live for t in node.inputs):
+                live.add(id(node.output))
     grads: dict[int, Array] = {id(output): np.ones((), dtype=np.float64)}
     touched: dict[int, Tensor] = {id(output): output}
     for node in reversed(tape.nodes):
@@ -631,6 +648,8 @@ def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
             node.aux, g, node.output.data, *[t.data for t in node.inputs]
         )
         for t, ig in zip(node.inputs, in_grads):
+            if live is not None and id(t) not in live:
+                continue
             if id(t) in grads:
                 grads[id(t)] = grads[id(t)] + ig
             else:

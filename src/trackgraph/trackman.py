@@ -258,6 +258,14 @@ def render_box_masks(boxes, grid: int) -> np.ndarray:
     return inside.astype(np.float64)
 
 
+def _in_grid_taps(grid: int) -> np.ndarray:
+    """(G*G, 9) 0/1 table: row i*G + j, column 3*di + dj is 1 when tap
+    (di, dj) of pixel (i, j) reads inside the grid (im2col3x3's tap order)."""
+    rows = np.arange(3)[:, None] + np.arange(grid)[None, :] - 1
+    ok = ((rows >= 0) & (rows < grid)).astype(np.float64)          # (3, G)
+    return (ok[:, None, :, None] * ok[None, :, None, :]).reshape(9, grid * grid).T
+
+
 def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
     """Resolve pixel ownership among overlapping track masks.
 
@@ -271,11 +279,12 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
     over the track projection (16 channels, broadcast to every pixel), the
     detection mask and the box mask.  A projection channel is constant over
-    the grid, so its share of conv1 at a pixel depends only on which of the
-    pixel's taps fall inside the grid: it is proj @ S with the per-pixel
-    weight S = inside (GG, 9) @ conv1's projection taps, and only the two
-    data channels go through im2col3x3.  Conv2 runs tap-first: h @ conv2
-    gives one plane per tap, and tap_sum3x3 adds the shifted planes.
+    the grid, so conv1's share of it is taken per tap: P = proj @ conv1's
+    projection taps gives each track's (16 out, 9 tap) contribution, and a
+    pixel's share is the sum of P over the taps that fall inside the grid,
+    one affine with the fixed in-grid table.  Only the two data channels go
+    through im2col3x3.  Conv2 runs tap-first: h @ conv2 gives one plane per
+    tap, and tap_sum3x3 adds the shifted planes.
     """
     k = len(masks)
     if k == 0:
@@ -286,20 +295,20 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     gg = grid * grid
     proj = nc.relu(nc.linear(params["mask_head/proj/w"], params["mask_head/proj/b"],
                              embeddings))                          # (K,16)
-    # conv1 weight rows (o, c) of 9 taps: c < 16 projection, 16/17 data
-    w1 = nc.reshape(params["mask_head/conv1/w"], (16 * 18, 9))
-    w1_proj = nc.gather(w1, [o * 18 + c for o in range(16) for c in range(16)])
-    w1_data = nc.reshape(nc.gather(w1, [o * 18 + c for o in range(16) for c in (16, 17)]),
-                         (16, 18))
-    inside = nc.reshape(nc.im2col3x3(Tensor(np.ones((1, 1, grid, grid)))), (gg, 9))
-    s = nc.linear(w1_proj, Tensor(np.zeros(16 * 16)), inside)     # (GG, 16o*16c)
-    h_proj = nc.linear(nc.reshape(s, (gg * 16, 16)), Tensor(np.zeros(gg * 16)),
-                       proj)                                       # (K, GG*16)
+    # conv1/w is (16 out, 18 in * 9 taps): in < 16 projection, 16/17 data
+    w1 = nc.reshape(params["mask_head/conv1/w"], (-1,))
+    o, t, c = np.ix_(range(16), range(9), range(16))
+    w1_proj = nc.gather(w1, (o * 162 + c * 9 + t).reshape(144, 16))    # (16o*9t, 16c)
+    w1_data = nc.gather(w1, np.arange(16)[:, None] * 162 + 144 + np.arange(18))  # (16,18)
+    p = nc.linear(w1_proj, Tensor(np.zeros(144)), proj)            # (K, 16o*9t)
+    h_proj = nc.linear(nc.reshape(p, (k * 16, 9)), Tensor(np.zeros(k * 16)),
+                       Tensor(_in_grid_taps(grid)))                 # (GG, K*16)
+    h_proj = nc.swapaxes01(nc.reshape(h_proj, (gg, k, 16)))         # (K,GG,16)
     data = np.stack([np.asarray(masks, dtype=np.float64),
                      render_box_masks(boxes, grid)], axis=1)
     h_data = nc.linear(w1_data, params["mask_head/conv1/b"],
                        nc.im2col3x3(Tensor(data)))                 # (K,GG,16)
-    h = nc.relu(nc.reshape(h_proj, (k, gg, 16)) + h_data)
+    h = nc.relu(h_proj + h_data)
     # conv2 per tap: (9 taps, 16 channels) weights, one (G,G) plane per tap
     w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))
     z = nc.reshape(nc.linear(w2, Tensor(np.zeros(9)), h), (k, grid, grid, 9))

@@ -4,6 +4,8 @@ never import the implementation paths they audit."""
 
 import numpy as np
 
+import trackgraph.numcore as nc
+
 
 def jaccard(pred, gt) -> float:
     inter = np.logical_and(pred, gt).sum()
@@ -124,3 +126,39 @@ def mask_head_oracle(params: dict, embeddings, masks, boxes, grid: int):
                 if lg[i, j] > best:
                     best, instance_map[i, j] = lg[i, j], k + 1
     return np.array(logits), instance_map
+
+
+def lovasz_softmax_frame_loop(logits, labels):
+    """`learn.lovasz_softmax_frame` one class at a time: per track row c, the
+    errors against the class-c foreground, their stable descending sort, the
+    Jaccard-extension gradient and one summed term; the terms are added in
+    row order and averaged.  Built from the same tape primitives, so the
+    vectorized loss must match it bit for bit."""
+
+    def grad_vector(fg_sorted):
+        gts = fg_sorted.sum()
+        jaccard = 1.0 - (gts - np.cumsum(fg_sorted)) / (gts + np.cumsum(1.0 - fg_sorted))
+        out = jaccard.copy()
+        out[1:] = jaccard[1:] - jaccard[:-1]
+        return out
+
+    k_plus_1 = logits.shape[0]
+    n_pix = int(np.prod(logits.shape[1:]))
+    flat = nc.reshape(logits, (k_plus_1, n_pix))
+    probs = nc.swapaxes01(nc.softmax(nc.swapaxes01(flat)))
+    labels_flat = np.asarray(labels).reshape(-1)
+    terms = []
+    for c in range(1, k_plus_1):
+        fg = (labels_flat == c).astype(np.float64)
+        p_c = nc.reshape(nc.gather(probs, [c]), (n_pix,))
+        errors = nc.Tensor(fg) * (1.0 - p_c) + nc.Tensor(1.0 - fg) * p_c
+        order = np.argsort(-errors.data, kind="stable")
+        errors_sorted = nc.gather(errors, order)
+        grad = grad_vector(fg[order])
+        terms.append(nc.reshape(nc.tsum(errors_sorted * nc.Tensor(grad)), ()))
+    if not terms:
+        return nc.Tensor(0.0)
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total * (1.0 / len(terms))

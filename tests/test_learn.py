@@ -10,6 +10,8 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import Tensor
 
+from oracles import lovasz_softmax_frame_loop
+
 
 class Box:
     def __init__(self, box):
@@ -199,6 +201,25 @@ def test_lovasz_multiclass_range_and_gradients():
     val = fn(store).item()
     assert 0.0 <= val <= 1.0
     assert nc.grad_check(fn, store, epsilon=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_lovasz_rows_in_one_pass_match_class_loop_bit_for_bit(k):
+    rng = np.random.default_rng(30 + k)
+    labels = rng.integers(0, k + 1, size=(6, 6))
+    # rounded logits give tied errors, so the stable sort order matters too
+    data = np.round(rng.normal(size=(k + 1, 6, 6)), 1)
+    results = []
+    for fn in (learn.lovasz_softmax_frame, lovasz_softmax_frame_loop):
+        logits = Tensor(data.copy())
+        with nc.Tape() as tape:
+            loss = fn(logits, labels)
+        if k:
+            nc.backward(tape, loss)
+        results.append((loss.data, logits.grad))
+    (l_vec, g_vec), (l_loop, g_loop) = results
+    assert l_vec.shape == () and np.array_equal(l_vec, l_loop)
+    np.testing.assert_array_equal(g_vec, g_loop)
 
 
 # ---------------------------------------------------------------------------

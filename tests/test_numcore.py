@@ -402,6 +402,28 @@ def test_adam_decoupled_weight_decay():
     np.testing.assert_allclose(store["w"].data, [2.0 * (1 - 0.1 * 0.5)])
 
 
+def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
+    rng = np.random.default_rng(7)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(3, 18)))
+    store.add("b", rng.normal(size=3))
+    data = Tensor(rng.normal(size=(2, 2, 4, 4)))
+    calls = []
+    real = nc._BACKWARD["im2col3x3"]
+    monkeypatch.setitem(nc._BACKWARD, "im2col3x3",
+                        lambda *args: calls.append(1) or real(*args))
+    with Tape() as tape:
+        h = nc.tanh(linear(store["w"], store["b"], nc.im2col3x3(data)))
+        out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
+    pruned = backward(tape, out, store)
+    assert calls == [] and data.grad is None
+    store.zero_grads()
+    backward(tape, out)  # no store: every participating tensor is swept
+    assert calls == [1] and data.grad is not None
+    for name, t in store.items():
+        np.testing.assert_array_equal(pruned[name], t.grad)
+
+
 def test_broadcast_add_gradients():
     a = Tensor(np.ones((3, 4)))
     b = Tensor(np.ones(4))

@@ -380,6 +380,48 @@ def test_reweight_masks_matches_two_conv_oracle(k, grid):
     np.testing.assert_array_equal(inst, want_map)
 
 
+def _mask_head_inputs(k, grid, seed):
+    rng = np.random.default_rng(seed)
+    masks = [(rng.random((grid, grid)) < 0.4).astype(np.uint8) for _ in range(k)]
+    boxes = [rng.uniform(0.2, 0.7, size=4) for _ in range(k)]
+    return rng, masks, boxes
+
+
+def test_mask_head_gradients_match_finite_differences():
+    k, grid = 3, 5
+    config = small_config(embed_dim=4, mask_grid=grid)
+    model = tm.build_model(config, seed=40)
+    rng, masks, boxes = _mask_head_inputs(k, grid, seed=41)
+    store = ParamStore()
+    for name, t in model.params.items():
+        if name.startswith("mask_head"):
+            store.add(name, t.data + (rng.normal(scale=0.2, size=t.shape)
+                                      if name.endswith("/b") else 0.0))
+    store.add("embeddings", rng.normal(size=(k, config.embed_dim)))
+    probe = Tensor(rng.normal(size=(k + 1, grid, grid)))
+
+    def fn(p):
+        _, stack = tm.reweight_masks(p["embeddings"], masks, boxes, p, grid)
+        return nc.reshape(nc.tsum(stack * probe), ())
+
+    assert grad_check(fn, store, epsilon=1e-6) < 1e-6
+
+
+def test_mask_head_builds_no_grid_constant_on_the_tape():
+    k, grid = 2, 10  # K*G*G*18 exceeds every parameter's size
+    config = small_config(mask_grid=grid)
+    model = tm.build_model(config, seed=42)
+    rng, masks, boxes = _mask_head_inputs(k, grid, seed=43)
+    with nc.Tape() as tape:
+        tm.reweight_masks(Tensor(rng.normal(size=(k, config.embed_dim))), masks,
+                          boxes, model.params, grid)
+    for node in tape.nodes:
+        if node.op == "im2col3x3":
+            assert not np.all(node.inputs[0].data == 1.0)
+        for t in node.inputs + (node.output,):
+            assert t.size <= k * grid * grid * 18, (node.op, t.shape)
+
+
 def test_pixel_ownership_unique():
     config = small_config()
     model = tm.build_model(config, seed=16)

@@ -11,9 +11,10 @@ following the normal-inverse-chi-square posterior update
     mu+    = kappa x + (1 - kappa) mu
     sigma+ = nu s + (1 - nu) sigma + kappa (1 - nu) / (kappa + nu) * (x - mu)^2
 
-where s stands in for the sample variance (zero for the single-observation
-updates performed here).  All quantities are Tensors so the update chain is
-differentiable end to end, including the rate-prediction head.
+where s is the sample variance, zero for the single-observation updates
+performed here, so the nu s term drops out.  All quantities are Tensors so
+the update chain is differentiable end to end, including the rate-prediction
+head.
 """
 
 from __future__ import annotations
@@ -78,14 +79,13 @@ def log_likelihood(model: GaussianAppearance, x) -> Tensor:
     return nc.tsum(-logdet - quad, axis=-1)
 
 
-def update(model: GaussianAppearance, x, rates: UpdateRates,
-           sigma_tilde=None, *, freeze_sigma: bool = False) -> GaussianAppearance:
-    """Posterior blend of the Gaussian toward observation x.
+def update(model: GaussianAppearance, x, rates: UpdateRates, *,
+           freeze_sigma: bool = False) -> GaussianAppearance:
+    """Posterior blend of the Gaussian toward one observation x.
 
-    sigma_tilde is the sample-variance term (defaults to zero, the degenerate
-    value for one observation).  With freeze_sigma the covariance stays put
-    (constant-covariance ablation) and only the mean moves.  The result's
-    variance is floored at VAR_FLOOR.
+    With freeze_sigma the covariance stays put (constant-covariance
+    ablation) and only the mean moves.  The result's variance is floored at
+    VAR_FLOOR.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     kappa, nu = rates.kappa, rates.nu
@@ -95,13 +95,9 @@ def update(model: GaussianAppearance, x, rates: UpdateRates,
     mu_new = kappa * x + (1.0 - kappa) * model.mu
     if freeze_sigma:
         return GaussianAppearance(mu=mu_new, sigma=model.sigma)
-    if sigma_tilde is None:
-        sigma_tilde = Tensor(np.zeros(model.mu.shape))
-    elif not isinstance(sigma_tilde, Tensor):
-        sigma_tilde = Tensor(sigma_tilde)
     diff = x - model.mu
     spread = kappa * (1.0 - nu) / (kappa + nu) * (diff * diff)
-    sigma_new = nu * sigma_tilde + (1.0 - nu) * model.sigma + spread
+    sigma_new = (1.0 - nu) * model.sigma + spread
     sigma_new = nc.clip(sigma_new, VAR_FLOOR, np.inf)
     return GaussianAppearance(mu=mu_new, sigma=sigma_new)
 

@@ -25,6 +25,7 @@ from .numcore import NumericError, ParamStore, Tensor
 from .synthworld import top_foreground_score
 
 EDGE_FEATURES = 2  # [appearance log-likelihood / A, IoU]  (row 0: [0, top score])
+GATE_MODES = ("lstm", "simple")
 
 
 @dataclass
@@ -42,12 +43,17 @@ class ModelConfig:
     limited_gnn: bool = False         # pairwise logistic + best-match gather only
     use_appearance: bool = True       # off: appearance edge feature is zero
     const_variance: bool = False      # freeze track covariance at sigma0
-    gate_mode: str = "lstm"           # lstm | simple | none (none is unstable)
+    gate_mode: str = "lstm"           # lstm | simple
     heuristic_scoring: bool = False
     heuristic_association: bool = False
     max_tracks: int = 24              # births are refused once this many tracks exist
     max_detections: int = 16          # a frame keeps its highest-scoring detections
     sigma0: float = 1e-3
+
+    def __post_init__(self):
+        if self.gate_mode not in GATE_MODES:
+            raise ValueError(f"unknown gate mode {self.gate_mode!r}; "
+                             f"choose from {list(GATE_MODES)}")
 
     @property
     def det_input_dim(self) -> int:
@@ -60,7 +66,7 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
-            raise NumericError(f"unknown model config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
 
 
@@ -288,9 +294,7 @@ def _split_track_update(params, k, tr, agg, gated, agg_row0=None):
 
 
 def _head_probs(params, head, edges):
-    flat = nc.reshape(edges, (-1, edges.shape[-1]))
-    logits = _lin(params, head, flat)
-    return nc.reshape(nc.sigmoid(logits), edges.shape[:-1])
+    return nc.reshape(nc.sigmoid(_lin(params, head, edges)), edges.shape[:-1])
 
 
 def match_probabilities(batch: GraphBatch, params: ParamStore,

@@ -43,7 +43,6 @@ ABLATIONS = {
     "blocks_1": {"num_blocks": 1},
     "blocks_3": {"num_blocks": 3},
     "no_residual": {"interleave_residuals": False},
-    "no_gate": {"gate_mode": "none"},  # experimental: expected to diverge
 }
 
 

@@ -67,15 +67,21 @@ class EvalReport:
 # track construction
 
 
+def _predicted_track(track_id, final_scores, num_classes: int, masks,
+                     sequence: int) -> EvalTrack:
+    """The class and confidence rule of the module docstring, applied to the
+    scores of a track's final record."""
+    cls = int(np.argmax(final_scores[:num_classes]))
+    return EvalTrack(id=track_id, class_id=cls, confidence=float(final_scores[cls]),
+                     masks=masks, sequence=sequence)
+
+
 def tracks_from_memory(memory, num_classes: int, sequence: int = 0) -> list[EvalTrack]:
     out = []
     for track in memory:
         masks = {r.t: r.mask for r in track.records if r.active and r.mask is not None}
-        final = track.records[-1].scores
-        cls = int(np.argmax(final[:num_classes]))
-        out.append(EvalTrack(id=track.id, class_id=cls,
-                             confidence=float(final[cls]), masks=masks,
-                             sequence=sequence))
+        out.append(_predicted_track(track.id, track.records[-1].scores, num_classes,
+                                    masks, sequence))
     return out
 
 
@@ -244,10 +250,8 @@ def tracks_from_json(blob: dict, sequence: int = 0) -> list[EvalTrack]:
                 masks[int(frame["t"])] = raw.reshape(g, g).copy()
         if final_scores is None:
             continue
-        cls = int(np.argmax(final_scores[:-1]))
-        out.append(EvalTrack(id=int(tr["id"]), class_id=cls,
-                             confidence=float(final_scores[cls]), masks=masks,
-                             sequence=sequence))
+        out.append(_predicted_track(int(tr["id"]), final_scores, final_scores.size - 1,
+                                    masks, sequence))
     return out
 
 

@@ -64,6 +64,10 @@ class TrainConfig:
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+
 
 # ---------------------------------------------------------------------------
 # target assignment
@@ -74,16 +78,8 @@ def assign_targets(detections, gt_objects, iou_threshold: float = 0.5) -> dict[i
     pairs by descending IoU, one-to-one, at IoU >= threshold.  Unlabeled
     detections are background.  gt_objects: list of (gt_id, box)."""
     ious = ag.iou_matrix([box for _, box in gt_objects], [d.box for d in detections])
-    pairs = sorted(zip(*np.nonzero(ious >= iou_threshold)),
-                   key=lambda p: (-ious[p], p[0], p[1]))
-    used_g, used_d, labels = set(), set(), {}
-    for gi, j in pairs:
-        if gi in used_g or j in used_d:
-            continue
-        labels[int(j)] = gt_objects[gi][0]
-        used_g.add(gi)
-        used_d.add(j)
-    return labels
+    return {j: gt_objects[gi][0]
+            for gi, j in tm.greedy_assignment(ious, iou_threshold).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,20 @@ parameter stores, gradient checking, and the Adam step.
 
 Every primitive runs eagerly on numpy float64 arrays and, when a tape is
 active, records (op name, inputs, output, aux) so that the tape can be
-replayed forward bit-exactly and swept backward.  The primitive set is
-intentionally small: affine maps, elementwise activations, concatenation,
-row gathers, axis swaps, broadcasting products, reductions, and for the tiny
-mask head a 3x3 sliding-window patch extractor plus its tap-first dual, a
-shifted sum of per-tap planes.  Reductions delegate to numpy's summation,
-which is deterministic for a fixed shape; `slot_sum` additionally fixes the
-accumulation order to ascending slot index, so a graph node's aggregate is
-one sequential sum however large the graph is.
+replayed forward bit-exactly and swept backward.  The primitive set holds
+only what the model runs: affine maps on the last axis of any leading
+shape, elementwise arithmetic, relu/sigmoid/tanh/log/clip, a last-axis
+softmax, reshapes, broadcasts, concatenation, row gathers, an axis swap,
+reductions, and for the tiny mask head a 3x3 sliding-window patch
+extractor plus its tap-first dual, a shifted sum of per-tap planes.
+Reductions delegate to numpy's summation, which is deterministic for a
+fixed shape; `slot_sum` additionally fixes the accumulation order to
+ascending slot index, so a graph node's aggregate is one sequential sum
+however large the graph is.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -94,12 +95,7 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class _TapeSlot(threading.local):
-    def __init__(self):
-        self.tape: Tape | None = None
-
-
-_ACTIVE = _TapeSlot()
+_ACTIVE: "Tape | None" = None
 
 
 class Node:
@@ -113,20 +109,22 @@ class Node:
 
 
 class Tape:
-    """Records primitives in forward order.  Tapes are confined to one worker;
-    a `with` block installs the tape for the current thread only."""
+    """Records primitives in forward order while a `with` block installs it;
+    one tape is active at a time."""
 
     def __init__(self):
         self.nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
-        if _ACTIVE.tape is not None:
-            raise NumericError("a tape is already active on this thread")
-        _ACTIVE.tape = self
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise NumericError("a tape is already active")
+        _ACTIVE = self
         return self
 
     def __exit__(self, *exc):
-        _ACTIVE.tape = None
+        global _ACTIVE
+        _ACTIVE = None
         return False
 
     def replay(self) -> None:
@@ -140,15 +138,10 @@ class Tape:
                 raise NumericError(f"replay mismatch in op {node.op!r}")
 
 
-def active_tape() -> Tape | None:
-    return _ACTIVE.tape
-
-
 def _run(op: str, inputs: tuple[Tensor, ...], aux=None) -> Tensor:
     out = Tensor(_FORWARD[op](aux, *[t.data for t in inputs]))
-    tape = _ACTIVE.tape
-    if tape is not None:
-        tape.nodes.append(Node(op, inputs, out, aux))
+    if _ACTIVE is not None:
+        _ACTIVE.nodes.append(Node(op, inputs, out, aux))
     return out
 
 
@@ -227,15 +220,19 @@ def _():
 
 @_op("affine")
 def _():
-    # x (R, in), w (out, in), b (out,) -> x @ w.T + b; the bias goes into
-    # the fresh matmul output in place (same bits, one buffer fewer).
+    # x (..., in), w (out, in), b (out,) -> x @ w.T + b on the last axis.  The
+    # leading axes are flattened to one row axis inside the op, forward and
+    # backward; the bias goes into the fresh matmul output in place (same
+    # bits, one buffer fewer).
     def fwd(aux, x, w, b):
-        out = x @ w.T
+        out = x.reshape(-1, x.shape[-1]) @ w.T
         out += b
-        return out
+        return out.reshape(x.shape[:-1] + (w.shape[0],))
 
     def bwd(aux, g, out, x, w, b):
-        return g @ w, g.T @ x, g.sum(axis=0)
+        g = g.reshape(-1, g.shape[-1])
+        return ((g @ w).reshape(x.shape), g.T @ x.reshape(-1, x.shape[-1]),
+                g.sum(axis=0))
 
     return fwd, bwd
 
@@ -360,28 +357,6 @@ def _():
 
     def bwd(aux, g, out, a):
         return (g * (1.0 - out * out),)
-
-    return fwd, bwd
-
-
-@_op("softplus")
-def _():
-    def fwd(aux, a):
-        return np.logaddexp(0.0, a)
-
-    def bwd(aux, g, out, a):
-        return (g * _FORWARD["sigmoid"](None, a),)
-
-    return fwd, bwd
-
-
-@_op("exp")
-def _():
-    def fwd(aux, a):
-        return np.exp(a)
-
-    def bwd(aux, g, out, a):
-        return (g * out,)
 
     return fwd, bwd
 
@@ -541,14 +516,6 @@ def tanh(a: Tensor) -> Tensor:
     return _run("tanh", (a,))
 
 
-def softplus(a: Tensor) -> Tensor:
-    return _run("softplus", (a,))
-
-
-def exp(a: Tensor) -> Tensor:
-    return _run("exp", (a,))
-
-
 def log(a: Tensor) -> Tensor:
     return _run("log", (a,))
 
@@ -573,36 +540,13 @@ def tap_sum3x3(a: Tensor) -> Tensor:
     return _run("tap_sum3x3", (a,))
 
 
-_ACTIVATIONS = {
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax": softmax,
-    "softplus": softplus,
-}
-
-
-def activate(kind: str, a: Tensor) -> Tensor:
-    """Elementwise activation by name; softmax normalizes along the last axis."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise NumericError(f"unknown activation {kind!r}") from None
-    return fn(a)
-
-
 def linear(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:
     """Affine map on the last axis: x @ W^T + b for W of shape (out, in)."""
     if x.shape[-1] != weight.shape[1]:
         raise NumericError(
             f"linear: input shape {x.shape} does not match weight shape {weight.shape}"
         )
-    lead = x.shape[:-1]
-    flat = reshape(x, (-1, x.shape[-1])) if x.data.ndim != 2 else x
-    out = _run("affine", (flat, weight, bias))
-    if x.data.ndim != 2:
-        out = reshape(out, lead + (weight.shape[0],))
-    return out
+    return _run("affine", (x, weight, bias))
 
 
 @_op("swapaxes01")

@@ -29,12 +29,11 @@ class RecurrentState:
     c: Tensor
 
 
-def init_gate_params(params: ParamStore, embed_dim: int, rng: np.random.Generator,
-                     prefix: str = "gate"):
+def init_gate_params(params: ParamStore, embed_dim: int, rng: np.random.Generator):
     for gate in GATE_NAMES:
-        params.add(f"{prefix}/{gate}/w",
+        params.add(f"gate/{gate}/w",
                    nc.uniform_init(rng, (embed_dim, embed_dim), embed_dim))
-        params.add(f"{prefix}/{gate}/b", np.zeros(embed_dim))
+        params.add(f"gate/{gate}/b", np.zeros(embed_dim))
 
 
 def init_simple_gate_params(params: ParamStore, embed_dim: int,
@@ -43,13 +42,12 @@ def init_simple_gate_params(params: ParamStore, embed_dim: int,
     params.add("simple_gate/b", np.zeros(embed_dim))
 
 
-def gate_step(tau_tilde: Tensor, state: RecurrentState, params: ParamStore,
-              prefix: str = "gate") -> RecurrentState:
+def gate_step(tau_tilde: Tensor, state: RecurrentState,
+              params: ParamStore) -> RecurrentState:
     """One gated update from the graph-network track output tau_tilde."""
 
     def head(gate):
-        return nc.linear(params[f"{prefix}/{gate}/w"], params[f"{prefix}/{gate}/b"],
-                         tau_tilde)
+        return nc.linear(params[f"gate/{gate}/w"], params[f"gate/{gate}/b"], tau_tilde)
 
     a_forget = nc.sigmoid(head("forget"))
     a_input = nc.sigmoid(head("input"))

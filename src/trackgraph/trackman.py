@@ -210,14 +210,10 @@ def _cosine(a, b) -> float:
 def greedy_assignment(scores: np.ndarray, cutoff: float) -> dict[int, int]:
     """One-to-one track->detection assignment by descending score, stopping
     below the cutoff.  Ties break toward lower track then detection index."""
-    pairs = sorted(
-        ((scores[m, n], m, n) for m in range(scores.shape[0])
-         for n in range(scores.shape[1])),
-        key=lambda x: (-x[0], x[1], x[2]),
-    )
     used_m, used_n, out = set(), set(), {}
-    for s, m, n in pairs:
-        if s < cutoff:
+    for flat in np.argsort(-scores, axis=None, kind="stable"):
+        m, n = divmod(int(flat), scores.shape[1])
+        if scores[m, n] < cutoff:
             break
         if m in used_m or n in used_n:
             continue
@@ -328,13 +324,8 @@ def _advance(memory: TrackMemory, tau_tilde: Tensor, params: ParamStore,
     if config.gate_mode == "lstm":
         return rec.gate_step(tau_tilde, rec.RecurrentState(y=memory.y, c=memory.c),
                              params)
-    zeros = Tensor(np.zeros(tau_tilde.shape))
-    if config.gate_mode == "simple":
-        return rec.RecurrentState(y=rec.simple_gate_step(tau_tilde, params), c=zeros)
-    if config.gate_mode == "none":
-        # Experimental: no gating; known to destabilize training.
-        return rec.RecurrentState(y=tau_tilde, c=zeros)
-    raise NumericError(f"unknown gate mode {config.gate_mode!r}")
+    return rec.RecurrentState(y=rec.simple_gate_step(tau_tilde, params),
+                              c=Tensor(np.zeros(tau_tilde.shape)))
 
 
 def step(memory: TrackMemory, detections, model: TrackModel,

@@ -125,7 +125,6 @@ def test_update_variance_positive_randomized():
             model,
             rng.normal(size=dim) * 3,
             rates(rng.uniform(1e-9, 1 - 1e-9), rng.uniform(1e-9, 1 - 1e-9)),
-            sigma_tilde=rng.uniform(0, 1.0, size=dim),
         )
         assert np.all(out.sigma.data > 0)
 

@@ -48,7 +48,8 @@ def test_generate_reproducible(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def train_tiny(tmp_path, extra_overrides=()):
+def train_argv(tmp_path):
+    """Generate a tiny suite; return (data dir, checkpoint path, train argv)."""
     data = tmp_path / "data"
     assert run(["generate", "--seed", "5", "--sequences", "2", "--objects", "2",
                 "--frames", "4", "--out", str(data),
@@ -60,8 +61,12 @@ def train_tiny(tmp_path, extra_overrides=()):
     argv = ["train", "--data", str(data), "--out", str(ckpt), "--seed", "1",
             "--override", "iterations=3", "--override", "D=8",
             "--override", "T=4", "--override", "batch_size=1"]
-    argv += list(extra_overrides)
-    assert run(argv) == 0
+    return data, ckpt, argv
+
+
+def train_tiny(tmp_path, extra_overrides=()):
+    data, ckpt, argv = train_argv(tmp_path)
+    assert run(argv + list(extra_overrides)) == 0
     return data, ckpt
 
 
@@ -110,6 +115,18 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(["ablate", "--name", "nonexistent", "--out", str(tmp_path)]) == 1
     assert run(["train", "--data", str(tmp_path), "--out", "x.npz",
                 "--override", "unknown_key=1"]) in (1, 2)
+
+
+@pytest.mark.parametrize("override", [
+    "ablations.bogus=1",            # unknown model config key
+    'ablations.gate_mode="nope"',   # not a gate mode
+    "iterations=0",                 # no training iteration to run
+])
+def test_config_errors_exit_one_before_training(tmp_path, capsys, override):
+    _, ckpt, argv = train_argv(tmp_path)
+    assert run(argv + ["--override", override]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_data_errors_exit_two(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trackgraph import assocgraph as ag
+from trackgraph import cli
 from trackgraph import learn
 from trackgraph import numcore as nc
 from trackgraph import synthworld as sw
@@ -311,15 +312,44 @@ def test_training_reproducible():
 
 
 def test_divergence_detected_and_reported():
-    config = small_config(gate_mode="none")
-    model = tm.build_model(config, seed=3)
-    for t in model.params.tensors():
-        t.data *= 40.0  # blow up the recurrent loop deliberately
+    # Saturated appearance rates: sigmoid(-1e3) is 0.0 for both kappa and nu,
+    # so the first appearance update sees kappa + nu == 0.
+    model = tm.build_model(small_config(), seed=3)
+    model.params["rate_head/w"].data[...] = 0.0
+    model.params["rate_head/b"].data[...] = -1e3
+    data = build_dataset([31])
+    with pytest.raises(learn.DivergenceError) as info:
+        learn.train(data, model, learn.TrainConfig(iterations=50, batch_size=1, seed=0))
+    assert info.value.iteration == 0
+    assert isinstance(info.value.__cause__, nc.NumericOverflowError)
+
+
+def test_non_finite_loss_is_divergence():
+    model = tm.build_model(small_config(), seed=3)
+    model.params["score_head/w"].data[0, 0] = np.inf
     data = build_dataset([31])
     with np.errstate(all="ignore"), pytest.raises(learn.DivergenceError) as info:
-        learn.train(data, model, learn.TrainConfig(iterations=50, batch_size=1,
-                                                   lr=10.0, seed=0))
-    assert info.value.iteration >= 0
+        learn.train(data, model, learn.TrainConfig(iterations=5, batch_size=1, seed=0))
+    assert info.value.iteration == 0
+    assert info.value.__cause__ is None
+
+
+def test_training_records_every_primitive(monkeypatch):
+    """Every numcore primitive is used: one tiny training iteration per
+    named ablation puts each op of the registry on the tape."""
+    seen = set()
+    real_backward = nc.backward
+
+    def spy(tape, output, params=None):
+        seen.update(node.op for node in tape.nodes)
+        return real_backward(tape, output, params)
+
+    monkeypatch.setattr(nc, "backward", spy)
+    data = build_dataset([11], crossing=True)
+    for flags in cli.ABLATIONS.values():
+        model = tm.build_model(small_config(**flags), seed=1)
+        learn.train(data, model, learn.TrainConfig(iterations=1, batch_size=1, seed=0))
+    assert sorted(set(nc._FORWARD) - seen) == []
 
 
 def test_checkpoint_roundtrip(tmp_path):

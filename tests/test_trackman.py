@@ -293,6 +293,14 @@ def test_greedy_assignment_one_to_one():
     # cutoff removes weak pairs
     out2 = tm.greedy_assignment(scores, cutoff=2.95)
     assert out2 == {0: 0}
+    # ties go to the lower track, then the lower detection: (0, 0) first
+    # leaves row 1 only its sub-cutoff pair; any other order assigns both rows
+    assert tm.greedy_assignment(np.array([[1.0, 1.0], [1.0, 0.0]]), cutoff=0.5) == {0: 0}
+    assert list(tm.greedy_assignment(np.ones((3, 2)), cutoff=1.0).items()) == [(0, 0), (1, 1)]
+    # the cutoff itself is kept, negative scores included; empty sides assign nothing
+    assert tm.greedy_assignment(np.array([[-1.0]]), cutoff=-1.0) == {0: 0}
+    assert tm.greedy_assignment(np.zeros((0, 3)), cutoff=0.0) == {}
+    assert tm.greedy_assignment(np.zeros((2, 0)), cutoff=0.0) == {}
 
 
 def test_reweight_single_track_positive_logits():

@@ -1,7 +1,7 @@
 """Short end-to-end training on the crossing-objects suite, then a budget
 comparison of the full model against one ablation.  Expect a few minutes;
 numbers should improve with a larger budget; no test checks that yet (see
-ROADMAP item 3).
+ROADMAP item 2).
 
 Run:  python demos/05_train_and_compare.py
 """
@@ -36,4 +36,4 @@ for name, flags in (("full", {}), ("limited_gnn", {"limited_gnn": True})):
           f"switches {report.id_switches}  ({time.time() - t0:.0f}s)")
 
 print("\nwith a larger budget the full model should pull further ahead of the "
-      "ablation; no test checks this yet (ROADMAP item 3)")
+      "ablation; no test checks this yet (ROADMAP item 2)")

@@ -51,6 +51,12 @@ class ModelConfig:
     sigma0: float = 1e-3
 
     def __post_init__(self):
+        for name, f in self.__dataclass_fields__.items():
+            v = getattr(self, name)
+            if type(f.default) is bool and type(v) is not bool:
+                raise ValueError(f"{name} must be true or false, got {v!r}")
+            if type(f.default) is int and (type(v) is not int or v < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"unknown gate mode {self.gate_mode!r}; "
                              f"choose from {list(GATE_MODES)}")
@@ -215,9 +221,7 @@ def _node_update(params, block, node, x, agg, gated):
 
 def _aggregate(params, gate_name, edges, axis, gated):
     """Sum of (optionally gated) edge messages over `axis`."""
-    msg = edges
-    if gated:
-        msg = _gate_mlp(params, gate_name, edges) * edges
+    msg = _gate_mlp(params, gate_name, edges) * edges if gated else edges
     return nc.slot_sum(msg, axis=axis)
 
 
@@ -241,10 +245,12 @@ def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> G
         if ma > 1 and na > 0:
             probs = _head_probs(params, "match_feat_head", batch.edge_feats).data[1:]
             track_agg_mask[np.arange(1, ma), np.argmax(probs, axis=1)] = 1.0
-        msg = _gate_mlp(params, "block0/g_tau", ed) * ed if gated else ed
-        msg = msg * Tensor(track_agg_mask[:, :, None])
-        agg_t = nc.slot_sum(msg, axis=1)
-        tr = _split_track_update(params, 0, tr, agg_t, gated)
+        # row 0 gathers nothing, so only the real rows run the gate
+        rest = nc.gather(ed, np.arange(1, ma))
+        msg = _gate_mlp(params, "block0/g_tau", rest) * rest if gated else rest
+        agg_t = nc.slot_sum(msg * Tensor(track_agg_mask[1:, :, None]), axis=1)
+        tr = _split_track_update(params, 0, tr, Tensor(np.zeros((1, config.embed_dim))),
+                                 agg_t, gated)
         agg_d = Tensor(np.zeros((na, config.embed_dim)))
         de = _node_update(params, "block0", "delta", de, agg_d, gated)
         _check_finite((ed, tr, de), "GNN block 0 (limited)")
@@ -256,9 +262,11 @@ def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> G
     else:
         for k in range(config.num_blocks):
             ed = _edge_update(params, k, ed, tr, de, gated)
-            agg_t = _aggregate(params, f"block{k}/g_tau", ed, 1, gated)
-            agg_t0 = _aggregate(params, f"block{k}/g_tau0", ed, 1, gated)
-            tr = _split_track_update(params, k, tr, agg_t, gated, agg_row0=agg_t0)
+            # each track-side gate runs only on the edge rows it aggregates
+            agg_t0 = _aggregate(params, f"block{k}/g_tau0", nc.gather(ed, [0]), 1, gated)
+            agg_t = _aggregate(params, f"block{k}/g_tau", nc.gather(ed, np.arange(1, ma)),
+                               1, gated)
+            tr = _split_track_update(params, k, tr, agg_t0, agg_t, gated)
             agg_d = _aggregate(params, f"block{k}/g_delta", ed, 0, gated)
             de = _node_update(params, f"block{k}", "delta", de, agg_d, gated)
             _check_finite((ed, tr, de), f"GNN block {k}")
@@ -281,15 +289,11 @@ def _edge_update(params, k, ed, tr, de, gated):
     return h
 
 
-def _split_track_update(params, k, tr, agg, gated, agg_row0=None):
+def _split_track_update(params, k, tr, agg_row0, agg_rest, gated):
     """Row 0 runs through its own weights; remaining rows share one set."""
-    if agg_row0 is None:
-        agg_row0 = agg
-    row0 = _node_update(params, f"block{k}", "tau0",
-                        nc.gather(tr, [0]), nc.gather(agg_row0, [0]), gated)
-    rest_idx = np.arange(1, tr.shape[0])
+    row0 = _node_update(params, f"block{k}", "tau0", nc.gather(tr, [0]), agg_row0, gated)
     rest = _node_update(params, f"block{k}", "tau",
-                        nc.gather(tr, rest_idx), nc.gather(agg, rest_idx), gated)
+                        nc.gather(tr, np.arange(1, tr.shape[0])), agg_rest, gated)
     return nc.concat([row0, rest], axis=0)
 
 

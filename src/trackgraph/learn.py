@@ -67,6 +67,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +343,10 @@ def train_config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig, tm.Thresh
         appearance_dim=int(d.get("appearance_dim", 8)),
         mask_grid=int(d.get("mask_grid", 24)),
     )
-    model_kw.update(d.get("ablations", {}))
+    ablations = d.get("ablations", {})
+    if not isinstance(ablations, dict):
+        raise ValueError(f"ablations must be an object of model config keys, got {ablations!r}")
+    model_kw.update(ablations)
     model_config = ModelConfig.from_dict({**ModelConfig().to_dict(), **model_kw})
     loss = LossConfig(lambdas=tuple(d.get("lambdas", (1.0, 1.0, 4.0, 1.0))),
                       sequence_length=int(d.get("T", 10)))

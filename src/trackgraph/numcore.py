@@ -5,10 +5,10 @@ Every primitive runs eagerly on numpy float64 arrays and, when a tape is
 active, records (op name, inputs, output, aux) so that the tape can be
 replayed forward bit-exactly and swept backward.  The primitive set holds
 only what the model runs: affine maps on the last axis of any leading
-shape, elementwise arithmetic, relu/sigmoid/tanh/log/clip, a last-axis
-softmax, reshapes, broadcasts, concatenation, row gathers, an axis swap,
-reductions, and for the tiny mask head a 3x3 sliding-window patch
-extractor plus its tap-first dual, a shifted sum of per-tap planes.
+shape, a plain 2-D matrix product, elementwise arithmetic,
+relu/sigmoid/tanh/log/clip, a last-axis softmax, reshapes, broadcasts,
+concatenation, row gathers, an axis swap, reductions, and for the tiny mask
+head's 3x3 convolution a shifted sum of tap-major per-tap planes.
 Reductions delegate to numpy's summation, which is deterministic for a
 fixed shape; `slot_sum` additionally fixes the accumulation order to
 ascending slot index, so a graph node's aggregate is one sequential sum
@@ -237,6 +237,17 @@ def _():
     return fwd, bwd
 
 
+@_op("matmul")
+def _():
+    def fwd(aux, a, b):
+        return a @ b
+
+    def bwd(aux, g, out, a, b):
+        return g @ b.T, a.T @ g
+
+    return fwd, bwd
+
+
 @_op("reshape")
 def _():
     def fwd(shape, a):
@@ -336,13 +347,13 @@ def _():
 
 @_op("sigmoid")
 def _():
+    # 1 / (1 + exp(-a)) for a >= 0, exp(a) / (1 + exp(a)) below, with no
+    # boolean-mask indexing: ex = exp(min(a, -a)) gives every element (NaNs
+    # too) the two-branch form's exp argument and division, bit for bit.
     def fwd(aux, a):
-        out = np.empty_like(a)
-        pos = a >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-        ex = np.exp(a[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        ex = np.exp(np.minimum(a, -a))
+        d = 1.0 + ex
+        return np.where(a >= 0, 1.0 / d, ex / d)
 
     def bwd(aux, g, out, a):
         return (g * out * (1.0 - out),)
@@ -400,60 +411,33 @@ def _():
     return fwd, bwd
 
 
-@_op("im2col3x3")
-def _():
-    # (B, C, G, G) -> (B, G*G, C*9) with zero padding 1; patch column order is
-    # c*9 + (3*di + dj) for offsets di, dj in {0,1,2}.  Built channels-last,
-    # so the result is a reshape of the tap buffer, not a transposed copy.
-    def fwd(aux, a):
-        b, c, g, _ = a.shape
-        padded = np.zeros((b, g + 2, g + 2, c), dtype=a.dtype)
-        padded[:, 1:-1, 1:-1] = a.transpose(0, 2, 3, 1)
-        cols = np.empty((b, g, g, c, 9), dtype=a.dtype)
-        for di in range(3):
-            for dj in range(3):
-                cols[..., 3 * di + dj] = padded[:, di : di + g, dj : dj + g]
-        return cols.reshape(b, g * g, c * 9)
-
-    def bwd(aux, grad, out, a):
-        b, c, g, _ = a.shape
-        cols = grad.reshape(b, g, g, c, 9)
-        acc = np.zeros((b, g + 2, g + 2, c), dtype=a.dtype)
-        for di in range(3):
-            for dj in range(3):
-                acc[:, di : di + g, dj : dj + g] += cols[..., 3 * di + dj]
-        return (acc[:, 1:-1, 1:-1].transpose(0, 3, 1, 2).copy(),)
-
-    return fwd, bwd
-
-
 @_op("tap_sum3x3")
 def _():
-    # (B, G, G, 9) -> (B, G, G): the 3x3 conv that im2col3x3 feeds, run
-    # tap-first.  Tap plane t = 3*di + dj holds each pixel's contribution
-    # through tap t, the same order as im2col3x3's columns, so
-    # out[i, j] = sum_t a[i + di - 1, j + dj - 1, t], zero outside the grid,
-    # accumulated in ascending tap order.  A tap adds only where its source
-    # lies inside the grid: adding the outside zeros would change no bit.
+    # (9, B, G, G) -> (B, G, G): a zero-padded 3x3 convolution run tap-first.
+    # Tap plane t = 3*di + dj holds each pixel's contribution through tap
+    # (di, dj), so out[i, j] = sum_t a[t, i + di - 1, j + dj - 1], zero
+    # outside the grid, accumulated in ascending tap order.  A tap adds only
+    # where its source lies inside the grid: adding the outside zeros would
+    # change no bit.
     def fwd(aux, a):
-        g = a.shape[1]
-        out = np.zeros(a.shape[:3], dtype=a.dtype)
+        g = a.shape[2]
+        out = np.zeros(a.shape[1:], dtype=a.dtype)
         for di in range(3):
             i0, i1 = max(0, 1 - di), min(g, g + 1 - di)
             for dj in range(3):
                 j0, j1 = max(0, 1 - dj), min(g, g + 1 - dj)
-                out[:, i0:i1, j0:j1] += a[:, i0 + di - 1 : i1 + di - 1,
-                                          j0 + dj - 1 : j1 + dj - 1, 3 * di + dj]
+                out[:, i0:i1, j0:j1] += a[3 * di + dj, :, i0 + di - 1 : i1 + di - 1,
+                                          j0 + dj - 1 : j1 + dj - 1]
         return out
 
     def bwd(aux, grad, out, a):
-        g = a.shape[1]
+        g = a.shape[2]
         padded = np.zeros((grad.shape[0], g + 2, g + 2), dtype=grad.dtype)
         padded[:, 1:-1, 1:-1] = grad
         acc = np.empty_like(a)
         for di in range(3):
             for dj in range(3):
-                acc[..., 3 * di + dj] = padded[:, 2 - di : 2 - di + g, 2 - dj : 2 - dj + g]
+                acc[3 * di + dj] = padded[:, 2 - di : 2 - di + g, 2 - dj : 2 - dj + g]
         return (acc,)
 
     return fwd, bwd
@@ -528,15 +512,16 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _run("clip", (a,), (lo, hi))
 
 
-def im2col3x3(a: Tensor) -> Tensor:
-    if a.data.ndim != 4 or a.shape[2] != a.shape[3]:
-        raise NumericError(f"im2col3x3 expects (B, C, G, G), got {a.shape}")
-    return _run("im2col3x3", (a,))
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for 2-D a (m, k) and b (k, n)."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise NumericError(f"matmul expects (m, k) @ (k, n), got {a.shape} @ {b.shape}")
+    return _run("matmul", (a, b))
 
 
 def tap_sum3x3(a: Tensor) -> Tensor:
-    if a.data.ndim != 4 or a.shape[1] != a.shape[2] or a.shape[3] != 9:
-        raise NumericError(f"tap_sum3x3 expects (B, G, G, 9), got {a.shape}")
+    if a.data.ndim != 4 or a.shape[0] != 9 or a.shape[2] != a.shape[3]:
+        raise NumericError(f"tap_sum3x3 expects (9, B, G, G), got {a.shape}")
     return _run("tap_sum3x3", (a,))
 
 

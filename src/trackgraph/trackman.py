@@ -254,12 +254,15 @@ def render_box_masks(boxes, grid: int) -> np.ndarray:
     return inside.astype(np.float64)
 
 
-def _in_grid_taps(grid: int) -> np.ndarray:
-    """(G*G, 9) 0/1 table: row i*G + j, column 3*di + dj is 1 when tap
-    (di, dj) of pixel (i, j) reads inside the grid (im2col3x3's tap order)."""
-    rows = np.arange(3)[:, None] + np.arange(grid)[None, :] - 1
-    ok = ((rows >= 0) & (rows < grid)).astype(np.float64)          # (3, G)
-    return (ok[:, None, :, None] * ok[None, :, None, :]).reshape(9, grid * grid).T
+def _tap_columns(planes, grid: int) -> np.ndarray:
+    """(C*9, K*G*G) 3x3-convolution input columns of C stacks of K (G, G)
+    planes: row c*9 + 3*di + dj holds stack c read at (i + di - 1,
+    j + dj - 1), zero outside the grid."""
+    padded = np.zeros((len(planes), len(planes[0]), grid + 2, grid + 2))
+    for c, plane in enumerate(planes):
+        padded[c, :, 1:-1, 1:-1] = plane
+    return np.stack([padded[:, :, di : di + grid, dj : dj + grid] for di in range(3)
+                     for dj in range(3)], axis=1).reshape(9 * len(planes), -1)
 
 
 def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
@@ -274,13 +277,17 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
 
     The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
     over the track projection (16 channels, broadcast to every pixel), the
-    detection mask and the box mask.  A projection channel is constant over
-    the grid, so conv1's share of it is taken per tap: P = proj @ conv1's
+    detection mask and the box mask.  It runs channel-first: the hidden
+    activations are one (16, K*G*G) matmul output, and no layout op touches
+    a tensor larger than K*G*G.  A projection channel is constant over the
+    grid, so conv1's share of it is taken per tap: P = proj @ conv1's
     projection taps gives each track's (16 out, 9 tap) contribution, and a
-    pixel's share is the sum of P over the taps that fall inside the grid,
-    one affine with the fixed in-grid table.  Only the two data channels go
-    through im2col3x3.  Conv2 runs tap-first: h @ conv2 gives one plane per
-    tap, and tap_sum3x3 adds the shifted planes.
+    pixel's share is P (16*K, 9) @ the (9, G*G) tap columns of a plane of
+    ones, which mark the taps that read inside the grid.  The two data
+    channels are a constant (18, K*G*G) column matrix times conv1's data
+    weights.  Conv2 runs tap-first: its (9 tap, 16) weights @ h give
+    one (G, G) plane per tap and track, and tap_sum3x3 adds the shifted
+    planes.
     """
     k = len(masks)
     if k == 0:
@@ -288,26 +295,23 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     for mask in masks:
         if np.shape(mask) != (grid, grid):
             raise NumericError(f"mask shape {np.shape(mask)} does not match grid {grid}")
-    gg = grid * grid
     proj = nc.relu(nc.linear(params["mask_head/proj/w"], params["mask_head/proj/b"],
                              embeddings))                          # (K,16)
     # conv1/w is (16 out, 18 in * 9 taps): in < 16 projection, 16/17 data
     w1 = nc.reshape(params["mask_head/conv1/w"], (-1,))
-    o, t, c = np.ix_(range(16), range(9), range(16))
-    w1_proj = nc.gather(w1, (o * 162 + c * 9 + t).reshape(144, 16))    # (16o*9t, 16c)
+    c, o, t = np.ix_(range(16), range(16), range(9))
+    w1_proj = nc.gather(w1, (o * 162 + c * 9 + t).reshape(16, 144))   # (16c, 16o*9t)
     w1_data = nc.gather(w1, np.arange(16)[:, None] * 162 + 144 + np.arange(18))  # (16,18)
-    p = nc.linear(w1_proj, Tensor(np.zeros(144)), proj)            # (K, 16o*9t)
-    h_proj = nc.linear(nc.reshape(p, (k * 16, 9)), Tensor(np.zeros(k * 16)),
-                       Tensor(_in_grid_taps(grid)))                 # (GG, K*16)
-    h_proj = nc.swapaxes01(nc.reshape(h_proj, (gg, k, 16)))         # (K,GG,16)
-    data = np.stack([np.asarray(masks, dtype=np.float64),
-                     render_box_masks(boxes, grid)], axis=1)
-    h_data = nc.linear(w1_data, params["mask_head/conv1/b"],
-                       nc.im2col3x3(Tensor(data)))                 # (K,GG,16)
-    h = nc.relu(h_proj + h_data)
-    # conv2 per tap: (9 taps, 16 channels) weights, one (G,G) plane per tap
-    w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))
-    z = nc.reshape(nc.linear(w2, Tensor(np.zeros(9)), h), (k, grid, grid, 9))
+    p = nc.reshape(nc.matmul(proj, w1_proj), (k, 16, 9))
+    p = nc.reshape(nc.swapaxes01(p), (16 * k, 9))                    # (16o*K, 9t)
+    in_grid = _tap_columns([np.ones((1, grid, grid))], grid)
+    h_proj = nc.reshape(nc.matmul(p, Tensor(in_grid)), (16, -1))
+    data = _tap_columns([masks, render_box_masks(boxes, grid)], grid)
+    h_data = nc.matmul(w1_data, Tensor(data))
+    b1 = nc.reshape(params["mask_head/conv1/b"], (16, 1))
+    h = nc.relu(h_proj + (h_data + b1))                              # (16, K*GG)
+    w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))  # (9t, 16)
+    z = nc.reshape(nc.matmul(w2, h), (9, k, grid, grid))
     logits = nc.tap_sum3x3(z) + params["mask_head/conv2/b"]       # (K,G,G)
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)
     instance_map = np.argmax(stack.data, axis=0)

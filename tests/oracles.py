@@ -4,6 +4,7 @@ never import the implementation paths they audit."""
 
 import numpy as np
 
+import trackgraph.assocgraph as ag
 import trackgraph.numcore as nc
 
 
@@ -126,6 +127,57 @@ def mask_head_oracle(params: dict, embeddings, masks, boxes, grid: int):
                 if lg[i, j] > best:
                     best, instance_map[i, j] = lg[i, j], k + 1
     return np.array(logits), instance_map
+
+
+def gnn_forward_all_rows(batch, params, config):
+    """`assocgraph.gnn_forward` with every track-side gate MLP run over all
+    (m+1) x n edges and the aggregate rows picked afterwards: row 0 of
+    g_tau0's sum, rows 1..m of g_tau's.  Reuses assocgraph's edge, node and
+    residual updates, which the gate-row selection does not touch."""
+    tr, de, ed = batch.tracks, batch.dets, batch.edges
+    ma, na = ed.shape[0], ed.shape[1]
+    gated = config.gated_aggregation
+    rest = np.arange(1, ma)
+
+    def aggregate(gate, edges, axis):
+        msg = ag._gate_mlp(params, gate, edges) * edges if gated else edges
+        return nc.slot_sum(msg, axis=axis)
+
+    def track_update(k, tr, agg_row0, agg):
+        row0 = ag._node_update(params, f"block{k}", "tau0", nc.gather(tr, [0]),
+                               nc.gather(agg_row0, [0]), gated)
+        others = ag._node_update(params, f"block{k}", "tau", nc.gather(tr, rest),
+                                 nc.gather(agg, rest), gated)
+        return nc.concat([row0, others], axis=0)
+
+    def residuals(k, ed, tr, de):
+        if not config.interleave_residuals:
+            return ed, tr, de
+        return (ag._residual(params, f"res{k}/edges", ed),
+                ag._residual(params, f"res{k}/tracks", tr),
+                ag._residual(params, f"res{k}/dets", de))
+
+    if config.limited_gnn:
+        ed = ag._edge_update(params, 0, ed, tr, de, gated)
+        mask = np.zeros((ma, na))
+        if ma > 1 and na > 0:
+            probs = ag._head_probs(params, "match_feat_head", batch.edge_feats).data[1:]
+            mask[rest, np.argmax(probs, axis=1)] = 1.0
+        msg = ag._gate_mlp(params, "block0/g_tau", ed) * ed if gated else ed
+        agg = nc.slot_sum(msg * nc.Tensor(mask[:, :, None]), axis=1)
+        tr = track_update(0, tr, agg, agg)
+        de = ag._node_update(params, "block0", "delta", de,
+                             nc.Tensor(np.zeros((na, config.embed_dim))), gated)
+        ed, tr, de = residuals(0, ed, tr, de)
+    else:
+        for k in range(config.num_blocks):
+            ed = ag._edge_update(params, k, ed, tr, de, gated)
+            tr = track_update(k, tr, aggregate(f"block{k}/g_tau0", ed, 1),
+                              aggregate(f"block{k}/g_tau", ed, 1))
+            de = ag._node_update(params, f"block{k}", "delta", de,
+                                 aggregate(f"block{k}/g_delta", ed, 0), gated)
+            ed, tr, de = residuals(k, ed, tr, de)
+    return ag.GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats)
 
 
 def lovasz_softmax_frame_loop(logits, labels):

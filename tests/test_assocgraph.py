@@ -7,6 +7,8 @@ from trackgraph import numcore as nc
 from trackgraph import trackman as tm
 from trackgraph.numcore import NumericError, ParamStore, Tape, Tensor, backward, grad_check
 
+from oracles import gnn_forward_all_rows
+
 
 class DetStub:
     def __init__(self, box, scores, appearance):
@@ -305,6 +307,35 @@ def test_forward_matches_straight_line_oracle():
         np.testing.assert_allclose(out.dets.data[n], ode[n], atol=1e-12)
     for (m, n), v in oed.items():
         np.testing.assert_allclose(out.edges.data[m, n], v, atol=1e-12)
+
+
+@pytest.mark.parametrize("flags", [
+    {}, {"gated_aggregation": False}, {"interleave_residuals": False},
+    {"limited_gnn": True}, {"limited_gnn": True, "gated_aggregation": False},
+])
+@pytest.mark.parametrize("m,n", [(3, 4), (0, 3), (2, 0)])
+def test_gate_rows_match_all_rows_aggregation(flags, m, n):
+    # Each track-side gate runs only on the edge rows its aggregate reads;
+    # the oracle runs it on every row and picks the rows afterwards.
+    config = small_config(**flags)
+    params = make_params(config, seed=11, generic_point=True)
+    tracks, dets = random_inputs(np.random.default_rng(5), config, m, n)
+    batch = ag.build_graph_batch(tracks, dets, params, config)
+
+    def run(forward):
+        params.zero_grads()
+        with Tape() as tape:
+            out = forward(batch, params, config)
+            total = nc.tsum(out.tracks) + nc.tsum(out.dets) + nc.tsum(out.edges)
+        return out, backward(tape, nc.reshape(total, ()), params)
+
+    got, grads = run(ag.gnn_forward)
+    want, want_grads = run(gnn_forward_all_rows)
+    for name in ("tracks", "dets", "edges"):
+        np.testing.assert_allclose(getattr(got, name).data, getattr(want, name).data,
+                                   rtol=0, atol=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12)
 
 
 def test_forward_oracle_mlp_mode():

@@ -121,6 +121,10 @@ def test_usage_errors_exit_one(tmp_path):
     "ablations.bogus=1",            # unknown model config key
     'ablations.gate_mode="nope"',   # not a gate mode
     "iterations=0",                 # no training iteration to run
+    "batch_size=0",                 # no sequence per batch
+    'ablations.max_tracks="x"',     # a count that is not an integer
+    "ablations.limited_gnn=1",      # a switch that is not a boolean
+    "ablations=1",                  # not an object of model config keys
 ])
 def test_config_errors_exit_one_before_training(tmp_path, capsys, override):
     _, ckpt, argv = train_argv(tmp_path)

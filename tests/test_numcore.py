@@ -106,6 +106,28 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def _sigmoid_two_branch(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_two_branch_form_bit_for_bit():
+    rng = np.random.default_rng(23)
+    wide = rng.normal(size=100_000) * 10.0 ** rng.uniform(-6, 3, size=100_000)
+    edges = np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan])
+    for a in (wide, edges, wide.reshape(10, 100, 100)):
+        got = nc.sigmoid(Tensor(a)).data
+        assert got.shape == a.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      _sigmoid_two_branch(a).view(np.uint64))
+    assert nc.sigmoid(Tensor(-745.0)).item() > 0.0
+    assert nc.sigmoid(Tensor(np.inf)).item() == 1.0
+
+
 def test_backward_square():
     x = Tensor(3.0)
     with Tape() as tape:
@@ -266,78 +288,71 @@ def test_gather_rows_and_grads():
     np.testing.assert_array_equal(x.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
-def test_im2col3x3_matches_direct_convolution():
-    # Oracle: direct nested-loop 3x3 convolution with zero padding.
+def test_matmul_matches_numpy_and_gradients():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 3, 5, 5))
-    k = rng.normal(size=(4, 3, 3, 3))
-
-    def conv_direct(img, ker):
-        g = img.shape[-1]
-        out = np.zeros((img.shape[0], ker.shape[0], g, g))
-        padded = np.pad(img, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        for bi in range(img.shape[0]):
-            for oc in range(ker.shape[0]):
-                for i in range(g):
-                    for j in range(g):
-                        patch = padded[bi, :, i : i + 3, j : j + 3]
-                        out[bi, oc, i, j] = np.sum(patch * ker[oc])
-        return out
-
-    cols = nc.im2col3x3(Tensor(x))
-    kmat = k.reshape(4, -1)
-    got = (cols.data @ kmat.T).transpose(0, 2, 1).reshape(2, 4, 5, 5)
-    np.testing.assert_allclose(got, conv_direct(x, k), atol=1e-12)
-
-
-def test_im2col3x3_gradient_matches_finite_differences():
-    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
+    np.testing.assert_array_equal(nc.matmul(Tensor(a), Tensor(b)).data, a @ b)
     store = ParamStore()
-    store.add("img", rng.normal(size=(1, 2, 4, 4)))
-    probe = Tensor(rng.normal(size=(1, 16, 18)))
+    store.add("a", a)
+    store.add("b", b)
+    probe = Tensor(rng.normal(size=(4, 5)))
 
     def fn(p):
-        return nc.reshape(nc.tsum(nc.im2col3x3(p["img"]) * probe), ())
+        return nc.reshape(nc.tsum(nc.matmul(p["a"], p["b"]) * probe), ())
 
     assert grad_check(fn, store) < 1e-8
+    for shapes in (((4, 3), (4, 5)), ((2, 4, 3), (3, 5)), ((3,), (3, 5))):
+        with pytest.raises(NumericError):
+            nc.matmul(*(Tensor(np.zeros(s)) for s in shapes))
 
 
-def test_tap_sum3x3_matches_direct_shifted_sum():
-    # Oracle: out[i, j] = sum over taps (di, dj) of plane 3*di + dj read at
-    # (i + di - 1, j + dj - 1), zero outside the grid.
-    rng = np.random.default_rng(17)
-    z = rng.normal(size=(2, 5, 5, 9))
-    want = np.zeros((2, 5, 5))
-    for b in range(2):
-        for i in range(5):
-            for j in range(5):
+def _shifted_sum_oracle(z):
+    """out[b, i, j] = sum over taps (di, dj) of plane 3*di + dj read at
+    (i + di - 1, j + dj - 1), zero outside the grid."""
+    _, nb, g, _ = z.shape
+    want = np.zeros((nb, g, g))
+    for b in range(nb):
+        for i in range(g):
+            for j in range(g):
                 for di in range(3):
                     for dj in range(3):
                         y, x = i + di - 1, j + dj - 1
-                        if 0 <= y < 5 and 0 <= x < 5:
-                            want[b, i, j] += z[b, y, x, 3 * di + dj]
-    np.testing.assert_allclose(nc.tap_sum3x3(Tensor(z)).data, want, atol=1e-12)
-    # tap-first equals im2col3x3 then the same weights
-    img = rng.normal(size=(2, 3, 5, 5))
-    w = rng.normal(size=(27,))
-    cols = nc.im2col3x3(Tensor(img)).data                   # (2, 25, 27)
-    planes = np.transpose(img, (0, 2, 3, 1)) @ w.reshape(3, 9)
-    np.testing.assert_allclose(nc.tap_sum3x3(Tensor(planes)).data.reshape(2, 25),
-                               cols @ w, atol=1e-12)
-    with pytest.raises(NumericError):
-        nc.tap_sum3x3(Tensor(np.zeros((1, 4, 4, 8))))
+                        if 0 <= y < g and 0 <= x < g:
+                            want[b, i, j] += z[3 * di + dj, b, y, x]
+    return want
+
+
+def test_tap_sum3x3_matches_direct_shifted_sum():
+    rng = np.random.default_rng(17)
+    for nb, g in ((2, 5), (1, 1), (3, 2)):
+        z = rng.normal(size=(9, nb, g, g))
+        np.testing.assert_allclose(nc.tap_sum3x3(Tensor(z)).data, _shifted_sum_oracle(z),
+                                   atol=1e-12)
+    for shape in ((1, 4, 4, 9), (9, 2, 4, 5), (9, 4, 4)):
+        with pytest.raises(NumericError):
+            nc.tap_sum3x3(Tensor(np.zeros(shape)))
 
 
 def test_tap_sum3x3_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     store = ParamStore()
-    store.add("planes", rng.normal(size=(2, 4, 4, 9)))
+    store.add("planes", rng.normal(size=(9, 2, 4, 4)))
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def fn(p):
         return nc.reshape(nc.tsum(nc.tap_sum3x3(p["planes"]) * probe), ())
 
     assert grad_check(fn, store) < 1e-8
+    # the backward is the transpose of the oracle's linear map
+    g = rng.normal(size=(2, 4, 4))
+    z = rng.normal(size=(9, 2, 4, 4))
+    with Tape() as tape:
+        x = Tensor(z)
+        out = nc.reshape(nc.tsum(nc.tap_sum3x3(x) * Tensor(g)), ())
+    backward(tape, out)
+    basis = np.eye(z.size).reshape((z.size,) + z.shape)
+    want = np.array([np.sum(_shifted_sum_oracle(e) * g) for e in basis]).reshape(z.shape)
+    np.testing.assert_allclose(x.grad, want, atol=1e-12)
 
 
 def test_param_store_flat_roundtrip():
@@ -421,15 +436,16 @@ def test_adam_decoupled_weight_decay():
 def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
     rng = np.random.default_rng(7)
     store = ParamStore()
-    store.add("w", rng.normal(size=(3, 18)))
-    store.add("b", rng.normal(size=3))
-    data = Tensor(rng.normal(size=(2, 2, 4, 4)))
+    store.add("w", rng.normal(size=(3, 2)))
+    store.add("b", rng.normal(size=(3, 1)))
+    data = Tensor(rng.normal(size=(9, 2, 4, 4)))
     calls = []
-    real = nc._BACKWARD["im2col3x3"]
-    monkeypatch.setitem(nc._BACKWARD, "im2col3x3",
+    real = nc._BACKWARD["tap_sum3x3"]
+    monkeypatch.setitem(nc._BACKWARD, "tap_sum3x3",
                         lambda *args: calls.append(1) or real(*args))
     with Tape() as tape:
-        h = nc.tanh(linear(store["w"], store["b"], nc.im2col3x3(data)))
+        planes = nc.reshape(nc.tap_sum3x3(data), (2, 16))
+        h = nc.tanh(nc.matmul(store["w"], planes) + store["b"])
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
     pruned = backward(tape, out, store)
     assert calls == [] and data.grad is None

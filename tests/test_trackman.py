@@ -192,7 +192,7 @@ def test_run_sequence_under_tape_replays_bit_exactly():
         memory, outputs = tm.run_sequence(det.frames, model, mode="train")
     assert len(memory) > 0 and outputs[-1].num_tracks > 0
     ops = {node.op for node in tape.nodes}
-    assert {"affine", "gather", "slot_sum", "im2col3x3", "tap_sum3x3"} <= ops
+    assert {"affine", "gather", "slot_sum", "matmul", "tap_sum3x3"} <= ops
     tape.replay()
 
 
@@ -424,10 +424,28 @@ def test_mask_head_builds_no_grid_constant_on_the_tape():
         tm.reweight_masks(Tensor(rng.normal(size=(k, config.embed_dim))), masks,
                           boxes, model.params, grid)
     for node in tape.nodes:
-        if node.op == "im2col3x3":
-            assert not np.all(node.inputs[0].data == 1.0)
+        if node.op == "matmul":
+            assert not any(np.all(t.data == 1.0) for t in node.inputs)
         for t in node.inputs + (node.output,):
             assert t.size <= k * grid * grid * 18, (node.op, t.shape)
+
+
+def test_mask_head_moves_no_channel_expanded_tensor():
+    # Layout ops inside the head stay at one entry per track pixel; the
+    # 16-channel activations exist only as matmul outputs.  The one concat
+    # that prepends the background row builds the returned (K+1, G, G) stack.
+    k, grid = 5, 24
+    config = small_config(mask_grid=grid)
+    model = tm.build_model(config, seed=44)
+    rng, masks, boxes = _mask_head_inputs(k, grid, seed=45)
+    with nc.Tape() as tape:
+        _, stack = tm.reweight_masks(Tensor(rng.normal(size=(k, config.embed_dim))),
+                                     masks, boxes, model.params, grid)
+    layout = [node for node in tape.nodes if node.output is not stack
+              and node.op in ("swapaxes01", "broadcast_to", "concat", "gather")]
+    assert layout
+    for node in layout:
+        assert node.output.size <= k * grid * grid, (node.op, node.output.shape)
 
 
 def test_pixel_ownership_unique():

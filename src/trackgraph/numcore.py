@@ -13,15 +13,37 @@ Reductions delegate to numpy's summation, which is deterministic for a
 fixed shape; `slot_sum` additionally fixes the accumulation order to
 ascending slot index, so a graph node's aggregate is one sequential sum
 however large the graph is.
+
+Importing the module also sets glibc's heap policy once, so that the memory
+a frame frees stays in the heap for the next frame.  By default glibc hands
+a freed top of heap back to the kernel, and a crowded frame's several MB of
+`(16, K*G^2)` mask-head and edge temporaries then fault in again on every
+frame: about 1300 minor page faults per track-crowded frame and 500 per
+track-sparse frame in the benchmark's track loop, none once the policy is
+set.  The thresholds are glibc's own dynamic ceiling (32 MB for mmap, twice
+that for trimming); where libc has no `mallopt` nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+
+def _keep_freed_heap() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class NumericError(ValueError):
@@ -149,6 +171,9 @@ _FORWARD: dict[str, Callable] = {}
 _BACKWARD: dict[str, Callable] = {}
 
 
+# A backward takes (aux, g, out, need, *inputs), where need[i] says whether
+# input i takes a gradient, and returns one gradient per input: None where
+# need is False, so a product for an input no parameter reaches is not formed.
 def _op(name: str):
     def deco(pair):
         fwd, bwd = pair()
@@ -179,8 +204,9 @@ def _():
     def fwd(aux, a, b):
         return a + b
 
-    def bwd(aux, g, out, a, b):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    def bwd(aux, g, out, need, a, b):
+        return (_unbroadcast(g, a.shape) if need[0] else None,
+                _unbroadcast(g, b.shape) if need[1] else None)
 
     return fwd, bwd
 
@@ -190,8 +216,9 @@ def _():
     def fwd(aux, a, b):
         return a - b
 
-    def bwd(aux, g, out, a, b):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    def bwd(aux, g, out, need, a, b):
+        return (_unbroadcast(g, a.shape) if need[0] else None,
+                _unbroadcast(-g, b.shape) if need[1] else None)
 
     return fwd, bwd
 
@@ -201,8 +228,9 @@ def _():
     def fwd(aux, a, b):
         return a * b
 
-    def bwd(aux, g, out, a, b):
-        return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+    def bwd(aux, g, out, need, a, b):
+        return (_unbroadcast(g * b, a.shape) if need[0] else None,
+                _unbroadcast(g * a, b.shape) if need[1] else None)
 
     return fwd, bwd
 
@@ -212,8 +240,9 @@ def _():
     def fwd(aux, a, b):
         return a / b
 
-    def bwd(aux, g, out, a, b):
-        return _unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape)
+    def bwd(aux, g, out, need, a, b):
+        return (_unbroadcast(g / b, a.shape) if need[0] else None,
+                _unbroadcast(-g * a / (b * b), b.shape) if need[1] else None)
 
     return fwd, bwd
 
@@ -229,10 +258,11 @@ def _():
         out += b
         return out.reshape(x.shape[:-1] + (w.shape[0],))
 
-    def bwd(aux, g, out, x, w, b):
+    def bwd(aux, g, out, need, x, w, b):
         g = g.reshape(-1, g.shape[-1])
-        return ((g @ w).reshape(x.shape), g.T @ x.reshape(-1, x.shape[-1]),
-                g.sum(axis=0))
+        return ((g @ w).reshape(x.shape) if need[0] else None,
+                g.T @ x.reshape(-1, x.shape[-1]) if need[1] else None,
+                g.sum(axis=0) if need[2] else None)
 
     return fwd, bwd
 
@@ -242,8 +272,8 @@ def _():
     def fwd(aux, a, b):
         return a @ b
 
-    def bwd(aux, g, out, a, b):
-        return g @ b.T, a.T @ g
+    def bwd(aux, g, out, need, a, b):
+        return g @ b.T if need[0] else None, a.T @ g if need[1] else None
 
     return fwd, bwd
 
@@ -253,7 +283,7 @@ def _():
     def fwd(shape, a):
         return a.reshape(shape)
 
-    def bwd(shape, g, out, a):
+    def bwd(shape, g, out, need, a):
         return (g.reshape(a.shape),)
 
     return fwd, bwd
@@ -264,7 +294,7 @@ def _():
     def fwd(shape, a):
         return np.broadcast_to(a, shape).copy()
 
-    def bwd(shape, g, out, a):
+    def bwd(shape, g, out, need, a):
         return (_unbroadcast(g, a.shape),)
 
     return fwd, bwd
@@ -275,7 +305,7 @@ def _():
     def fwd(axis, *parts):
         return np.concatenate(parts, axis=axis)
 
-    def bwd(axis, g, out, *parts):
+    def bwd(axis, g, out, need, *parts):
         sizes = [p.shape[axis] for p in parts]
         splits = np.cumsum(sizes)[:-1]
         return tuple(np.split(g, splits, axis=axis))
@@ -289,7 +319,7 @@ def _():
     def fwd(idx, a):
         return a[np.asarray(idx)]
 
-    def bwd(idx, g, out, a):
+    def bwd(idx, g, out, need, a):
         acc = np.zeros_like(a)
         np.add.at(acc, np.asarray(idx), g)
         return (acc,)
@@ -303,7 +333,7 @@ def _():
         axis, keepdims = aux
         return np.sum(a, axis=axis, keepdims=keepdims, dtype=np.float64)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         axis, keepdims = aux
         if axis is None:
             return (np.broadcast_to(g, a.shape).copy(),)
@@ -327,7 +357,7 @@ def _():
             acc += a[j]
         return acc
 
-    def bwd(axis, g, out, a):
+    def bwd(axis, g, out, need, a):
         g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
@@ -339,7 +369,7 @@ def _():
     def fwd(aux, a):
         return np.maximum(a, 0.0)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         return (g * (a > 0.0),)
 
     return fwd, bwd
@@ -355,7 +385,7 @@ def _():
         d = 1.0 + ex
         return np.where(a >= 0, 1.0 / d, ex / d)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         return (g * out * (1.0 - out),)
 
     return fwd, bwd
@@ -366,7 +396,7 @@ def _():
     def fwd(aux, a):
         return np.tanh(a)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         return (g * (1.0 - out * out),)
 
     return fwd, bwd
@@ -377,7 +407,7 @@ def _():
     def fwd(aux, a):
         return np.log(a)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         return (g / a,)
 
     return fwd, bwd
@@ -391,7 +421,7 @@ def _():
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         dot = np.sum(g * out, axis=-1, keepdims=True)
         return (out * (g - dot),)
 
@@ -404,7 +434,7 @@ def _():
         lo, hi = aux
         return np.clip(a, lo, hi)
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         lo, hi = aux
         return (g * ((a > lo) & (a < hi)),)
 
@@ -430,7 +460,7 @@ def _():
                                           j0 + dj - 1 : j1 + dj - 1]
         return out
 
-    def bwd(aux, grad, out, a):
+    def bwd(aux, grad, out, need, a):
         g = a.shape[2]
         padded = np.zeros((grad.shape[0], g + 2, g + 2), dtype=grad.dtype)
         padded[:, 1:-1, 1:-1] = grad
@@ -539,7 +569,7 @@ def _():
     def fwd(aux, a):
         return np.swapaxes(a, 0, 1).copy()
 
-    def bwd(aux, g, out, a):
+    def bwd(aux, g, out, need, a):
         return (np.swapaxes(g, 0, 1).copy(),)
 
     return fwd, bwd
@@ -556,28 +586,33 @@ def swapaxes01(a: Tensor) -> Tensor:
 def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
     """Reverse sweep from a scalar output.  Without a ParamStore, fills
     `.grad` on every tensor that participates.  With one, only tensors that
-    descend from a parameter in the store receive gradient, so a node none of
-    whose inputs does is never swept.  Returns {name: grad} for the store,
-    with zeros for parameters the tape never touched."""
+    descend from a parameter in the store receive gradient: a node none of
+    whose inputs does is never swept, and a swept node forms no gradient for
+    an input that does not.  Returns {name: grad} for the store, with zeros
+    for parameters the tape never touched."""
     if output.data.shape != ():
         raise NumericError(f"backward needs a scalar output, got shape {output.shape}")
-    live = None
-    if params is not None:
+    if params is None:
+        needs = [[True] * len(node.inputs) for node in tape.nodes]
+    else:
         live = {id(t) for t in params.tensors()}
+        needs = []
         for node in tape.nodes:
-            if any(id(t) in live for t in node.inputs):
+            need = [id(t) in live for t in node.inputs]
+            if True in need:
                 live.add(id(node.output))
+            needs.append(need)
     grads: dict[int, Array] = {id(output): np.ones((), dtype=np.float64)}
     touched: dict[int, Tensor] = {id(output): output}
-    for node in reversed(tape.nodes):
+    for node, need in zip(reversed(tape.nodes), reversed(needs)):
         g = grads.get(id(node.output))
         if g is None:
             continue
         in_grads = _BACKWARD[node.op](
-            node.aux, g, node.output.data, *[t.data for t in node.inputs]
+            node.aux, g, node.output.data, need, *[t.data for t in node.inputs]
         )
-        for t, ig in zip(node.inputs, in_grads):
-            if live is not None and id(t) not in live:
+        for t, keep, ig in zip(node.inputs, need, in_grads):
+            if not keep:
                 continue
             if id(t) in grads:
                 grads[id(t)] = grads[id(t)] + ig

@@ -297,10 +297,12 @@ def _encode_mask(mask: np.ndarray) -> str:
     return base64.b64encode(np.asarray(mask, dtype=np.uint8).tobytes()).decode("ascii")
 
 
-def _decode_mask(data: str, grid: int) -> np.ndarray:
+def _decode_mask(data: str) -> np.ndarray:
+    """A square row-major uint8 mask; its grid comes from the byte count."""
     raw = np.frombuffer(base64.b64decode(data), dtype=np.uint8)
+    grid = int(round(np.sqrt(raw.size)))
     if raw.size != grid * grid:
-        raise DataError(f"mask payload has {raw.size} bytes, expected {grid * grid}")
+        raise DataError(f"mask payload has {raw.size} bytes, not a square grid")
     return raw.reshape(grid, grid).copy()
 
 
@@ -330,18 +332,22 @@ def load_detections_jsonl(path) -> DetectionSequence:
         try:
             record = json.loads(line)
             t = int(record["frame"])
+            if t in frames:
+                raise DataError(f"repeats frame {t}")
             dets = []
             for d in record["detections"]:
                 scores = np.asarray(d["scores"], dtype=np.float64)
-                grid = int(round(np.sqrt(len(base64.b64decode(d["mask"])))))
                 dets.append(Detection(
                     box=np.asarray(d["box"], dtype=np.float64),
                     scores=scores,
-                    mask=_decode_mask(d["mask"], grid),
+                    mask=_decode_mask(d["mask"]),
                     appearance=np.asarray(d["appearance"], dtype=np.float64),
                     source=d.get("source"),
                 ))
                 num_classes = len(scores) - 1
+            boxes = np.array([d.box for d in dets]).reshape(len(dets), 4)
+            if not (np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all()):
+                raise DataError("a box is not finite with w, h > 0")
         except (KeyError, ValueError, TypeError) as exc:
             raise DataError(f"{path}: malformed line {lineno}: {exc}") from None
         frames[t] = dets
@@ -372,26 +378,27 @@ def save_ground_truth_jsonl(seq: GroundTruthSequence, path):
 def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruthSequence:
     """Rebuild a ground-truth sequence from per-frame object records."""
     rows: dict[int, dict] = {}
-    max_frame = -1
+    seen: set[int] = set()
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             record = json.loads(line)
             t = int(record["frame"])
-            max_frame = max(max_frame, t)
+            if t in seen:
+                raise DataError(f"repeats frame {t}")
+            seen.add(t)
             for o in record["objects"]:
                 entry = rows.setdefault(int(o["id"]), {
                     "class": int(o["class"]),
                     "appearance": np.asarray(o["appearance"], dtype=np.float64),
                     "frames": {},
                 })
-                grid = int(round(np.sqrt(len(base64.b64decode(o["mask"])))))
                 entry["frames"][t] = (
                     np.asarray(o["box"], dtype=np.float64),
-                    _decode_mask(o["mask"], grid),
+                    _decode_mask(o["mask"]),
                 )
         except (KeyError, ValueError, TypeError) as exc:
             raise DataError(f"{path}: malformed line {lineno}: {exc}") from None
-    T = max_frame + 1
+    T = max(seen, default=-1) + 1
     grid = next((m.shape[0] for e in rows.values() for _, m in e["frames"].values()), 24)
     classes = (max((e["class"] for e in rows.values()), default=0) + 1
                if num_classes is None else num_classes)

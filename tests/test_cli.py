@@ -141,6 +141,49 @@ def test_data_errors_exit_two(tmp_path):
                 "--out", str(tmp_path / "o.json")]) == 2
 
 
+def _tiny_stream(tmp_path):
+    """A generated 3-frame stream, its ground truth and a matching checkpoint."""
+    det = tmp_path / "w.det.jsonl"
+    assert run(["generate", "--seed", "2", "--frames", "3", "--objects", "2",
+                "--out", str(det), "--override", "world.mask_grid=6",
+                "--override", "world.appearance_dim=3",
+                "--override", "world.num_classes=3"]) == 0
+    ckpt = tmp_path / "model.npz"
+    config = ModelConfig(num_classes=3, appearance_dim=3, mask_grid=6, embed_dim=8)
+    learn.save_checkpoint(ckpt, tm.build_model(config, seed=0))
+    return det, Path(str(det).replace(".det.jsonl", ".gt.jsonl")), ckpt
+
+
+def _first_box(lines, box):
+    record = json.loads(lines[0])
+    record["detections"][0]["box"] = box
+    return [json.dumps(record)] + lines[1:]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda lines: lines + lines[1:2], "repeats frame 1"),
+    (lambda lines: _first_box(lines, [0.5, 0.5, -0.1, 0.2]), "w, h > 0"),
+    (lambda lines: _first_box(lines, [0.5, 0.5, 0.1, 0.0]), "w, h > 0"),
+    (lambda lines: _first_box(lines, [0.5, float("nan"), 0.1, 0.2]), "not finite"),
+], ids=["repeated_frame", "negative_width", "zero_height", "nan_center"])
+def test_bad_detection_stream_exits_two(tmp_path, capsys, mutate, message):
+    det, _, ckpt = _tiny_stream(tmp_path)
+    det.write_text("\n".join(mutate(det.read_text().splitlines())) + "\n")
+    assert run(["track", "--checkpoint", str(ckpt), "--detections", str(det),
+                "--out", str(tmp_path / "o.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_repeated_ground_truth_frame_exits_two(tmp_path, capsys):
+    _, gt, _ = _tiny_stream(tmp_path)
+    lines = gt.read_text().splitlines()
+    gt.write_text("\n".join(lines + lines[:1]) + "\n")
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert "repeats frame 0" in capsys.readouterr().err
+
+
 def test_gradcheck_single_target():
     assert run(["gradcheck", "--target", "gate"]) == 0
 

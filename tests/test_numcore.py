@@ -456,6 +456,47 @@ def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
         np.testing.assert_array_equal(pruned[name], t.grad)
 
 
+def test_backward_forms_no_product_for_inputs_no_parameter_reaches(monkeypatch):
+    rng = np.random.default_rng(8)
+    store = ParamStore()
+    store.add("a", rng.normal(size=(3, 4)))
+    store.add("w", rng.normal(size=(2, 4)))
+    store.add("bias", rng.normal(size=2))
+    right = Tensor(rng.normal(size=(4, 5)))
+    x = Tensor(rng.normal(size=(6, 4)))
+    formed = {}
+    for op in ("matmul", "affine"):
+        def record(*args, real=nc._BACKWARD[op], op=op):
+            formed[op] = real(*args)
+            return formed[op]
+
+        monkeypatch.setitem(nc._BACKWARD, op, record)
+    with Tape() as tape:
+        m = nc.tsum(nc.tanh(nc.matmul(store["a"], right)))
+        out = m * nc.tsum(nc.tanh(linear(store["w"], store["bias"], x)))
+    pruned = backward(tape, out, store)
+    assert formed["matmul"][0] is not None and formed["matmul"][1] is None
+    assert formed["affine"][0] is None
+    assert right.grad is None and x.grad is None
+    formed.clear()
+    store.zero_grads()
+    backward(tape, out)  # no store: every participating tensor gets a gradient
+    assert len(formed) == 2 and all(g is not None for op in formed for g in formed[op])
+    assert right.grad is not None and x.grad is not None
+    for name, t in store.items():
+        np.testing.assert_array_equal(pruned[name], t.grad)
+
+
+def test_heap_policy_is_quiet_without_mallopt(monkeypatch):
+    def no_libc(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(nc.ctypes, "CDLL", no_libc)
+    assert nc._keep_freed_heap() is None
+    monkeypatch.setattr(nc.ctypes, "CDLL", lambda name: object())
+    assert nc._keep_freed_heap() is None
+
+
 def test_broadcast_add_gradients():
     a = Tensor(np.ones((3, 4)))
     b = Tensor(np.ones(4))

@@ -1,5 +1,13 @@
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import trackgraph
 
 from trackgraph import assocgraph as ag
 from trackgraph import numcore as nc
@@ -532,3 +540,49 @@ def test_tracks_to_json_schema():
     frame = track["frames"][0]
     assert frame["active"] and "box" in frame and "mask" in frame
     assert len(frame["scores"]) == 4
+
+
+# A crowded frame in a fresh process: 20 objects plus false positives at the
+# 16-detection cap, G = 24, every track active so the mask head runs on all
+# 16 rows.  Prints the minor page faults per frame of a second pass.
+CROWDED_FAULTS = """
+import resource
+from trackgraph import synthworld as sw, trackman as tm
+from trackgraph.assocgraph import ModelConfig
+
+model = tm.build_model(ModelConfig(), seed=0)
+world = sw.WorldConfig(num_classes=5, frames=8, max_objects=20, appearance_dim=8,
+                       mask_grid=24, exit_prob=0.0, entry_window=1, seed=3)
+det = sw.corrupt(sw.crossing_sequence(world, num_pairs=2),
+                 sw.NoiseConfig(false_positive_rate=1.0), seed=4)
+thresholds = tm.Thresholds(match_active=0.0)
+tm.run_sequence(det.frames, model, thresholds)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_, outs = tm.run_sequence(det.frames, model, thresholds)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert outs[-1].seg_logits.shape == (17, 24, 24)
+print((after - before) / len(det.frames))
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_crowded_frames_reuse_freed_heap():
+    # Without the heap policy numcore sets, glibc returns each frame's freed
+    # temporaries to the kernel and the next frame faults them in again
+    # (about 1200 faults per frame).  A fresh process keeps other tests'
+    # allocations from shaping the heap.
+    src = str(Path(trackgraph.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", CROWDED_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) <= 50.0

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import appearance as ap
 from . import numcore as nc
-from .numcore import NumericError, ParamStore, Tensor
-from .synthworld import top_foreground_score
+from .numcore import ParamStore, Tensor
+from .synthworld import DetectionFrame
 
 EDGE_FEATURES = 2  # [appearance log-likelihood / A, IoU]  (row 0: [0, top score])
 GATE_MODES = ("lstm", "simple")
@@ -89,7 +89,7 @@ class GraphBatch:
 
 
 # ---------------------------------------------------------------------------
-# geometry and feature initializers
+# geometry
 
 
 def iou(box_a, box_b) -> float:
@@ -124,22 +124,6 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     out = np.zeros(union.shape)
     np.divide(inter, union, out=out, where=~(union <= 0.0))
     return out
-
-
-def init_detection_embedding(det, num_classes: int) -> np.ndarray:
-    """[class scores (C+1), box (cx, cy, w, h)] -> C+5 values."""
-    scores = np.asarray(det.scores, dtype=np.float64)
-    if scores.shape != (num_classes + 1,):
-        raise NumericError(
-            f"expected {num_classes + 1} class scores, got shape {scores.shape}"
-        )
-    return np.concatenate([scores, np.asarray(det.box, dtype=np.float64)])
-
-
-def empty_track_edge_features(det) -> np.ndarray:
-    """Row-0 edge seed: no appearance term, top non-background score as the
-    similarity-to-empty-track stand-in."""
-    return np.array([0.0, top_foreground_score(det)])
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +203,12 @@ def _node_update(params, block, node, x, agg, gated):
     return h
 
 
-def _aggregate(params, gate_name, edges, axis, gated):
-    """Sum of (optionally gated) edge messages over `axis`."""
+def _aggregate(params, gate_name, edges, axis, gated, weight=None):
+    """Sum of (optionally gated) edge messages over `axis`, each message
+    scaled by its entry of `weight` when one is given."""
     msg = _gate_mlp(params, gate_name, edges) * edges if gated else edges
+    if weight is not None:
+        msg = msg * Tensor(weight)
     return nc.slot_sum(msg, axis=axis)
 
 
@@ -237,44 +224,31 @@ def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> G
     ma, na = ed.shape[0], ed.shape[1]
     gated = config.gated_aggregation
 
+    # limited_gnn is one block in which each real track gathers only from
+    # the detection its raw-feature match probability ranks first; row 0 and
+    # the detections gather nothing.
+    w_row0 = w_rest = w_dets = None
     if config.limited_gnn:
-        # Pairwise probabilities from the raw features pick, per real track,
-        # the single detection it may gather from; detections get no messages.
-        ed = _edge_update(params, 0, ed, tr, de, gated)
-        track_agg_mask = np.zeros((ma, na))
+        w_row0, w_rest, w_dets = (np.zeros((rows, na, 1)) for rows in (1, ma - 1, ma))
         if ma > 1 and na > 0:
             probs = _head_probs(params, "match_feat_head", batch.edge_feats).data[1:]
-            track_agg_mask[np.arange(1, ma), np.argmax(probs, axis=1)] = 1.0
-        # row 0 gathers nothing, so only the real rows run the gate
-        rest = nc.gather(ed, np.arange(1, ma))
-        msg = _gate_mlp(params, "block0/g_tau", rest) * rest if gated else rest
-        agg_t = nc.slot_sum(msg * Tensor(track_agg_mask[1:, :, None]), axis=1)
-        tr = _split_track_update(params, 0, tr, Tensor(np.zeros((1, config.embed_dim))),
-                                 agg_t, gated)
-        agg_d = Tensor(np.zeros((na, config.embed_dim)))
-        de = _node_update(params, "block0", "delta", de, agg_d, gated)
-        _check_finite((ed, tr, de), "GNN block 0 (limited)")
+            w_rest[np.arange(ma - 1), np.argmax(probs, axis=1)] = 1.0
+    for k in range(1 if config.limited_gnn else config.num_blocks):
+        ed = _edge_update(params, k, ed, tr, de, gated)
+        # each track-side gate runs only on the edge rows it aggregates
+        agg_t0 = _aggregate(params, f"block{k}/g_tau0", nc.gather(ed, [0]), 1, gated,
+                            w_row0)
+        agg_t = _aggregate(params, f"block{k}/g_tau", nc.gather(ed, np.arange(1, ma)),
+                           1, gated, w_rest)
+        tr = _split_track_update(params, k, tr, agg_t0, agg_t, gated)
+        agg_d = _aggregate(params, f"block{k}/g_delta", ed, 0, gated, w_dets)
+        de = _node_update(params, f"block{k}", "delta", de, agg_d, gated)
+        _check_finite((ed, tr, de), f"GNN block {k}")
         if config.interleave_residuals:
-            ed = _residual(params, "res0/edges", ed)
-            tr = _residual(params, "res0/tracks", tr)
-            de = _residual(params, "res0/dets", de)
-            _check_finite((ed, tr, de), "residual block 0 (limited)")
-    else:
-        for k in range(config.num_blocks):
-            ed = _edge_update(params, k, ed, tr, de, gated)
-            # each track-side gate runs only on the edge rows it aggregates
-            agg_t0 = _aggregate(params, f"block{k}/g_tau0", nc.gather(ed, [0]), 1, gated)
-            agg_t = _aggregate(params, f"block{k}/g_tau", nc.gather(ed, np.arange(1, ma)),
-                               1, gated)
-            tr = _split_track_update(params, k, tr, agg_t0, agg_t, gated)
-            agg_d = _aggregate(params, f"block{k}/g_delta", ed, 0, gated)
-            de = _node_update(params, f"block{k}", "delta", de, agg_d, gated)
-            _check_finite((ed, tr, de), f"GNN block {k}")
-            if config.interleave_residuals:
-                ed = _residual(params, f"res{k}/edges", ed)
-                tr = _residual(params, f"res{k}/tracks", tr)
-                de = _residual(params, f"res{k}/dets", de)
-                _check_finite((ed, tr, de), f"residual block {k}")
+            ed = _residual(params, f"res{k}/edges", ed)
+            tr = _residual(params, f"res{k}/tracks", tr)
+            de = _residual(params, f"res{k}/dets", de)
+            _check_finite((ed, tr, de), f"residual block {k}")
 
     return GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats)
 
@@ -322,30 +296,26 @@ def init_probabilities(batch: GraphBatch, params: ParamStore,
 # batch construction
 
 
-def build_graph_batch(memory, detections, params: ParamStore,
+def build_graph_batch(memory, frame: DetectionFrame, params: ParamStore,
                       config: ModelConfig) -> GraphBatch:
-    """Assemble the live graph from the track memory and one frame of
-    detections.  `memory` has len() m and stacked rows: .y (m, D), .mu and
-    .sigma (m, A) Tensors and .boxes (m, 4); detections need .box, .scores,
-    .appearance."""
-    m, n = len(memory), len(detections)
+    """Assemble the live graph from the track memory and one stacked
+    detection frame.  `memory` has len() m and stacked rows: .y (m, D), .mu
+    and .sigma (m, A) Tensors and .boxes (m, 4).  A detection node starts as
+    [scores, box], and row 0's edges as [0, top foreground score]."""
+    m, n = len(memory), len(frame)
     a_dim = config.appearance_dim
     tau0 = nc.reshape(params["tau0"], (1, config.embed_dim))
     tracks_t = nc.concat([tau0, memory.y], axis=0)
-    det_arr = np.array([init_detection_embedding(d, config.num_classes)
-                        for d in detections]).reshape(n, config.det_input_dim)
-    row0 = np.array([empty_track_edge_features(d)
-                     for d in detections]).reshape(1, n, EDGE_FEATURES)
+    det_arr = np.concatenate([frame.scores, frame.boxes], axis=1)
+    row0 = np.stack([np.zeros(n), frame.top], axis=1).reshape(1, n, EDGE_FEATURES)
 
     if config.use_appearance:
-        det_apps = np.array([np.asarray(d.appearance, dtype=np.float64)
-                             for d in detections]).reshape(1, n, a_dim)
         rows = ap.GaussianAppearance(mu=nc.reshape(memory.mu, (m, 1, a_dim)),
                                      sigma=nc.reshape(memory.sigma, (m, 1, a_dim)))
-        ll = ap.log_likelihood(rows, det_apps) * (1.0 / a_dim)
+        ll = ap.log_likelihood(rows, frame.appearance.reshape(1, n, a_dim)) * (1.0 / a_dim)
     else:
         ll = Tensor(np.zeros((m, n)))
-    ious = Tensor(iou_matrix(memory.boxes, [d.box for d in detections]))
+    ious = Tensor(iou_matrix(memory.boxes, frame.boxes))
     real = nc.concat([nc.reshape(ll, (m, n, 1)), nc.reshape(ious, (m, n, 1))], axis=2)
     feats = nc.concat([Tensor(row0), real], axis=0)
     return GraphBatch(tracks=tracks_t, dets=Tensor(det_arr), edges=feats,

@@ -212,38 +212,25 @@ def cmd_ablate(args) -> int:
         "iterations": 300, "batch_size": 2, "lr": 1e-3, "weight_decay": 1e-4,
         "train_sequences": 24, "eval_sequences": 12, "D": 32, "blocks": 2,
         "num_classes": 5, "appearance_dim": 8, "mask_grid": 12, "T": 10,
+        "seed": args.seed, "ablations": dict(ABLATIONS[args.name]),
     }
     _apply_overrides(settings, args.override)
-    model_config = ModelConfig.from_dict({
-        **ModelConfig().to_dict(),
-        "embed_dim": int(settings["D"]), "num_blocks": int(settings["blocks"]),
-        "num_classes": int(settings["num_classes"]),
-        "appearance_dim": int(settings["appearance_dim"]),
-        "mask_grid": int(settings["mask_grid"]),
-        **ABLATIONS[args.name],
-    })
-    train_suite = ek.make_crossing_suite(
-        int(settings["train_sequences"]), seed=args.seed,
-        num_classes=model_config.num_classes, frames=int(settings["T"]),
-        appearance_dim=model_config.appearance_dim,
-        mask_grid=model_config.mask_grid)
-    heldout = ek.make_crossing_suite(
-        int(settings["eval_sequences"]), seed=args.seed + 90001,
-        num_classes=model_config.num_classes, frames=int(settings["T"]),
-        appearance_dim=model_config.appearance_dim,
-        mask_grid=model_config.mask_grid)
-    model = tm.build_model(model_config, seed=args.seed)
-    train_config = learn.TrainConfig(
-        iterations=int(settings["iterations"]),
-        batch_size=int(settings["batch_size"]), lr=float(settings["lr"]),
-        weight_decay=float(settings["weight_decay"]), seed=args.seed,
-        loss=learn.LossConfig(sequence_length=int(settings["T"])))
+    run = dict(settings)
+    n_train, n_eval = int(run.pop("train_sequences")), int(run.pop("eval_sequences"))
+    model_config, train_config, _ = learn.train_config_from_dict(run)
+    seed = train_config.seed
+    world = dict(num_classes=model_config.num_classes, frames=int(settings["T"]),
+                 appearance_dim=model_config.appearance_dim,
+                 mask_grid=model_config.mask_grid)
+    train_suite = ek.make_crossing_suite(n_train, seed=seed, **world)
+    heldout = ek.make_crossing_suite(n_eval, seed=seed + 90001, **world)
+    model = tm.build_model(model_config, seed=seed)
     curve = learn.train(train_suite, model, train_config)
     report = ek.evaluate_model_on_suite(model, heldout)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stamp = _stamp("ablate", {"name": args.name, **settings,
-                              "model": model_config.to_dict()}, args.seed)
+                              "model": model_config.to_dict()}, seed)
     learn.save_checkpoint(out / "model.npz", model, extra={"stamp": stamp})
     payload = report.to_dict()
     payload["stamp"] = stamp

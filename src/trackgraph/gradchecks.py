@@ -84,7 +84,8 @@ def check_gnn(epsilon=1e-4) -> float:
     config, params = model.config, model.params
     rng = np.random.default_rng(2)
     det, gt = _tiny_world(seed=11, frames=1)
-    dets = det.frames[0]
+    frame = sw.stack_frame(det.frames[0], config.num_classes, config.appearance_dim,
+                           config.mask_grid)
     rows = [(rng.uniform(-0.8, 0.8, size=config.embed_dim),
              rng.normal(size=config.embed_dim), rng.normal(size=3)) for _ in range(2)]
     y, c, mu = (Tensor(np.array(col)) for col in zip(*rows))
@@ -93,10 +94,10 @@ def check_gnn(epsilon=1e-4) -> float:
                 for i in range(2)],
         y=y, c=c, mu=mu, sigma=Tensor(np.full(mu.shape, 0.05)))
     probe_t = Tensor(rng.normal(size=(len(memory) + 1, config.embed_dim)))
-    probe_m = Tensor(rng.normal(size=(len(memory), len(dets))))
+    probe_m = Tensor(rng.normal(size=(len(memory), len(frame))))
 
     def fn(p):
-        batch = ag.build_graph_batch(memory, dets, params, config)
+        batch = ag.build_graph_batch(memory, frame, params, config)
         out = ag.gnn_forward(batch, params, config)
         probs = ag.match_probabilities(out, params, config)
         init_p = ag.init_probabilities(out, params, config)

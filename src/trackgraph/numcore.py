@@ -669,13 +669,6 @@ class ParamStore:
     def num_values(self) -> int:
         return sum(t.size for t in self._params.values())
 
-    def slices(self) -> dict[str, slice]:
-        out, start = {}, 0
-        for name, t in self._params.items():
-            out[name] = slice(start, start + t.size)
-            start += t.size
-        return out
-
     def flat_values(self) -> Array:
         if not self._params:
             return np.zeros(0)
@@ -702,12 +695,6 @@ class ParamStore:
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None
-
-    def copy(self) -> "ParamStore":
-        other = ParamStore()
-        for name, t in self._params.items():
-            other.add(name, t.data.copy())
-        return other
 
     def subset(self, keep) -> "ParamStore":
         """View over a subset of parameters sharing the same tensors, so

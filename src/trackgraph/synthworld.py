@@ -4,7 +4,8 @@ Stands in for an image backbone and detector: objects with latent appearance
 vectors move smoothly through the unit square, and a corruption pass turns
 the ground truth into a noisy detection stream (misses, duplicates, false
 positives, class confusion, box jitter, appearance noise).  Streams load and
-save as JSON Lines so externally produced detections can be fed in.
+save as JSON Lines so externally produced detections can be fed in.  A
+frame reaches the model as one DetectionFrame, stacked and checked once.
 
 Sampling order (replayable, one generator seeded from the config):
   per object i = 0..max_objects-1, in order:
@@ -99,6 +100,39 @@ class Detection:
     mask: np.ndarray        # (G, G) uint8
     appearance: np.ndarray  # (A,)
     source: int | str | None = None  # gt object id, "fp", or None (external)
+
+
+@dataclass
+class DetectionFrame:
+    """One frame's detections as stacked arrays, rows in list order."""
+
+    boxes: np.ndarray       # (n, 4)
+    scores: np.ndarray      # (n, C+1)
+    appearance: np.ndarray  # (n, A)
+    masks: np.ndarray       # (n, G, G)
+    top: np.ndarray         # (n,) top foreground (non-background) score
+
+    def __len__(self):
+        return len(self.boxes)
+
+
+def stack_frame(detections, num_classes: int, appearance_dim: int,
+                grid: int) -> DetectionFrame:
+    """Stack a frame's detections; the one place their field shapes are
+    checked against the model's classes, appearance size and mask grid."""
+    def stacked(attr, shape):
+        rows = [getattr(d, attr) for d in detections]
+        for row in rows:
+            if np.shape(row) != shape:
+                raise DataError(f"detection field {attr!r} has shape {np.shape(row)}, "
+                                f"expected {shape}")
+        return np.array(rows, dtype=np.float64).reshape(len(rows), *shape)
+
+    scores = stacked("scores", (num_classes + 1,))
+    return DetectionFrame(boxes=stacked("box", (4,)), scores=scores,
+                          appearance=stacked("appearance", (appearance_dim,)),
+                          masks=stacked("mask", (grid, grid)),
+                          top=scores[:, :-1].max(axis=1))
 
 
 @dataclass
@@ -275,16 +309,12 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int) -> Detection
     return out
 
 
-def top_foreground_score(det) -> float:
-    return float(np.max(np.asarray(det.scores)[:-1]))
-
-
 def truncate_detections(detections, cap: int) -> list:
     """The `cap` detections with the highest foreground scores, in their
     original order."""
     if len(detections) <= cap:
         return list(detections)
-    conf = [top_foreground_score(d) for d in detections]
+    conf = [np.max(np.asarray(d.scores)[:-1]) for d in detections]
     keep = sorted(np.argsort(np.asarray(conf))[::-1][:cap])
     return [detections[i] for i in keep]
 
@@ -331,9 +361,7 @@ def load_detections_jsonl(path) -> DetectionSequence:
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             record = json.loads(line)
-            t = int(record["frame"])
-            if t in frames:
-                raise DataError(f"repeats frame {t}")
+            t = _frame_index(record, frames)
             dets = []
             for d in record["detections"]:
                 scores = np.asarray(d["scores"], dtype=np.float64)
@@ -382,9 +410,7 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             record = json.loads(line)
-            t = int(record["frame"])
-            if t in seen:
-                raise DataError(f"repeats frame {t}")
+            t = _frame_index(record, seen)
             seen.add(t)
             for o in record["objects"]:
                 entry = rows.setdefault(int(o["id"]), {
@@ -420,6 +446,16 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
                                          appearance=entry["appearance"],
                                          present=present, boxes=boxes, masks=masks))
     return seq
+
+
+def _frame_index(record, seen) -> int:
+    """A line's frame index, which must be new and nonnegative."""
+    t = int(record["frame"])
+    if t < 0:
+        raise DataError(f"negative frame {t}")
+    if t in seen:
+        raise DataError(f"repeats frame {t}")
+    return t
 
 
 def _read_lines(path):

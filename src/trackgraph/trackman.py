@@ -5,7 +5,8 @@ The track memory is one TrackMemory: the recurrent state and appearance
 Gaussians of all M tracks as stacked (M, D) and (M, A) tensors, with identity
 and per-frame records in a TrackState side table, one per row.  Every
 learned piece of a frame (graph, gate, rate head, appearance update, mask
-head, score head) runs once over those stacked rows.
+head, score head) runs once over those stacked rows, and reads the frame's
+detections from one synthworld.DetectionFrame, stacked once per step().
 
 step() is the full inference loop for one frame and is the same code path
 during training (a tape is simply active, so every probability, score, and
@@ -28,7 +29,7 @@ from . import numcore as nc
 from . import recurrence as rec
 from .assocgraph import ModelConfig
 from .numcore import NumericError, ParamStore, Tensor
-from .synthworld import top_foreground_score, truncate_detections
+from .synthworld import DetectionFrame, stack_frame, truncate_detections
 
 
 @dataclass
@@ -134,9 +135,6 @@ class FrameOutput:
     instance_map: np.ndarray | None
 
 
-HEURISTIC_ASSOC_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
-
-
 def build_model(config: ModelConfig, seed: int = 0) -> TrackModel:
     """All learnable parameters, drawn in a fixed order so that every config
     variant starts from identical weights for a given seed."""
@@ -195,18 +193,6 @@ def _heuristic_distribution(track: TrackState, num_classes: int) -> np.ndarray:
 # heuristic association
 
 
-def association_linear(features, weights=HEURISTIC_ASSOC_WEIGHTS) -> float:
-    """Score = w1*cosine(appearance) + w2*IoU + w3*[same class] + w4*conf."""
-    return float(np.dot(np.asarray(weights), np.asarray(features, dtype=np.float64)))
-
-
-def _cosine(a, b) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def greedy_assignment(scores: np.ndarray, cutoff: float) -> dict[int, int]:
     """One-to-one track->detection assignment by descending score, stopping
     below the cutoff.  Ties break toward lower track then detection index."""
@@ -223,21 +209,17 @@ def greedy_assignment(scores: np.ndarray, cutoff: float) -> dict[int, int]:
     return out
 
 
-def _heuristic_association(memory: TrackMemory, detections, weights):
-    m, n = len(memory), len(detections)
-    ious = ag.iou_matrix(memory.boxes, [d.box for d in detections])
-    scores = np.zeros((m, n))
-    for i, track in enumerate(memory):
-        track_class = int(np.argmax(track.class_distribution[:-1])) if track.records else 0
-        for j, det in enumerate(detections):
-            feats = [
-                _cosine(memory.mu.data[i], det.appearance),
-                ious[i, j],
-                1.0 if int(np.argmax(det.scores[:-1])) == track_class else 0.0,
-                top_foreground_score(det),
-            ]
-            scores[i, j] = association_linear(feats, weights)
-    return greedy_assignment(scores, cutoff=sum(weights) / 2.0)
+def heuristic_scores(memory: TrackMemory, frame: DetectionFrame) -> np.ndarray:
+    """(m, n) non-learned association scores: appearance cosine (0 against a
+    zero vector) + IoU + [same top class] + top foreground score; at most 4."""
+    mu, apps = memory.mu.data, frame.appearance
+    norms = np.linalg.norm(mu, axis=1)[:, None] * np.linalg.norm(apps, axis=1)
+    cosine = np.zeros(norms.shape)
+    np.divide(mu @ apps.T, norms, out=cosine, where=norms != 0.0)
+    track_class = np.array([np.argmax(t.class_distribution[:-1]) if t.records else 0
+                            for t in memory], dtype=int)
+    same_class = track_class[:, None] == np.argmax(frame.scores[:, :-1], axis=1)
+    return cosine + ag.iou_matrix(memory.boxes, frame.boxes) + same_class + frame.top
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +250,8 @@ def _tap_columns(planes, grid: int) -> np.ndarray:
 def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
     """Resolve pixel ownership among overlapping track masks.
 
-    embeddings: (K, D) track embeddings; masks: K (G,G) detection masks;
-    boxes: K detection boxes.  Returns (instance_map, logits): the map holds
+    embeddings: (K, D) track embeddings; masks: (K, G, G) detection masks;
+    boxes: (K, 4) detection boxes.  Returns (instance_map, logits): the map holds
     a row index per pixel (0 = background, i+1 = entry i); logits is the
     (K+1, G, G) stack with the fixed background row of zeros first.
     Equal-logit ties go to the background because argmax keeps the first
@@ -292,9 +274,6 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     k = len(masks)
     if k == 0:
         return None, None
-    for mask in masks:
-        if np.shape(mask) != (grid, grid):
-            raise NumericError(f"mask shape {np.shape(mask)} does not match grid {grid}")
     proj = nc.relu(nc.linear(params["mask_head/proj/w"], params["mask_head/proj/b"],
                              embeddings))                          # (K,16)
     # conv1/w is (16 out, 18 in * 9 taps): in < 16 projection, 16/17 data
@@ -342,18 +321,17 @@ def step(memory: TrackMemory, detections, model: TrackModel,
         memory = TrackMemory.empty(config)
     thr_init = thresholds.init_for(mode)
     dets = truncate_detections(detections, config.max_detections)
-    m, n = len(memory), len(dets)
-    det_apps = np.array([np.asarray(d.appearance, dtype=np.float64)
-                         for d in dets]).reshape(n, config.appearance_dim)
+    frame = stack_frame(dets, config.num_classes, config.appearance_dim, config.mask_grid)
+    m, n = len(memory), len(frame)
 
-    batch = ag.build_graph_batch(memory, dets, params, config)
+    batch = ag.build_graph_batch(memory, frame, params, config)
     out_batch = ag.gnn_forward(batch, params, config)
     match_p = ag.match_probabilities(out_batch, params, config)
     init_p = ag.init_probabilities(out_batch, params, config)
 
     # -- assignment ---------------------------------------------------------
     if config.heuristic_association:
-        assigned = _heuristic_association(memory, dets, HEURISTIC_ASSOC_WEIGHTS)
+        assigned = greedy_assignment(heuristic_scores(memory, frame), cutoff=2.0)
         matches = [assigned.get(i) for i in range(m)]
         match_data = np.zeros((m, n))
         match_data[list(assigned), list(assigned.values())] = 1.0
@@ -385,10 +363,9 @@ def step(memory: TrackMemory, detections, model: TrackModel,
     for track, j in zip(tracks, row_js):
         track.active = j is not None
         if track.active:
-            det = dets[j]
-            track.last_box = np.asarray(det.box, dtype=np.float64).copy()
-            track.conf_votes.append(top_foreground_score(det))
-            track.class_votes.append(int(np.argmax(np.asarray(det.scores)[:-1])))
+            track.last_box = frame.boxes[j].copy()
+            track.conf_votes.append(float(frame.top[j]))
+            track.class_votes.append(int(np.argmax(frame.scores[j, :-1])))
     # active rows: matched existing tracks in memory order, then the newborns
     seg_rows = [row for row, j in enumerate(row_js) if j is not None]
     seg_js = [row_js[row] for row in seg_rows]
@@ -398,8 +375,8 @@ def step(memory: TrackMemory, detections, model: TrackModel,
     updated = ap.update(
         ap.GaussianAppearance(mu=nc.gather(memory.mu, upd_rows),
                               sigma=nc.gather(memory.sigma, upd_rows)),
-        det_apps[upd_js], rates, freeze_sigma=config.const_variance)
-    newborn = ap.init_model(det_apps[born_js], config.sigma0)
+        frame.appearance[upd_js], rates, freeze_sigma=config.const_variance)
+    newborn = ap.init_model(frame.appearance[born_js], config.sigma0)
 
     # -- the next memory: one concat (and gather) per stacked tensor ----------
     app_rows = np.arange(m + len(born))
@@ -414,8 +391,8 @@ def step(memory: TrackMemory, detections, model: TrackModel,
                         app_rows))
 
     instance_map, seg_logits = reweight_masks(
-        nc.gather(nxt.y, seg_rows), [dets[j].mask for j in seg_js],
-        [dets[j].box for j in seg_js], params, config.mask_grid)
+        nc.gather(nxt.y, seg_rows), frame.masks[seg_js], frame.boxes[seg_js], params,
+        config.mask_grid)
 
     # -- scoring and per-frame records -----------------------------------------
     if config.heuristic_scoring:

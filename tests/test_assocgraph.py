@@ -1,20 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trackgraph import appearance as ap
 from trackgraph import assocgraph as ag
 from trackgraph import numcore as nc
+from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import NumericError, ParamStore, Tape, Tensor, backward, grad_check
 
 from oracles import gnn_forward_all_rows
 
 
-class DetStub:
-    def __init__(self, box, scores, appearance):
-        self.box = np.asarray(box, dtype=np.float64)
-        self.scores = np.asarray(scores, dtype=np.float64)
-        self.appearance = np.asarray(appearance, dtype=np.float64)
+def make_frame(config, rows):
+    """Stacked frame from per-detection (box, scores, appearance) rows, with
+    empty masks."""
+    dets = [sw.Detection(box=np.asarray(box, dtype=np.float64),
+                         scores=np.asarray(scores, dtype=np.float64),
+                         mask=np.zeros((config.mask_grid, config.mask_grid)),
+                         appearance=np.asarray(app, dtype=np.float64))
+            for box, scores, app in rows]
+    return sw.stack_frame(dets, config.num_classes, config.appearance_dim,
+                          config.mask_grid)
+
+
+def take(frame, idx):
+    """The frame's detections in the order of `idx`."""
+    return sw.DetectionFrame(*(getattr(frame, f.name)[idx]
+                               for f in dataclasses.fields(frame)))
 
 
 def make_memory(rows, embed_dim, appearance_dim):
@@ -56,14 +70,14 @@ def random_inputs(rng, config, m, n):
     dets = []
     for _ in range(n):
         raw = rng.uniform(0.05, 1.0, size=config.num_classes + 1)
-        dets.append(
-            DetStub(
-                box=[rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.25, 0.2],
-                scores=raw / raw.sum(),
-                appearance=rng.normal(size=config.appearance_dim),
-            )
-        )
-    return tracks, dets
+        dets.append(([rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.25, 0.2],
+                     raw / raw.sum(), rng.normal(size=config.appearance_dim)))
+    return tracks, make_frame(config, dets)
+
+
+def det_inputs(frame):
+    """Initial detection nodes by definition: class scores, then the box."""
+    return [np.concatenate([s, b]) for s, b in zip(frame.scores, frame.boxes)]
 
 
 def make_params(config, seed=0, generic_point=False):
@@ -194,33 +208,34 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit():
     assert ag.iou_matrix([[0.5, 0.5, 0.0, 0.0]], [[0.5, 0.5, 0.0, 0.0]])[0, 0] == 0.0
 
 
+def first_det_inputs(config, scores, box=(0.5, 0.5, 1.0, 1.0)):
+    frame = make_frame(config, [(box, scores, np.zeros(config.appearance_dim))])
+    batch = ag.build_graph_batch(make_memory([], config.embed_dim, config.appearance_dim),
+                                 frame, make_params(config), config)
+    return batch.dets.data[0], batch.edge_feats.data[0, 0]
+
+
 def test_detection_embedding_dimensions():
-    det = DetStub([0.5, 0.5, 1.0, 1.0], np.full(41, 1 / 41), np.zeros(3))
-    assert ag.init_detection_embedding(det, 40).shape == (45,)
-    det4 = DetStub([0.5, 0.5, 1.0, 1.0], np.full(5, 0.2), np.zeros(3))
-    assert ag.init_detection_embedding(det4, 4).shape == (9,)
+    assert first_det_inputs(small_config(num_classes=40), np.full(41, 1 / 41))[0].shape == (45,)
+    assert first_det_inputs(small_config(num_classes=4), np.full(5, 0.2))[0].shape == (9,)
 
 
 def test_detection_embedding_uniform_scores_centered_box():
-    det = DetStub([0.5, 0.5, 1.0, 1.0], np.full(5, 0.2), np.zeros(3))
-    np.testing.assert_array_equal(
-        ag.init_detection_embedding(det, 4),
-        np.array([0.2] * 5 + [0.5, 0.5, 1.0, 1.0]),
-    )
+    np.testing.assert_array_equal(first_det_inputs(small_config(), np.full(5, 0.2))[0],
+                                  np.array([0.2] * 5 + [0.5, 0.5, 1.0, 1.0]))
 
 
 def test_detection_embedding_rejects_bad_score_count():
-    det = DetStub([0.5, 0.5, 1.0, 1.0], np.full(4, 0.25), np.zeros(3))
-    with pytest.raises(NumericError):
-        ag.init_detection_embedding(det, 4)
+    with pytest.raises(sw.DataError, match="detection field 'scores'"):
+        make_frame(small_config(), [([0.5, 0.5, 1.0, 1.0], np.full(4, 0.25), np.zeros(3))])
 
 
 def test_edge_features_perfect_pair():
     config = small_config(num_classes=2)
     mu = np.array([0.1, -0.4, 0.8])
     memory = make_memory([(mu, np.ones(3), [0.5, 0.5, 0.2, 0.2], np.zeros(8))], 8, 3)
-    det = DetStub([0.5, 0.5, 0.2, 0.2], [0.7, 0.2, 0.1], mu)
-    batch = ag.build_graph_batch(memory, [det], make_params(config), config)
+    frame = make_frame(config, [([0.5, 0.5, 0.2, 0.2], [0.7, 0.2, 0.1], mu)])
+    batch = ag.build_graph_batch(memory, frame, make_params(config), config)
     feats = batch.edge_feats.data[1, 0]
     max_ll = ap.log_likelihood(ap.GaussianAppearance(mu=Tensor(mu), sigma=Tensor(np.ones(3))),
                                mu).item()
@@ -232,14 +247,15 @@ def test_edge_features_disjoint_boxes():
     config = small_config(num_classes=1, appearance_dim=2)
     memory = make_memory([(np.zeros(2), np.ones(2), [0.1, 0.1, 0.1, 0.1], np.zeros(8))],
                          8, 2)
-    det = DetStub([0.9, 0.9, 0.1, 0.1], [1.0, 0.0], np.zeros(2))
-    batch = ag.build_graph_batch(memory, [det], make_params(config), config)
+    frame = make_frame(config, [([0.9, 0.9, 0.1, 0.1], [1.0, 0.0], np.zeros(2))])
+    batch = ag.build_graph_batch(memory, frame, make_params(config), config)
     assert batch.edge_feats.data[1, 0, 1] == 0.0
 
 
 def test_empty_track_edge_features_top_score():
-    det = DetStub([0.5, 0.5, 0.1, 0.1], [0.2, 0.5, 0.3], np.zeros(2))
-    np.testing.assert_array_equal(ag.empty_track_edge_features(det), [0.0, 0.5])
+    config = small_config(num_classes=2)
+    _, row0 = first_det_inputs(config, [0.2, 0.5, 0.3], box=(0.5, 0.5, 0.1, 0.1))
+    np.testing.assert_array_equal(row0, [0.0, 0.5])
 
 
 def test_paper_scale_layer_shapes():
@@ -282,7 +298,7 @@ def test_zero_gate_weights_mean_half_gates():
     out = ag.gnn_forward(batch, params, config)
     # oracle with the same zeroed gates reproduces the 0.5-gated sums
     tr0 = [params["tau0"].data] + list(tracks.y.data)
-    de0 = [ag.init_detection_embedding(d, config.num_classes) for d in dets]
+    de0 = det_inputs(dets)
     edges0 = {(m, n): batch.edge_feats.data[m, n] for m in range(3) for n in range(3)}
     otr, ode, _ = oracle_forward(params, config, tr0, de0, edges0)
     for m in range(3):
@@ -298,7 +314,7 @@ def test_forward_matches_straight_line_oracle():
     out = ag.gnn_forward(batch, params, config)
 
     tr0 = [params["tau0"].data] + list(tracks.y.data)
-    de0 = [ag.init_detection_embedding(d, config.num_classes) for d in dets]
+    de0 = det_inputs(dets)
     edges0 = {(m, n): batch.edge_feats.data[m, n] for m in range(3) for n in range(3)}
     otr, ode, oed = oracle_forward(params, config, tr0, de0, edges0)
     for m in range(3):
@@ -352,7 +368,7 @@ def test_forward_oracle_mlp_mode():
         return h
 
     tr = [params["tau0"].data] + list(tracks.y.data)
-    de = [ag.init_detection_embedding(d, config.num_classes) for d in dets]
+    de = det_inputs(dets)
     e0 = batch.edge_feats.data
     new_e = {}
     for m in range(3):
@@ -381,8 +397,8 @@ def test_permutation_equivariance_randomized():
 
         perm_d = rng.permutation(n)
         perm_t = rng.permutation(m)
-        batch_p = ag.build_graph_batch(permute(tracks, perm_t),
-                                       [dets[j] for j in perm_d], params, config)
+        batch_p = ag.build_graph_batch(permute(tracks, perm_t), take(dets, perm_d),
+                                       params, config)
         out_p = ag.gnn_forward(batch_p, params, config)
 
         for new_pos, old_pos in enumerate(perm_d):
@@ -494,7 +510,7 @@ def test_limited_gnn_permutation_equivariance():
                          params, config)
     perm = rng.permutation(4)
     out_p = ag.gnn_forward(
-        ag.build_graph_batch(tracks, [dets[j] for j in perm], params, config),
+        ag.build_graph_batch(tracks, take(dets, perm), params, config),
         params, config)
     for new_pos, old_pos in enumerate(perm):
         np.testing.assert_allclose(out_p.dets.data[new_pos], out.dets.data[old_pos],

@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -115,6 +116,9 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(["ablate", "--name", "nonexistent", "--out", str(tmp_path)]) == 1
     assert run(["train", "--data", str(tmp_path), "--out", "x.npz",
                 "--override", "unknown_key=1"]) in (1, 2)
+    assert run(["ablate", "--name", "full", "--out", str(tmp_path / "abl"),
+                "--override", "unknown_key=1"]) == 1
+    assert not (tmp_path / "abl").exists()
 
 
 @pytest.mark.parametrize("override", [
@@ -133,12 +137,13 @@ def test_config_errors_exit_one_before_training(tmp_path, capsys, override):
     assert not ckpt.exists()
 
 
-def test_data_errors_exit_two(tmp_path):
+def test_data_errors_exit_two(tmp_path, capsys):
+    _, _, ckpt = _tiny_stream(tmp_path)
     bad = tmp_path / "bad.det.jsonl"
     bad.write_text("{not json}\n")
-    ckpt = tmp_path / "missing.npz"
     assert run(["track", "--checkpoint", str(ckpt), "--detections", str(bad),
                 "--out", str(tmp_path / "o.json")]) == 2
+    assert "malformed line 1" in capsys.readouterr().err
 
 
 def _tiny_stream(tmp_path):
@@ -154,18 +159,26 @@ def _tiny_stream(tmp_path):
     return det, Path(str(det).replace(".det.jsonl", ".gt.jsonl")), ckpt
 
 
-def _first_box(lines, box):
+def _first_det(lines, **fields):
     record = json.loads(lines[0])
-    record["detections"][0]["box"] = box
+    record["detections"][0].update(fields)
     return [json.dumps(record)] + lines[1:]
 
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda lines: lines + lines[1:2], "repeats frame 1"),
-    (lambda lines: _first_box(lines, [0.5, 0.5, -0.1, 0.2]), "w, h > 0"),
-    (lambda lines: _first_box(lines, [0.5, 0.5, 0.1, 0.0]), "w, h > 0"),
-    (lambda lines: _first_box(lines, [0.5, float("nan"), 0.1, 0.2]), "not finite"),
-], ids=["repeated_frame", "negative_width", "zero_height", "nan_center"])
+    (lambda lines: _first_det(lines, box=[0.5, 0.5, -0.1, 0.2]), "w, h > 0"),
+    (lambda lines: _first_det(lines, box=[0.5, 0.5, 0.1, 0.0]), "w, h > 0"),
+    (lambda lines: _first_det(lines, box=[0.5, float("nan"), 0.1, 0.2]), "not finite"),
+    (lambda lines: lines + ['{"frame": -1, "detections": []}'], "negative frame -1"),
+    # the checkpoint's model has 3 classes, appearance size 3 and a 6x6 grid
+    (lambda lines: _first_det(lines, scores=[0.5, 0.5]), "'scores' has shape (2,)"),
+    (lambda lines: _first_det(lines, appearance=[0.1, 0.2]),
+     "'appearance' has shape (2,)"),
+    (lambda lines: _first_det(lines, mask=base64.b64encode(bytes(25)).decode()),
+     "'mask' has shape (5, 5)"),
+], ids=["repeated_frame", "negative_width", "zero_height", "nan_center",
+        "negative_frame", "score_length", "appearance_length", "mask_grid"])
 def test_bad_detection_stream_exits_two(tmp_path, capsys, mutate, message):
     det, _, ckpt = _tiny_stream(tmp_path)
     det.write_text("\n".join(mutate(det.read_text().splitlines())) + "\n")
@@ -182,6 +195,17 @@ def test_repeated_ground_truth_frame_exits_two(tmp_path, capsys):
     tracks.write_text(json.dumps({"tracks": []}))
     assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
     assert "repeats frame 0" in capsys.readouterr().err
+
+
+def test_negative_ground_truth_frame_exits_two(tmp_path, capsys):
+    # frame -1 would otherwise mark its objects present on the last frame
+    _, gt, _ = _tiny_stream(tmp_path)
+    lines = gt.read_text().splitlines()
+    gt.write_text("\n".join(lines + [lines[0].replace('"frame": 0', '"frame": -1')]) + "\n")
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert "negative frame -1" in capsys.readouterr().err
 
 
 def test_gradcheck_single_target():

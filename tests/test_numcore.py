@@ -365,8 +365,6 @@ def test_param_store_flat_roundtrip():
     assert np.all(store["a"].data == 0)
     store.set_flat(flat)
     np.testing.assert_array_equal(store.flat_values(), flat)
-    sl = store.slices()
-    assert sl["a"] == slice(0, 6) and sl["b"] == slice(6, 11)
 
 
 def test_param_store_rejects_duplicates():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,27 @@ def test_ground_truth_roundtrip(tmp_path):
             if obj.present[t]:
                 np.testing.assert_array_equal(b.boxes[t], obj.boxes[t])
                 np.testing.assert_array_equal(b.masks[t], obj.masks[t])
+
+
+def test_stack_frame_keeps_list_order_and_checks_every_field():
+    cfg = sw.WorldConfig(seed=4, max_objects=3, frames=1, num_classes=3,
+                         appearance_dim=4, mask_grid=6, exit_prob=0.0, entry_window=1)
+    dets = sw.corrupt(sw.generate_sequence(cfg), sw.NoiseConfig(class_temperature=0.5),
+                      seed=1).frames[0]
+    frame = sw.stack_frame(dets, 3, 4, 6)
+    assert len(frame) == len(dets) == 3
+    for j, d in enumerate(dets):
+        for got, want in ((frame.boxes, d.box), (frame.scores, d.scores),
+                          (frame.appearance, d.appearance), (frame.masks, d.mask)):
+            np.testing.assert_array_equal(got[j], want)
+        assert frame.top[j] == max(d.scores[:-1])
+    empty = sw.stack_frame([], 3, 4, 6)
+    assert [a.shape for a in (empty.boxes, empty.scores, empty.appearance, empty.masks,
+                              empty.top)] == [(0, 4), (0, 4), (0, 4), (0, 6, 6), (0,)]
+    for attr, bad in (("box", np.zeros(3)), ("scores", np.full(5, 0.2)),
+                      ("appearance", np.zeros(3)), ("mask", np.zeros((5, 5)))):
+        with pytest.raises(sw.DataError, match=f"detection field '{attr}' has shape"):
+            sw.stack_frame([dets[0], dataclasses.replace(dets[1], **{attr: bad})], 3, 4, 6)
 
 
 def test_load_empty_file(tmp_path):

@@ -15,7 +15,7 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import ParamStore, Tensor, grad_check
 
-from oracles import mask_head_oracle
+from oracles import heuristic_pair_score, mask_head_oracle
 
 
 def small_config(**kw):
@@ -287,11 +287,35 @@ def test_score_tracks_average_heuristic():
     assert cls == 2
 
 
-def test_association_linear_perfect_pair_ranks_top():
-    perfect = tm.association_linear([1.0, 1.0, 1.0, 1.0])
-    assert perfect == pytest.approx(4.0)
-    partial = tm.association_linear([0.3, 0.2, 0.0, 0.9])
-    assert perfect > partial
+def test_heuristic_scores_match_pair_oracle():
+    rng = np.random.default_rng(30)
+
+    def box():
+        return np.r_[rng.uniform(0.3, 0.7, 2), 0.2, 0.2]
+
+    for trial in range(30):
+        m, n = (int(v) for v in rng.integers(0, 5, size=2))
+        mu = rng.normal(size=(m, 3))
+        mu[: m // 3] = 0.0  # cosine against a zero vector is 0
+        tracks = [tm.TrackState(id=i, birth_frame=0, last_box=box()) for i in range(m)]
+        for track in tracks[: m // 2]:  # the rest have no record yet: class 0
+            track.records.append(tm.FrameRecord(t=0, active=True,
+                                                scores=rng.dirichlet(np.ones(4))))
+        dets = [make_det(box(), rng.dirichlet(np.ones(4)), rng.normal(size=3))
+                for _ in range(n)]
+        if m > 1 and n:  # a detection identical to track 1 is a perfect pair
+            dets[0] = make_det(tracks[1].last_box, one_hot(0), mu[1])
+        memory = tm.TrackMemory(tracks=tracks, y=Tensor(np.zeros((m, 8))),
+                                c=Tensor(np.zeros((m, 8))), mu=Tensor(mu),
+                                sigma=Tensor(np.ones((m, 3))))
+        got = tm.heuristic_scores(memory, sw.stack_frame(dets, 3, 3, 6))
+        classes = [int(np.argmax(t.records[-1].scores[:-1])) if t.records else 0
+                   for t in tracks]
+        want = np.array([[heuristic_pair_score(mu[i], classes[i], tracks[i].last_box, d)
+                          for d in dets] for i in range(m)]).reshape(m, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if m > 1 and n and classes[1] == 0:
+            assert got[1, 0] == pytest.approx(4.0) and got[1, 0] == got.max()
 
 
 def test_greedy_assignment_one_to_one():

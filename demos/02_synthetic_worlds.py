@@ -25,8 +25,10 @@ noise = sw.NoiseConfig(miss_prob=0.15, false_positive_rate=0.5,
                        class_temperature=0.3, box_jitter=0.01,
                        appearance_noise=0.1, duplicate_prob=0.05)
 stream = sw.corrupt(gt, noise, seed=7)
+# each frame is one DetectionFrame: stacked arrays, one row per detection,
+# and a per-row source (the ground-truth object id, or "fp")
 per_frame = [len(f) for f in stream.frames]
-fp_count = sum(1 for f in stream.frames for d in f if d.source == "fp")
+fp_count = sum(int(np.count_nonzero(f.sources == "fp")) for f in stream.frames)
 print(f"detections per frame: {per_frame}  (false positives: {fp_count})")
 
 # the crossing pair shares a class; find the frame where they overlap most
@@ -44,9 +46,9 @@ with tempfile.TemporaryDirectory() as tmp:
     sw.save_ground_truth_jsonl(gt, gt_path)
     back = sw.load_detections_jsonl(det_path)
     same = all(
-        np.array_equal(x.box, y.box) and np.array_equal(x.appearance, y.appearance)
+        np.array_equal(getattr(fx, name), getattr(fy, name))
         for fx, fy in zip(stream.frames, back.frames)
-        for x, y in zip(fx, fy)
+        for name in ("boxes", "scores", "appearance", "masks", "sources")
     )
     print(f"JSONL round-trip bit-exact: {same}")
     print(f"file sizes: detections {det_path.stat().st_size} B, "

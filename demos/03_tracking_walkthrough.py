@@ -24,10 +24,11 @@ print(f"thresholds: init {thresholds.init_train} (train) / "
       f"{thresholds.init_infer} (infer), match {thresholds.match_active}")
 
 memory = []
-for t, dets in enumerate(stream.frames):
-    memory, out = tm.step(memory, dets, model, thresholds, "infer", t)
-    print(f"\nframe {t}: {out.num_dets} detections, "
-          f"{out.num_tracks} tracks in memory before births")
+for t, frame in enumerate(stream.frames):
+    # a frame's detections are the rows of one DetectionFrame
+    memory, out = tm.step(memory, frame, model, thresholds, "infer", t)
+    print(f"\nframe {t}: {out.num_dets} detections from objects "
+          f"{list(frame.sources)}, {out.num_tracks} tracks in memory before births")
     if out.num_dets:
         probs = out.init_probs.data[:out.num_dets]
         print(f"  init probabilities: {np.round(probs, 3)}")

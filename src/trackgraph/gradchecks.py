@@ -84,8 +84,7 @@ def check_gnn(epsilon=1e-4) -> float:
     config, params = model.config, model.params
     rng = np.random.default_rng(2)
     det, gt = _tiny_world(seed=11, frames=1)
-    frame = sw.stack_frame(det.frames[0], config.num_classes, config.appearance_dim,
-                           config.mask_grid)
+    frame = det.frames[0]
     rows = [(rng.uniform(-0.8, 0.8, size=config.embed_dim),
              rng.normal(size=config.embed_dim), rng.normal(size=3)) for _ in range(2)]
     y, c, mu = (Tensor(np.array(col)) for col in zip(*rows))

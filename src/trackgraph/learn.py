@@ -75,11 +75,11 @@ class TrainConfig:
 # target assignment
 
 
-def assign_targets(detections, gt_objects, iou_threshold: float = 0.5) -> dict[int, int]:
-    """Label detections with gt identities: global greedy over (gt, detection)
-    pairs by descending IoU, one-to-one, at IoU >= threshold.  Unlabeled
-    detections are background.  gt_objects: list of (gt_id, box)."""
-    ious = ag.iou_matrix([box for _, box in gt_objects], [d.box for d in detections])
+def assign_targets(frame, gt_objects, iou_threshold: float = 0.5) -> dict[int, int]:
+    """Label the frame's detections with gt identities: global greedy over
+    (gt, detection) pairs by descending IoU, one-to-one, at IoU >= threshold.
+    Unlabeled detections are background.  gt_objects: list of (gt_id, box)."""
+    ious = ag.iou_matrix([box for _, box in gt_objects], frame.boxes)
     return {j: gt_objects[gi][0]
             for gi, j in tm.greedy_assignment(ious, iou_threshold).items()}
 
@@ -220,8 +220,8 @@ def unroll_sequence(model: tm.TrackModel, det_frames, gt,
     memory = tm.TrackMemory.empty(config)
     score_frames, match_frames, init_frames, seg_frames = [], [], [], []
 
-    for t, dets in enumerate(det_frames):
-        memory, out = tm.step(memory, dets, model, thresholds, mode, t)
+    for t, frame in enumerate(det_frames):
+        memory, out = tm.step(memory, frame, model, thresholds, mode, t)
         labels = assign_targets(out.detections, _gt_frame_objects(gt, t))
         det_ids = np.array([labels.get(j, -1) for j in range(out.num_dets)])
         row_ids = np.array([identity[track.id] for track in out.track_rows])

@@ -5,7 +5,7 @@ vectors move smoothly through the unit square, and a corruption pass turns
 the ground truth into a noisy detection stream (misses, duplicates, false
 positives, class confusion, box jitter, appearance noise).  Streams load and
 save as JSON Lines so externally produced detections can be fed in.  A
-frame reaches the model as one DetectionFrame, stacked and checked once.
+frame's detections are one DetectionFrame of stacked arrays from the start.
 
 Sampling order (replayable, one generator seeded from the config):
   per object i = 0..max_objects-1, in order:
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -93,52 +95,43 @@ class GroundTruthSequence:
         return self.config.frames
 
 
-@dataclass
-class Detection:
-    box: np.ndarray         # (4,)
-    scores: np.ndarray      # (C+1,), background last, sums to 1
-    mask: np.ndarray        # (G, G) uint8
-    appearance: np.ndarray  # (A,)
-    source: int | str | None = None  # gt object id, "fp", or None (external)
-
-
-@dataclass
+@dataclass(eq=False)
 class DetectionFrame:
-    """One frame's detections as stacked arrays, rows in list order."""
+    """One frame's detections as stacked arrays, one row per detection."""
 
-    boxes: np.ndarray       # (n, 4)
-    scores: np.ndarray      # (n, C+1)
+    boxes: np.ndarray       # (n, 4) cx, cy, w, h
+    scores: np.ndarray      # (n, C+1), background last, rows sum to 1
     appearance: np.ndarray  # (n, A)
-    masks: np.ndarray       # (n, G, G)
-    top: np.ndarray         # (n,) top foreground (non-background) score
+    masks: np.ndarray       # (n, G, G) uint8
+    sources: np.ndarray     # (n,) objects: gt object id, "fp", or None (external)
+
+    @classmethod
+    def stack(cls, columns, shapes) -> "DetectionFrame":
+        """A frame from per-detection boxes, scores, appearance, masks and
+        sources; `shapes` are the first four's row shapes, even with none."""
+        *cols, sources = list(columns) or [()] * 5
+        arrays = [np.array(col, dtype=np.uint8 if f.name == "masks" else np.float64)
+                  .reshape(len(sources), *shape)
+                  for f, col, shape in zip(fields(cls), cols, shapes)]
+        return cls(*arrays, sources=np.fromiter(sources, dtype=object, count=len(sources)))
 
     def __len__(self):
         return len(self.boxes)
 
+    @cached_property
+    def top(self) -> np.ndarray:
+        """(n,) top foreground (non-background) score of each row."""
+        return self.scores[:, :-1].max(axis=1)
 
-def stack_frame(detections, num_classes: int, appearance_dim: int,
-                grid: int) -> DetectionFrame:
-    """Stack a frame's detections; the one place their field shapes are
-    checked against the model's classes, appearance size and mask grid."""
-    def stacked(attr, shape):
-        rows = [getattr(d, attr) for d in detections]
-        for row in rows:
-            if np.shape(row) != shape:
-                raise DataError(f"detection field {attr!r} has shape {np.shape(row)}, "
-                                f"expected {shape}")
-        return np.array(rows, dtype=np.float64).reshape(len(rows), *shape)
-
-    scores = stacked("scores", (num_classes + 1,))
-    return DetectionFrame(boxes=stacked("box", (4,)), scores=scores,
-                          appearance=stacked("appearance", (appearance_dim,)),
-                          masks=stacked("mask", (grid, grid)),
-                          top=scores[:, :-1].max(axis=1))
+    def rows(self, idx) -> "DetectionFrame":
+        """The detections at `idx`, in that order."""
+        return DetectionFrame(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 @dataclass
 class DetectionSequence:
     num_classes: int
-    frames: list[list[Detection]] = field(default_factory=list)
+    frames: list[DetectionFrame] = field(default_factory=list)
 
     def __len__(self):
         return len(self.frames)
@@ -268,9 +261,11 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int) -> Detection
     and false positives; truncate to the 16 highest-confidence detections."""
     rng = np.random.default_rng(seed)
     cfg = gt.config
+    A, G = cfg.appearance_dim, cfg.mask_grid
+    shapes = ((4,), (cfg.num_classes + 1,), (A,), (G, G))
     out = DetectionSequence(num_classes=cfg.num_classes)
     for t in range(cfg.frames):
-        dets: list[Detection] = []
+        rows = []  # (box, scores, appearance, mask, source)
         for obj in gt.objects:
             if not obj.present[t]:
                 continue
@@ -278,45 +273,32 @@ def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int) -> Detection
                 continue
             copies = 2 if rng.random() < noise.duplicate_prob else 1
             for _ in range(copies):
-                box = obj.boxes[t].copy()
+                box = obj.boxes[t]
                 if noise.box_jitter > 0:
                     box = box + rng.normal(0, noise.box_jitter, size=4)
                     box[2:] = np.maximum(box[2:], 0.01)
-                app = obj.appearance.copy()
+                app = obj.appearance
                 if noise.appearance_noise > 0:
-                    app = app + rng.normal(0, noise.appearance_noise,
-                                           size=cfg.appearance_dim)
-                dets.append(Detection(
-                    box=box,
-                    scores=_class_scores(obj.class_id, cfg.num_classes,
-                                         noise.class_temperature),
-                    mask=obj.masks[t].copy(),
-                    appearance=app,
-                    source=obj.id,
-                ))
+                    app = app + rng.normal(0, noise.appearance_noise, size=A)
+                rows.append((box, _class_scores(obj.class_id, cfg.num_classes,
+                                                noise.class_temperature),
+                             app, obj.masks[t], obj.id))
         if noise.false_positive_rate > 0:
             for _ in range(int(rng.poisson(noise.false_positive_rate))):
                 box = np.array([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
                                 rng.uniform(0.08, 0.25), rng.uniform(0.08, 0.25)])
-                dets.append(Detection(
-                    box=box,
-                    scores=_diffuse_scores(rng, cfg.num_classes),
-                    mask=render_mask(box, cfg.mask_grid),
-                    appearance=rng.normal(size=cfg.appearance_dim),
-                    source="fp",
-                ))
-        out.frames.append(truncate_detections(dets, 16))
+                scores = _diffuse_scores(rng, cfg.num_classes)
+                rows.append((box, scores, rng.normal(size=A), render_mask(box, G), "fp"))
+        out.frames.append(truncate_detections(DetectionFrame.stack(zip(*rows), shapes), 16))
     return out
 
 
-def truncate_detections(detections, cap: int) -> list:
-    """The `cap` detections with the highest foreground scores, in their
+def truncate_detections(frame: DetectionFrame, cap: int) -> DetectionFrame:
+    """The `cap` detections with the highest top foreground scores, in their
     original order."""
-    if len(detections) <= cap:
-        return list(detections)
-    conf = [np.max(np.asarray(d.scores)[:-1]) for d in detections]
-    keep = sorted(np.argsort(np.asarray(conf))[::-1][:cap])
-    return [detections[i] for i in keep]
+    if len(frame) <= cap:
+        return frame
+    return frame.rows(np.sort(np.argsort(frame.top)[::-1][:cap]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,61 +310,68 @@ def _encode_mask(mask: np.ndarray) -> str:
 
 
 def _decode_mask(data: str) -> np.ndarray:
-    """A square row-major uint8 mask; its grid comes from the byte count."""
+    """A read-only square row-major uint8 mask; its grid is from the byte count."""
     raw = np.frombuffer(base64.b64decode(data), dtype=np.uint8)
-    grid = int(round(np.sqrt(raw.size)))
+    grid = math.isqrt(raw.size)
     if raw.size != grid * grid:
         raise DataError(f"mask payload has {raw.size} bytes, not a square grid")
-    return raw.reshape(grid, grid).copy()
+    return raw.reshape(grid, grid)
 
 
 def save_detections_jsonl(seq: DetectionSequence, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t, dets in enumerate(seq.frames):
-            record = {
-                "frame": t,
-                "detections": [
-                    {
-                        "box": [float(v) for v in d.box],
-                        "scores": [float(v) for v in d.scores],
-                        "mask": _encode_mask(d.mask),
-                        "appearance": [float(v) for v in d.appearance],
-                        **({"source": d.source} if d.source is not None else {}),
-                    }
-                    for d in dets
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+        for t, frame in enumerate(seq.frames):
+            dets = [{"box": box, "scores": scores, "mask": _encode_mask(mask),
+                     "appearance": app, **({"source": src} if src is not None else {})}
+                    for box, scores, mask, app, src in zip(
+                        frame.boxes.tolist(), frame.scores.tolist(), frame.masks,
+                        frame.appearance.tolist(), frame.sources)]
+            fh.write(json.dumps({"frame": t, "detections": dets}) + "\n")
 
 
 def load_detections_jsonl(path) -> DetectionSequence:
-    frames: dict[int, list[Detection]] = {}
-    num_classes = None
+    """One DetectionFrame per line, stacked and checked once: every detection
+    has the row shapes of the stream's first one, a box 4 entries.  Frames
+    with no line or no detections get those shapes too."""
+    frames: dict[int, DetectionFrame] = {}
+    shapes = {"box": ((4,), None)}  # JSON field -> (row shape, the line that set it)
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             record = json.loads(line)
             t = _frame_index(record, frames)
-            dets = []
-            for d in record["detections"]:
-                scores = np.asarray(d["scores"], dtype=np.float64)
-                dets.append(Detection(
-                    box=np.asarray(d["box"], dtype=np.float64),
-                    scores=scores,
-                    mask=_decode_mask(d["mask"]),
-                    appearance=np.asarray(d["appearance"], dtype=np.float64),
-                    source=d.get("source"),
-                ))
-                num_classes = len(scores) - 1
-            boxes = np.array([d.box for d in dets]).reshape(len(dets), 4)
-            if not (np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all()):
-                raise DataError("a box is not finite with w, h > 0")
+            frames[t] = _stack_line(record["detections"], shapes, lineno)
         except (KeyError, ValueError, TypeError) as exc:
             raise DataError(f"{path}: malformed line {lineno}: {exc}") from None
-        frames[t] = dets
-    seq = DetectionSequence(num_classes=num_classes if num_classes is not None else 0)
-    for t in range(max(frames) + 1 if frames else 0):
-        seq.frames.append(frames.get(t, []))
-    return seq
+    empty = _stack_line([], shapes, lineno=0)
+    return DetectionSequence(num_classes=empty.scores.shape[-1] - 1, frames=[
+        frames[t] if len(frames.get(t, empty)) else empty
+        for t in range(max(frames, default=-1) + 1)])
+
+
+# JSON key of each row field, and its row shape in a stream without detections
+_JSON_FIELDS = {"box": (4,), "scores": (1,), "appearance": (0,), "mask": (0, 0)}
+
+
+def _stack_line(rows, shapes: dict, lineno: int) -> DetectionFrame:
+    """A line's detections as one frame.  The stream's first detection sets
+    each field's row shape in `shapes`; every detection must match it."""
+    columns, wants = [], []
+    for key, default in _JSON_FIELDS.items():
+        values = [_decode_mask(r[key]) if key == "mask"
+                  else np.asarray(r[key], dtype=np.float64) for r in rows]
+        if values and key not in shapes:
+            shapes[key] = (values[0].shape, lineno)
+        want, origin = shapes.get(key, (default, None))
+        for i, v in enumerate(values):
+            if v.shape != want:
+                raise DataError(f"detection {i} field {key!r} has shape {v.shape}, not "
+                                f"{want}" + (f" as on line {origin}" if origin else ""))
+        columns.append(values)
+        wants.append(want)
+    frame = DetectionFrame.stack(columns + [[r.get("source") for r in rows]], wants)
+    if not (np.isfinite(frame.boxes).all() and (frame.boxes[:, 2:] > 0).all()):
+        raise DataError("a box is not finite with w, h > 0")
+    return frame
 
 
 def save_ground_truth_jsonl(seq: GroundTruthSequence, path):

@@ -6,7 +6,7 @@ Gaussians of all M tracks as stacked (M, D) and (M, A) tensors, with identity
 and per-frame records in a TrackState side table, one per row.  Every
 learned piece of a frame (graph, gate, rate head, appearance update, mask
 head, score head) runs once over those stacked rows, and reads the frame's
-detections from one synthworld.DetectionFrame, stacked once per step().
+detections as the rows of the synthworld.DetectionFrame that step() takes.
 
 step() is the full inference loop for one frame and is the same code path
 during training (a tape is simply active, so every probability, score, and
@@ -19,7 +19,7 @@ frames can be reclaimed under its original identity.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import numcore as nc
 from . import recurrence as rec
 from .assocgraph import ModelConfig
 from .numcore import NumericError, ParamStore, Tensor
-from .synthworld import DetectionFrame, stack_frame, truncate_detections
+from .synthworld import DataError, DetectionFrame, truncate_detections
 
 
 @dataclass
@@ -124,7 +124,7 @@ class FrameOutput:
     frame: int
     num_tracks: int
     num_dets: int
-    detections: list
+    detections: DetectionFrame
     match_probs: Tensor
     init_probs: Tensor
     track_rows: list[TrackState]
@@ -311,17 +311,26 @@ def _advance(memory: TrackMemory, tau_tilde: Tensor, params: ParamStore,
                               c=Tensor(np.zeros(tau_tilde.shape)))
 
 
-def step(memory: TrackMemory, detections, model: TrackModel,
+def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
          thresholds: Thresholds, mode: str, frame_index: int):
     """Process one frame; returns (memory, FrameOutput).  `memory` may be []
-    for an empty memory.  The returned memory holds the existing tracks, in
-    order and advanced one frame, followed by this frame's newborns."""
+    for an empty memory.  A frame with rows must match the model's shapes
+    (an empty one may have any); its `max_detections` best rows are used.
+    The returned memory holds the existing tracks, in order and advanced one
+    frame, then the newborns."""
     config, params = model.config, model.params
     if not len(memory):
         memory = TrackMemory.empty(config)
     thr_init = thresholds.init_for(mode)
-    dets = truncate_detections(detections, config.max_detections)
-    frame = stack_frame(dets, config.num_classes, config.appearance_dim, config.mask_grid)
+    shapes = ((4,), (config.num_classes + 1,), (config.appearance_dim,),
+              (config.mask_grid, config.mask_grid))
+    if not len(frame):
+        frame = DetectionFrame.stack([], shapes)
+    for f, want in zip(fields(frame), shapes):
+        if (got := getattr(frame, f.name).shape[1:]) != want:
+            raise DataError(f"frame {frame_index}: detection field {f.name!r} has rows "
+                            f"of shape {got}, the model's are {want}")
+    frame = truncate_detections(frame, config.max_detections)
     m, n = len(memory), len(frame)
 
     batch = ag.build_graph_batch(memory, frame, params, config)
@@ -414,7 +423,7 @@ def step(memory: TrackMemory, detections, model: TrackModel,
         frame=frame_index,
         num_tracks=m,
         num_dets=n,
-        detections=dets,
+        detections=frame,
         match_probs=match_p,
         init_probs=init_p,
         track_rows=memory.tracks,
@@ -433,8 +442,8 @@ def run_sequence(detection_frames, model: TrackModel,
     thresholds = thresholds or Thresholds()
     memory = TrackMemory.empty(model.config)
     outputs = []
-    for t, dets in enumerate(detection_frames):
-        memory, out = step(memory, dets, model, thresholds, mode, t)
+    for t, frame in enumerate(detection_frames):
+        memory, out = step(memory, frame, model, thresholds, mode, t)
         outputs.append(out)
     return memory, outputs
 

@@ -76,16 +76,17 @@ def map_oracle(preds, gts, thresholds) -> float:
     return float(np.mean(vals)) if vals else 0.0
 
 
-def heuristic_pair_score(track_mu, track_class: int, track_box, det) -> float:
+def heuristic_pair_score(track_mu, track_class: int, track_box, det_box, det_scores,
+                         det_appearance) -> float:
     """The non-learned association score of one (track, detection) pair:
     appearance cosine (0 against a zero vector) + IoU + [same top class] +
     the detection's top foreground score, each weighted 1."""
-    na, nb = np.linalg.norm(track_mu), np.linalg.norm(det.appearance)
-    cosine = 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(track_mu, det.appearance)
+    na, nb = np.linalg.norm(track_mu), np.linalg.norm(det_appearance)
+    cosine = 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(track_mu, det_appearance)
                                                       / (na * nb))
-    same_class = 1.0 if int(np.argmax(det.scores[:-1])) == track_class else 0.0
-    top = float(np.max(det.scores[:-1]))
-    return float(np.dot(np.ones(4), [cosine, ag.iou(track_box, det.box), same_class, top]))
+    same_class = 1.0 if int(np.argmax(det_scores[:-1])) == track_class else 0.0
+    top = float(np.max(det_scores[:-1]))
+    return float(np.dot(np.ones(4), [cosine, ag.iou(track_box, det_box), same_class, top]))
 
 
 def mask_head_oracle(params: dict, embeddings, masks, boxes, grid: int):

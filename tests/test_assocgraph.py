@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,21 +12,13 @@ from oracles import gnn_forward_all_rows
 
 
 def make_frame(config, rows):
-    """Stacked frame from per-detection (box, scores, appearance) rows, with
-    empty masks."""
-    dets = [sw.Detection(box=np.asarray(box, dtype=np.float64),
-                         scores=np.asarray(scores, dtype=np.float64),
-                         mask=np.zeros((config.mask_grid, config.mask_grid)),
-                         appearance=np.asarray(app, dtype=np.float64))
-            for box, scores, app in rows]
-    return sw.stack_frame(dets, config.num_classes, config.appearance_dim,
-                          config.mask_grid)
-
-
-def take(frame, idx):
-    """The frame's detections in the order of `idx`."""
-    return sw.DetectionFrame(*(getattr(frame, f.name)[idx]
-                               for f in dataclasses.fields(frame)))
+    """Frame from per-detection (box, scores, appearance) rows, with empty
+    masks; with no rows, the config's shapes."""
+    g = config.mask_grid
+    scores = np.shape(rows[0][1]) if rows else (config.num_classes + 1,)
+    return sw.DetectionFrame.stack(
+        zip(*[(box, s, app, np.zeros((g, g)), None) for box, s, app in rows]),
+        ((4,), scores, (config.appearance_dim,), (g, g)))
 
 
 def make_memory(rows, embed_dim, appearance_dim):
@@ -226,8 +216,10 @@ def test_detection_embedding_uniform_scores_centered_box():
 
 
 def test_detection_embedding_rejects_bad_score_count():
-    with pytest.raises(sw.DataError, match="detection field 'scores'"):
-        make_frame(small_config(), [([0.5, 0.5, 1.0, 1.0], np.full(4, 0.25), np.zeros(3))])
+    config = small_config()
+    frame = make_frame(config, [([0.5, 0.5, 1.0, 1.0], np.full(4, 0.25), np.zeros(3))])
+    with pytest.raises(sw.DataError, match="frame 0: detection field 'scores'"):
+        tm.step([], frame, tm.build_model(config), tm.Thresholds(), "infer", 0)
 
 
 def test_edge_features_perfect_pair():
@@ -397,7 +389,7 @@ def test_permutation_equivariance_randomized():
 
         perm_d = rng.permutation(n)
         perm_t = rng.permutation(m)
-        batch_p = ag.build_graph_batch(permute(tracks, perm_t), take(dets, perm_d),
+        batch_p = ag.build_graph_batch(permute(tracks, perm_t), dets.rows(perm_d),
                                        params, config)
         out_p = ag.gnn_forward(batch_p, params, config)
 
@@ -510,7 +502,7 @@ def test_limited_gnn_permutation_equivariance():
                          params, config)
     perm = rng.permutation(4)
     out_p = ag.gnn_forward(
-        ag.build_graph_batch(tracks, take(dets, perm), params, config),
+        ag.build_graph_batch(tracks, dets.rows(perm), params, config),
         params, config)
     for new_pos, old_pos in enumerate(perm):
         np.testing.assert_allclose(out_p.dets.data[new_pos], out.dets.data[old_pos],

@@ -165,26 +165,75 @@ def _first_det(lines, **fields):
     return [json.dumps(record)] + lines[1:]
 
 
+def _over_cap(lines):
+    """Line 1 with max_detections + 1 detections, the fourth with one score."""
+    record = json.loads(lines[0])
+    dets = [dict(record["detections"][0]) for _ in range(ModelConfig().max_detections + 1)]
+    dets[3]["scores"] = [1.0]
+    return [json.dumps({**record, "detections": dets})] + lines[1:]
+
+
+def _every_det(lines, **fields):
+    """Every detection takes `fields`, and frame 0 has none."""
+    out = []
+    for t, line in enumerate(lines):
+        record = json.loads(line)
+        record["detections"] = [] if t == 0 else [{**d, **fields}
+                                                  for d in record["detections"]]
+        out.append(json.dumps(record))
+    return out
+
+
+_MASK_5X5 = base64.b64encode(bytes(25)).decode()
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda lines: lines + lines[1:2], "repeats frame 1"),
     (lambda lines: _first_det(lines, box=[0.5, 0.5, -0.1, 0.2]), "w, h > 0"),
     (lambda lines: _first_det(lines, box=[0.5, 0.5, 0.1, 0.0]), "w, h > 0"),
     (lambda lines: _first_det(lines, box=[0.5, float("nan"), 0.1, 0.2]), "not finite"),
     (lambda lines: lines + ['{"frame": -1, "detections": []}'], "negative frame -1"),
-    # the checkpoint's model has 3 classes, appearance size 3 and a 6x6 grid
-    (lambda lines: _first_det(lines, scores=[0.5, 0.5]), "'scores' has shape (2,)"),
+    # the mutated first detection sets the stream's shapes, so the next line
+    # that has detections disagrees with it
+    (lambda lines: _first_det(lines, scores=[0.5, 0.5]),
+     "malformed line 2: detection 0 field 'scores' has shape (4,), not (2,) as on line 1"),
     (lambda lines: _first_det(lines, appearance=[0.1, 0.2]),
-     "'appearance' has shape (2,)"),
-    (lambda lines: _first_det(lines, mask=base64.b64encode(bytes(25)).decode()),
-     "'mask' has shape (5, 5)"),
+     "malformed line 2: detection 0 field 'appearance' has shape (3,), not (2,) "
+     "as on line 1"),
+    (lambda lines: _first_det(lines, mask=_MASK_5X5),
+     "malformed line 2: detection 0 field 'mask' has shape (6, 6), not (5, 5) "
+     "as on line 1"),
+    # checked before the frame is ranked down to max_detections
+    (_over_cap, "malformed line 1: detection 3 field 'scores' has shape (1,)"),
+    # a self-consistent stream the checkpoint's model (3 classes, appearance
+    # size 3, 6x6 grid) cannot read: step names the frame
+    (lambda lines: _every_det(lines, scores=[0.2] * 5),
+     "frame 1: detection field 'scores' has rows of shape (5,), the model's are (4,)"),
+    (lambda lines: _every_det(lines, appearance=[0.1, 0.2]),
+     "frame 1: detection field 'appearance' has rows of shape (2,), the model's are (3,)"),
+    (lambda lines: _every_det(lines, mask=_MASK_5X5),
+     "frame 1: detection field 'masks' has rows of shape (5, 5), the model's are (6, 6)"),
 ], ids=["repeated_frame", "negative_width", "zero_height", "nan_center",
-        "negative_frame", "score_length", "appearance_length", "mask_grid"])
+        "negative_frame", "score_length", "appearance_length", "mask_grid",
+        "over_cap_short_scores", "model_score_length", "model_appearance_length",
+        "model_mask_grid"])
 def test_bad_detection_stream_exits_two(tmp_path, capsys, mutate, message):
     det, _, ckpt = _tiny_stream(tmp_path)
     det.write_text("\n".join(mutate(det.read_text().splitlines())) + "\n")
     assert run(["track", "--checkpoint", str(ckpt), "--detections", str(det),
                 "--out", str(tmp_path / "o.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_track_stream_without_detections_writes_no_tracks(tmp_path):
+    _, _, ckpt = _tiny_stream(tmp_path)
+    det = tmp_path / "empty.det.jsonl"
+    det.write_text("".join(f'{{"frame": {t}, "detections": []}}\n' for t in range(4)))
+    out = tmp_path / "o.json"
+    assert run(["track", "--checkpoint", str(ckpt), "--detections", str(det),
+                "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["num_frames"] == 4 and blob["tracks"] == []
 
 
 def test_repeated_ground_truth_frame_exits_two(tmp_path, capsys):

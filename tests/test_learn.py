@@ -14,9 +14,12 @@ from trackgraph.numcore import Tensor
 from oracles import lovasz_softmax_frame_loop
 
 
-class Box:
-    def __init__(self, box):
-        self.box = np.asarray(box, dtype=np.float64)
+def box_frame(*boxes):
+    """A frame of detections that differ only in their boxes."""
+    n = len(boxes)
+    return sw.DetectionFrame.stack(
+        [boxes, np.full((n, 4), 0.25), np.zeros((n, 3)), np.zeros((n, 6, 6)), [None] * n],
+        ((4,), (4,), (3,), (6, 6)))
 
 
 def small_config(**kw):
@@ -38,31 +41,30 @@ def small_world(seed=0, frames=6, objects=2):
 
 def test_assign_iou_above_threshold():
     gt = [(7, [0.5, 0.5, 0.2, 0.2])]
-    det = [Box([0.5, 0.5, 0.2, 0.2 * 0.6 / (2 - 0.6)])]
-    # construct a detection with IoU exactly 0.6: nested box, area ratio 0.6
-    det = [Box([0.5, 0.5, 0.2, 0.2 * 0.6])]
-    assert ag.iou(gt[0][1], det[0].box) == pytest.approx(0.6)
-    assert learn.assign_targets(det, gt) == {0: 7}
+    # a detection with IoU exactly 0.6: nested box, area ratio 0.6
+    frame = box_frame([0.5, 0.5, 0.2, 0.2 * 0.6])
+    assert ag.iou(gt[0][1], frame.boxes[0]) == pytest.approx(0.6)
+    assert learn.assign_targets(frame, gt) == {0: 7}
 
 
 def test_assign_iou_below_threshold():
     gt = [(7, [0.5, 0.5, 0.2, 0.2])]
-    det = [Box([0.5, 0.5, 0.2, 0.2 * 0.4])]
-    assert ag.iou(gt[0][1], det[0].box) == pytest.approx(0.4)
-    assert learn.assign_targets(det, gt) == {}
+    frame = box_frame([0.5, 0.5, 0.2, 0.2 * 0.4])
+    assert ag.iou(gt[0][1], frame.boxes[0]) == pytest.approx(0.4)
+    assert learn.assign_targets(frame, gt) == {}
 
 
 def test_assign_best_detection_wins():
     gt = [(3, [0.5, 0.5, 0.2, 0.2])]
-    dets = [Box([0.5, 0.5, 0.2, 0.2 * 0.6]), Box([0.5, 0.5, 0.2, 0.2 * 0.7])]
-    labels = learn.assign_targets(dets, gt)
+    frame = box_frame([0.5, 0.5, 0.2, 0.2 * 0.6], [0.5, 0.5, 0.2, 0.2 * 0.7])
+    labels = learn.assign_targets(frame, gt)
     assert labels == {1: 3}
 
 
 def test_assign_one_to_one_across_objects():
     gt = [(0, [0.3, 0.5, 0.2, 0.2]), (1, [0.32, 0.5, 0.2, 0.2])]
-    dets = [Box([0.3, 0.5, 0.2, 0.2]), Box([0.32, 0.5, 0.2, 0.2])]
-    labels = learn.assign_targets(dets, gt)
+    frame = box_frame([0.3, 0.5, 0.2, 0.2], [0.32, 0.5, 0.2, 0.2])
+    labels = learn.assign_targets(frame, gt)
     assert labels == {0: 0, 1: 1}
 
 

@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -77,13 +79,14 @@ def test_corrupt_zero_noise_is_identity():
     det = sw.corrupt(seq, sw.NoiseConfig(), seed=0)
     for t in range(cfg.frames):
         present = [o for o in seq.objects if o.present[t]]
-        assert len(det.frames[t]) == len(present)
-        for d, o in zip(det.frames[t], present):
-            np.testing.assert_array_equal(d.box, o.boxes[t])
-            np.testing.assert_array_equal(d.mask, o.masks[t])
-            np.testing.assert_array_equal(d.appearance, o.appearance)
-            assert d.scores[o.class_id] == 1.0
-            assert d.source == o.id
+        frame = det.frames[t]
+        assert len(frame) == len(present)
+        for j, o in enumerate(present):
+            np.testing.assert_array_equal(frame.boxes[j], o.boxes[t])
+            np.testing.assert_array_equal(frame.masks[j], o.masks[t])
+            np.testing.assert_array_equal(frame.appearance[j], o.appearance)
+            assert frame.scores[j, o.class_id] == 1.0
+            assert frame.sources[j] == o.id
 
 
 def test_corrupt_miss_everything():
@@ -92,7 +95,7 @@ def test_corrupt_miss_everything():
     det = sw.corrupt(seq, sw.NoiseConfig(miss_prob=1.0, false_positive_rate=0.5),
                      seed=1)
     for frame in det.frames:
-        assert all(d.source == "fp" for d in frame)
+        assert all(s == "fp" for s in frame.sources)
 
 
 def test_corrupt_miss_rate_monte_carlo():
@@ -119,9 +122,8 @@ def test_class_scores_sum_to_one():
     det = sw.corrupt(seq, sw.NoiseConfig(class_temperature=0.4,
                                          false_positive_rate=1.0), seed=3)
     for frame in det.frames:
-        for d in frame:
-            assert abs(d.scores.sum() - 1.0) < 1e-12
-            assert np.all(d.scores >= 0)
+        assert np.all(np.abs(frame.scores.sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(frame.scores >= 0)
 
 
 def test_provenance_partition():
@@ -131,10 +133,9 @@ def test_provenance_partition():
                      seed=4)
     ids = {o.id for o in seq.objects}
     for frame in det.frames:
-        for d in frame:
-            assert d.source == "fp" or d.source in ids
+        assert all(s == "fp" or s in ids for s in frame.sources)
     clean = sw.corrupt(seq, sw.NoiseConfig(), seed=5)
-    assert all(d.source != "fp" for f in clean.frames for d in f)
+    assert all(s != "fp" for f in clean.frames for s in f.sources)
 
 
 def test_truncation_to_sixteen_keeps_best():
@@ -145,7 +146,8 @@ def test_truncation_to_sixteen_keeps_best():
     for frame in det.frames:
         assert len(frame) <= 16
         # every kept real detection outranks dropped false positives
-        assert sum(1 for d in frame if d.source != "fp") == 6
+        assert sum(1 for s in frame.sources if s != "fp") == 6
+        assert len(frame.top) == len(frame.scores) == len(frame.masks) == len(frame)
 
 
 def test_detection_roundtrip_bit_exact(tmp_path):
@@ -160,14 +162,13 @@ def test_detection_roundtrip_bit_exact(tmp_path):
     back = sw.load_detections_jsonl(path)
     assert len(back) == len(det)
     assert back.num_classes == det.num_classes
+    assert any("fp" in f.sources for f in det.frames)
     for fa, fb in zip(det.frames, back.frames):
-        assert len(fa) == len(fb)
-        for da, db in zip(fa, fb):
-            np.testing.assert_array_equal(da.box, db.box)
-            np.testing.assert_array_equal(da.scores, db.scores)
-            np.testing.assert_array_equal(da.mask, db.mask)
-            np.testing.assert_array_equal(da.appearance, db.appearance)
-            assert da.source == db.source
+        for f in dataclasses.fields(sw.DetectionFrame):
+            a, b = getattr(fa, f.name), getattr(fb, f.name)
+            assert a.shape == b.shape and a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b)
+        assert list(fa.sources) == list(fb.sources)
 
 
 def test_ground_truth_roundtrip(tmp_path):
@@ -190,25 +191,103 @@ def test_ground_truth_roundtrip(tmp_path):
                 np.testing.assert_array_equal(b.masks[t], obj.masks[t])
 
 
-def test_stack_frame_keeps_list_order_and_checks_every_field():
-    cfg = sw.WorldConfig(seed=4, max_objects=3, frames=1, num_classes=3,
-                         appearance_dim=4, mask_grid=6, exit_prob=0.0, entry_window=1)
-    dets = sw.corrupt(sw.generate_sequence(cfg), sw.NoiseConfig(class_temperature=0.5),
-                      seed=1).frames[0]
-    frame = sw.stack_frame(dets, 3, 4, 6)
-    assert len(frame) == len(dets) == 3
-    for j, d in enumerate(dets):
-        for got, want in ((frame.boxes, d.box), (frame.scores, d.scores),
-                          (frame.appearance, d.appearance), (frame.masks, d.mask)):
+def _line(t, rows):
+    """One JSONL line of (box, scores, appearance, mask, source) rows."""
+    return json.dumps({"frame": t, "detections": [
+        {"box": list(box), "scores": list(scores), "appearance": list(app),
+         "mask": base64.b64encode(np.asarray(mask, dtype=np.uint8).tobytes()).decode(),
+         **({"source": src} if src is not None else {})}
+        for box, scores, app, mask, src in rows]})
+
+
+def _rows(n, classes=3, dim=4, grid=6, seed=0):
+    rng = np.random.default_rng(seed)
+    return [([0.5, 0.5, 0.2, 0.1 + 0.1 * j], rng.dirichlet(np.ones(classes + 1)),
+             rng.normal(size=dim), rng.integers(0, 2, size=(grid, grid)), src)
+            for j, src in zip(range(n), [3, "fp", None, 0, 7])]
+
+
+def test_load_stacks_rows_in_line_order_and_checks_every_field(tmp_path):
+    path = tmp_path / "d.jsonl"
+    rows = _rows(3)
+    path.write_text(_line(0, rows) + "\n")
+    frame = sw.load_detections_jsonl(path).frames[0]
+    assert len(frame) == 3
+    for j, (box, scores, app, mask, src) in enumerate(rows):
+        for got, want in ((frame.boxes, box), (frame.scores, scores),
+                          (frame.appearance, app), (frame.masks, mask)):
             np.testing.assert_array_equal(got[j], want)
-        assert frame.top[j] == max(d.scores[:-1])
-    empty = sw.stack_frame([], 3, 4, 6)
-    assert [a.shape for a in (empty.boxes, empty.scores, empty.appearance, empty.masks,
-                              empty.top)] == [(0, 4), (0, 4), (0, 4), (0, 6, 6), (0,)]
-    for attr, bad in (("box", np.zeros(3)), ("scores", np.full(5, 0.2)),
-                      ("appearance", np.zeros(3)), ("mask", np.zeros((5, 5)))):
-        with pytest.raises(sw.DataError, match=f"detection field '{attr}' has shape"):
-            sw.stack_frame([dets[0], dataclasses.replace(dets[1], **{attr: bad})], 3, 4, 6)
+        assert frame.top[j] == max(scores[:-1])
+        assert frame.sources[j] == src
+    assert frame.masks.dtype == np.uint8 and frame.sources.dtype == object
+
+    # a field that differs from the stream's first detection, in its own line
+    # or a later one, names the line, the detection, the field and both shapes
+    for key, bad, shape in (("box", [0.5, 0.5, 0.2], "(3,)"),
+                            ("scores", np.full(5, 0.2), "(5,)"),
+                            ("appearance", np.zeros(3), "(3,)"),
+                            ("mask", np.zeros((5, 5)), "(5, 5)")):
+        k = ("box", "scores", "appearance", "mask").index(key)
+        bad_row = tuple(bad if i == k else v for i, v in enumerate(rows[1]))
+        for lines, lineno in (([_line(0, [rows[0], bad_row])], 1),
+                              ([_line(0, rows), _line(1, [rows[0], bad_row])], 2)):
+            path.write_text("\n".join(lines) + "\n")
+            # a box has 4 entries in every stream; the other shapes come from line 1
+            expected = (f"detection 1 field 'box' has shape {shape}, not (4,)"
+                        if key == "box" else f"detection 1 field {key!r} has shape "
+                        f"{shape}, not {np.shape(rows[0][k])} as on line 1")
+            with pytest.raises(sw.DataError) as err:
+                sw.load_detections_jsonl(path)
+            assert f"malformed line {lineno}: {expected}" in str(err.value)
+
+
+def test_empty_frames_take_the_stream_shapes(tmp_path):
+    # frame 1 is an empty line between non-empty ones, frame 3 has no line
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([_line(0, _rows(2)), _line(1, []), _line(2, _rows(1)),
+                               _line(4, _rows(2))]) + "\n")
+    seq = sw.load_detections_jsonl(path)
+    assert [len(f) for f in seq.frames] == [2, 0, 1, 0, 2]
+    assert seq.num_classes == 3
+    for t in (1, 3):
+        f = seq.frames[t]
+        assert [a.shape for a in (f.boxes, f.scores, f.appearance, f.masks, f.sources,
+                                  f.top)] == [(0, 4), (0, 4), (0, 4), (0, 6, 6), (0,), (0,)]
+
+
+def test_empty_stream_keeps_its_frame_count(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(_line(t, []) for t in range(3)) + "\n")
+    seq = sw.load_detections_jsonl(path)
+    assert len(seq) == 3 and seq.num_classes == 0
+    assert all(len(f) == 0 for f in seq.frames)
+
+
+def test_truncate_detections_keeps_the_top_rows_in_order():
+    # top ignores the background column
+    scores = np.array([[0.5, 0.0, 0.5], [0.1, 0.9, 0.0], [0.2, 0.6, 0.2],
+                       [0.7, 0.1, 0.2], [0.0, 0.05, 0.95]])
+    n = len(scores)
+    frame = sw.DetectionFrame(boxes=np.arange(n * 4.0).reshape(n, 4), scores=scores,
+                              appearance=np.arange(n * 2.0).reshape(n, 2),
+                              masks=np.arange(n * 9, dtype=np.uint8).reshape(n, 3, 3),
+                              sources=np.array([0, "fp", None, 2, 1], dtype=object))
+    np.testing.assert_array_equal(frame.top, [0.5, 0.9, 0.6, 0.7, 0.05])
+    assert sw.truncate_detections(frame, 5) is frame
+    kept = sw.truncate_detections(frame, 3)
+    assert list(kept.sources) == ["fp", None, 2]
+    for f in dataclasses.fields(frame):
+        np.testing.assert_array_equal(getattr(kept, f.name),
+                                      getattr(frame, f.name)[[1, 2, 3]])
+    np.testing.assert_array_equal(kept.top, [0.9, 0.6, 0.7])
+    assert list(sw.truncate_detections(frame, 1).sources) == ["fp"]
+    assert len(sw.truncate_detections(frame, 0)) == 0
+    # tied rows keep the order of numpy's argsort of top, reversed
+    tied = frame.rows([0, 4, 2, 0, 2])
+    for cap in range(5):
+        want = np.sort(np.argsort(tied.top)[::-1][:cap])
+        np.testing.assert_array_equal(sw.truncate_detections(tied, cap).boxes,
+                                      tied.boxes[want])
 
 
 def test_load_empty_file(tmp_path):
@@ -219,9 +298,6 @@ def test_load_empty_file(tmp_path):
 
 
 def test_load_hand_written_fixture(tmp_path):
-    import base64
-    import json
-
     mask = np.zeros((4, 4), dtype=np.uint8)
     mask[1, 2] = 1
     line = {
@@ -237,12 +313,12 @@ def test_load_hand_written_fixture(tmp_path):
     path.write_text(json.dumps(line) + "\n")
     seq = sw.load_detections_jsonl(path)
     assert len(seq) == 1 and len(seq.frames[0]) == 1
-    d = seq.frames[0][0]
-    np.testing.assert_array_equal(d.box, [0.5, 0.25, 0.1, 0.2])
-    np.testing.assert_array_equal(d.scores, [0.6, 0.3, 0.1])
-    assert d.mask[1, 2] == 1 and d.mask.sum() == 1
-    np.testing.assert_array_equal(d.appearance, [1.5, -2.5])
-    assert d.source is None
+    frame = seq.frames[0]
+    np.testing.assert_array_equal(frame.boxes, [[0.5, 0.25, 0.1, 0.2]])
+    np.testing.assert_array_equal(frame.scores, [[0.6, 0.3, 0.1]])
+    assert frame.masks[0, 1, 2] == 1 and frame.masks.sum() == 1
+    np.testing.assert_array_equal(frame.appearance, [[1.5, -2.5]])
+    assert list(frame.sources) == [None]
     assert seq.num_classes == 2
 
 

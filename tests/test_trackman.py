@@ -25,12 +25,20 @@ def small_config(**kw):
     return ag.ModelConfig(**base)
 
 
-def make_det(box, scores, appearance, grid=6, mask=None):
-    scores = np.asarray(scores, dtype=np.float64)
-    if mask is None:
-        mask = sw.render_mask(box, grid)
-    return sw.Detection(box=np.asarray(box, dtype=np.float64), scores=scores,
-                        mask=mask, appearance=np.asarray(appearance, dtype=np.float64))
+SHAPES = ((4,), (4,), (3,), (6, 6))  # box, scores, appearance and mask rows
+
+
+def make_det(box, scores, appearance, mask=None):
+    """A frame holding one detection."""
+    mask = sw.render_mask(box, 6) if mask is None else mask
+    return sw.DetectionFrame.stack([[box], [scores], [appearance], [mask], [None]], SHAPES)
+
+
+def make_frame(dets):
+    """One frame of make_det's detections, in order."""
+    return sw.DetectionFrame.stack(
+        zip(*[row for d in dets for row in zip(d.boxes, d.scores, d.appearance, d.masks,
+                                               d.sources)]), SHAPES)
 
 
 def one_hot(cls, num_classes=3):
@@ -50,7 +58,7 @@ def test_empty_memory_one_detection_spawns_track():
     # zero init head makes every init probability exactly 0.5 >= 0.13
     force_head(model.params, "init_head", 0.0, 0.0)
     det = make_det([0.5, 0.5, 0.2, 0.3], one_hot(1), [1.0, -2.0, 0.5])
-    memory, out = tm.step([], [det], model, tm.Thresholds(), "infer", 0)
+    memory, out = tm.step([], det, model, tm.Thresholds(), "infer", 0)
     assert len(memory) == 1
     track = memory[0]
     np.testing.assert_array_equal(memory.mu.data, [[1.0, -2.0, 0.5]])
@@ -67,9 +75,9 @@ def test_init_threshold_modes():
     logit = np.log(0.14 / 0.86)
     force_head(model.params, "init_head", 0.0, logit)
     det = make_det([0.5, 0.5, 0.2, 0.3], one_hot(0), [0.0, 0.0, 1.0])
-    mem_infer, _ = tm.step([], [det], model, tm.Thresholds(), "infer", 0)
+    mem_infer, _ = tm.step([], det, model, tm.Thresholds(), "infer", 0)
     assert len(mem_infer) == 1
-    mem_train, _ = tm.step([], [det], model, tm.Thresholds(), "train", 0)
+    mem_train, _ = tm.step([], det, model, tm.Thresholds(), "train", 0)
     assert len(mem_train) == 0
 
 
@@ -78,10 +86,10 @@ def test_track_without_detections_goes_inactive_but_advances():
     model = tm.build_model(config, seed=1)
     force_head(model.params, "init_head", 0.0, 0.0)
     det = make_det([0.5, 0.5, 0.2, 0.3], one_hot(1), [1.0, 0.0, 0.0])
-    memory, _ = tm.step([], [det], model, tm.Thresholds(), "infer", 0)
+    memory, _ = tm.step([], det, model, tm.Thresholds(), "infer", 0)
     y_before = memory.y.data.copy()
     sigma_before = memory.sigma.data.copy()
-    memory, out = tm.step(memory, [], model, tm.Thresholds(), "infer", 1)
+    memory, out = tm.step(memory, make_frame([]), model, tm.Thresholds(), "infer", 1)
     track = memory[0]
     assert not track.active
     assert track.records[-1].box is None and track.records[-1].mask is None
@@ -96,14 +104,15 @@ def test_best_match_argmax_and_tie_break():
     force_head(model.params, "init_head", 0.0, 0.0)  # p=0.5: spawn on frame 0
     det_a = make_det([0.5, 0.5, 0.2, 0.3], one_hot(1), [1.0, 0.0, 0.0])
     det_b = make_det([0.52, 0.5, 0.2, 0.3], one_hot(1), [1.0, 0.0, 0.0])
-    memory, _ = tm.step([], [det_a], model, tm.Thresholds(), "infer", 0)
+    memory, _ = tm.step([], det_a, model, tm.Thresholds(), "infer", 0)
     assert len(memory) == 1
 
     # zero-weight head with bias 5 ties every pair at sigmoid(5); the lowest
     # detection index must win the argmax
     force_head(model.params, "init_head", 0.0, -50.0)  # no further births
     force_head(model.params, "match_head", 0.0, 5.0)
-    memory, out = tm.step(memory, [det_a, det_b], model, tm.Thresholds(), "infer", 1)
+    memory, out = tm.step(memory, make_frame([det_a, det_b]), model, tm.Thresholds(),
+                          "infer", 1)
     assert memory[0].records[-1].matched_detection == 0
     p = out.match_probs.data
     assert p.shape == (1, 2)
@@ -117,12 +126,12 @@ def test_match_probabilities_drive_box_adoption():
     force_head(model.params, "match_head", 0.0, 5.0)  # always match
     start = make_det([0.3, 0.3, 0.2, 0.2], one_hot(0), [0.5, 0.5, 0.5])
     moved = make_det([0.35, 0.3, 0.2, 0.2], one_hot(0), [0.5, 0.5, 0.5])
-    memory, _ = tm.step([], [start], model, tm.Thresholds(), "infer", 0)
+    memory, _ = tm.step([], start, model, tm.Thresholds(), "infer", 0)
     force_head(model.params, "init_head", 0.0, -50.0)
-    memory, _ = tm.step(memory, [moved], model, tm.Thresholds(), "infer", 1)
+    memory, _ = tm.step(memory, moved, model, tm.Thresholds(), "infer", 1)
     assert len(memory) == 1
-    np.testing.assert_array_equal(memory[0].last_box, moved.box)
-    np.testing.assert_array_equal(memory[0].records[-1].box, moved.box)
+    np.testing.assert_array_equal(memory[0].last_box, moved.boxes[0])
+    np.testing.assert_array_equal(memory[0].records[-1].box, moved.boxes[0])
 
 
 def test_track_ids_stable_and_memory_monotone():
@@ -135,7 +144,7 @@ def test_track_ids_stable_and_memory_monotone():
     for t in range(5):
         dets = [make_det([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.2, 0.2],
                          one_hot(int(rng.integers(0, 3))), rng.normal(size=3))]
-        memory, _ = tm.step(memory, dets, model, tm.Thresholds(), "infer", t)
+        memory, _ = tm.step(memory, make_frame(dets), model, tm.Thresholds(), "infer", t)
         sizes.append(len(memory))
         ids = [tr.id for tr in memory]
         assert len(ids) == len(set(ids))
@@ -148,7 +157,7 @@ def test_capacity_refuses_births():
     force_head(model.params, "init_head", 0.0, 50.0)  # init everything
     dets = [make_det([0.2 + 0.15 * i, 0.5, 0.1, 0.1], one_hot(0),
                      np.full(3, float(i))) for i in range(4)]
-    memory, _ = tm.step([], dets, model, tm.Thresholds(), "infer", 0)
+    memory, _ = tm.step([], make_frame(dets), model, tm.Thresholds(), "infer", 0)
     assert len(memory) == 2
 
 
@@ -163,10 +172,22 @@ def test_detection_truncation_keeps_best():
         scores[3] = 1.0 - scores[0]
         dets.append(make_det([0.1 + 0.15 * i, 0.5, 0.1, 0.1], scores,
                              np.full(3, float(i))))
-    memory, out = tm.step([], dets, model, tm.Thresholds(), "infer", 0)
+    memory, out = tm.step([], make_frame(dets), model, tm.Thresholds(), "infer", 0)
     assert out.num_dets == 3
-    kept = {d.appearance[0] for d in out.detections}
+    kept = set(out.detections.appearance[:, 0])
     assert kept == {2.0, 3.0, 4.0}
+
+
+def test_step_checks_the_frame_before_truncating_it():
+    # six detections over the cap of 5, each with a single score: ranking
+    # them first would reduce over an empty foreground row
+    model = tm.build_model(small_config(), seed=6)
+    frame = sw.DetectionFrame.stack(
+        zip(*[([0.5, 0.5, 0.1, 0.1], [1.0], np.zeros(3), np.zeros((6, 6)), None)] * 6),
+        ((4,), (1,), (3,), (6, 6)))
+    with pytest.raises(sw.DataError, match=r"frame 7: detection field 'scores' has "
+                                           r"rows of shape \(1,\), the model's are \(4,\)"):
+        tm.step([], frame, model, tm.Thresholds(), "infer", 7)
 
 
 def test_active_tracks_report_exactly_one_box():
@@ -212,11 +233,12 @@ def test_memory_rows_stay_aligned_with_track_table():
     rng = np.random.default_rng(3)
     memory = []
     for t in range(4):
-        dets = [make_det([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.2, 0.2],
-                         one_hot(int(rng.integers(0, 3))), rng.normal(size=3))
-                for _ in range(2)]
+        frame = make_frame([
+            make_det([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.2, 0.2],
+                     one_hot(int(rng.integers(0, 3))), rng.normal(size=3))
+            for _ in range(2)])
         before = len(memory)
-        memory, out = tm.step(memory, dets, model, tm.Thresholds(), "infer", t)
+        memory, out = tm.step(memory, frame, model, tm.Thresholds(), "infer", t)
         rows = len(memory)
         assert rows == before + len(out.born)
         assert memory.y.shape == memory.c.shape == (rows, config.embed_dim)
@@ -230,12 +252,12 @@ def test_memory_rows_stay_aligned_with_track_table():
             if track.birth_frame == t:
                 # a newborn's row is its initializing detection's Gaussian
                 j = rec.matched_detection
-                np.testing.assert_array_equal(memory.mu.data[row], dets[j].appearance)
+                np.testing.assert_array_equal(memory.mu.data[row], frame.appearance[j])
                 np.testing.assert_array_equal(memory.sigma.data[row], config.sigma0)
                 np.testing.assert_array_equal(memory.c.data[row], 0.0)
             elif rec.active:
                 # a matched track's mean moved toward its detection
-                x = dets[rec.matched_detection].appearance
+                x = frame.appearance[rec.matched_detection]
                 assert np.all(np.abs(memory.mu.data[row] - x) <= np.abs(mu_prev[row] - x))
         mu_prev = memory.mu.data.copy()
 
@@ -308,11 +330,14 @@ def test_heuristic_scores_match_pair_oracle():
         memory = tm.TrackMemory(tracks=tracks, y=Tensor(np.zeros((m, 8))),
                                 c=Tensor(np.zeros((m, 8))), mu=Tensor(mu),
                                 sigma=Tensor(np.ones((m, 3))))
-        got = tm.heuristic_scores(memory, sw.stack_frame(dets, 3, 3, 6))
+        frame = make_frame(dets)
+        got = tm.heuristic_scores(memory, frame)
         classes = [int(np.argmax(t.records[-1].scores[:-1])) if t.records else 0
                    for t in tracks]
-        want = np.array([[heuristic_pair_score(mu[i], classes[i], tracks[i].last_box, d)
-                          for d in dets] for i in range(m)]).reshape(m, n)
+        want = np.array([[heuristic_pair_score(mu[i], classes[i], tracks[i].last_box,
+                                               frame.boxes[j], frame.scores[j],
+                                               frame.appearance[j])
+                          for j in range(n)] for i in range(m)]).reshape(m, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         if m > 1 and n and classes[1] == 0:
             assert got[1, 0] == pytest.approx(4.0) and got[1, 0] == got.max()
@@ -503,12 +528,13 @@ def test_heuristic_association_assignment():
     config = small_config(heuristic_association=True)
     model = tm.build_model(config, seed=19)
     det0 = make_det([0.3, 0.5, 0.2, 0.2], one_hot(1), [1.0, 0.0, 0.0])
-    memory, _ = tm.step([], [det0], model, tm.Thresholds(), "infer", 0)
+    memory, _ = tm.step([], det0, model, tm.Thresholds(), "infer", 0)
     assert len(memory) == 1  # hard init: unassigned detection spawns
     # same place, same class, same appearance: should assign to the track
     det1 = make_det([0.31, 0.5, 0.2, 0.2], one_hot(1), [1.0, 0.0, 0.0])
     far = make_det([0.8, 0.1, 0.1, 0.1], one_hot(2), [-1.0, 0.5, 0.0])
-    memory, out = tm.step(memory, [det1, far], model, tm.Thresholds(), "infer", 1)
+    memory, out = tm.step(memory, make_frame([det1, far]), model, tm.Thresholds(),
+                          "infer", 1)
     track = memory[0]
     assert track.records[-1].active
     assert track.records[-1].matched_detection == 0
@@ -556,7 +582,7 @@ def test_tracks_to_json_schema():
     model = tm.build_model(config, seed=26)
     force_head(model.params, "init_head", 0.0, 0.0)
     det = make_det([0.5, 0.5, 0.2, 0.2], one_hot(0), [0.0, 1.0, 0.0])
-    memory, _ = tm.step([], [det], model, tm.Thresholds(), "infer", 0)
+    memory, _ = tm.step([], det, model, tm.Thresholds(), "infer", 0)
     blob = tm.tracks_to_json(memory, 1)
     assert blob["num_frames"] == 1
     track = blob["tracks"][0]

@@ -1,7 +1,7 @@
 """Short end-to-end training on the crossing-objects suite, then a budget
-comparison of the full model against one ablation.  Expect a few minutes;
-numbers should improve with a larger budget; no test checks that yet (see
-ROADMAP item 2).
+comparison of the full model against one ablation.  Expect about half a
+minute; numbers should improve with a larger budget; no test checks that yet
+(see ROADMAP item 2).
 
 Run:  python demos/05_train_and_compare.py
 """

@@ -283,8 +283,16 @@ def sequence_loss(model, det_frames, gt, loss_config: LossConfig,
 
 def train(dataset, model: tm.TrackModel, config: TrainConfig,
           thresholds: tm.Thresholds | None = None, log_every: int = 0):
-    """Adam on the summed batch loss; returns the loss curve as a list of
-    LossBreakdown.  Raises DivergenceError on a non-finite loss."""
+    """Adam on the batch-mean loss; returns the loss curve as a list of
+    LossBreakdown.  Raises DivergenceError on a non-finite loss.
+
+    Each sequence of a batch is recorded on its own tape and swept at once,
+    its loss scaled by 1/batch_size, onto the parameters' gradients, so an
+    iteration holds one sequence's tape, not the batch's.  The sequences are
+    swept last first: a reverse sweep over one tape holding the whole batch
+    reaches the last sequence first, so each parameter's gradient sums its
+    contributions in the same order, bit for bit.  The loss curve still sums
+    the sequences in batch order."""
     thresholds = thresholds or tm.Thresholds()
     rng = np.random.default_rng(config.seed)
     state = nc.AdamState(model.params)
@@ -292,34 +300,39 @@ def train(dataset, model: tm.TrackModel, config: TrainConfig,
     for it in range(config.iterations):
         batch_idx = rng.integers(0, len(dataset), size=config.batch_size)
         model.params.zero_grads()
+        breakdowns = [None] * config.batch_size
         try:
-            with nc.Tape() as tape:
-                total = Tensor(0.0)
-                acc = np.zeros(4)
-                for bi in batch_idx:
-                    det_frames, gt = dataset[bi]
-                    parts = unroll_sequence(model, det_frames, gt, thresholds,
-                                            mode="train")
-                    seq_total, bd = total_loss(parts["score"], parts["seg"],
-                                               parts["match"], parts["init"],
-                                               config.loss)
-                    total = total + seq_total
-                    acc += (bd.score, bd.seg, bd.match, bd.init)
-                total = total * (1.0 / config.batch_size)
-            if not np.isfinite(total.data):
-                raise DivergenceError(it)
-            grads = nc.backward(tape, total, model.params)
+            for i in reversed(range(config.batch_size)):
+                breakdowns[i], grads = _sweep_sequence(dataset[batch_idx[i]], model,
+                                                       config, thresholds, it)
             nc.adam_step(model.params, grads, state, lr=config.lr,
                          weight_decay=config.weight_decay, betas=config.betas)
         except nc.NumericOverflowError as exc:
             # forward/optimizer numeric-state checks are divergence, not crashes
             raise DivergenceError(it) from exc
+        total, acc = 0.0, np.zeros(4)
+        for bd in breakdowns:
+            total += bd.total
+            acc += (bd.score, bd.seg, bd.match, bd.init)
         acc /= config.batch_size
-        curve.append(LossBreakdown(score=acc[0], seg=acc[1], match=acc[2],
-                                   init=acc[3], total=total.item()))
+        curve.append(LossBreakdown(*acc, total=total * (1.0 / config.batch_size)))
         if log_every and (it + 1) % log_every == 0:
-            print(f"iter {it + 1}: total {total.item():.4f}")
+            print(f"iter {it + 1}: total {curve[-1].total:.4f}")
     return curve
+
+
+def _sweep_sequence(sequence, model: tm.TrackModel, config: TrainConfig,
+                    thresholds: tm.Thresholds, it: int):
+    """One sequence's share of a training iteration: its loss breakdown and
+    the store's gradients once its scaled loss is swept.  The tape is freed
+    on return."""
+    det_frames, gt = sequence
+    with nc.Tape() as tape:
+        seq_total, bd = sequence_loss(model, det_frames, gt, config.loss, thresholds)
+        scaled = seq_total * (1.0 / config.batch_size)
+    if not np.isfinite(bd.total):
+        raise DivergenceError(it)
+    return bd, nc.backward(tape, scaled, model.params)
 
 
 # ---------------------------------------------------------------------------

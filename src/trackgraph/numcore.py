@@ -14,6 +14,12 @@ fixed shape; `slot_sum` additionally fixes the accumulation order to
 ascending slot index, so a graph node's aggregate is one sequential sum
 however large the graph is.
 
+`backward` with a `ParamStore` accumulates: each parameter's gradient is
+added onto the `.grad` it holds until `ParamStore.zero_grads()`, so a batch
+can be swept one tape at a time.  Other gradients live only from the sweep of
+their first consumer to the sweep of the node that made them; afterwards only
+parameters hold `.grad`.
+
 Importing the module also sets glibc's heap policy once, so that the memory
 a frame frees stays in the heap for the next frame.  By default glibc hands
 a freed top of heap back to the kernel, and a crowded frame's several MB of
@@ -305,10 +311,16 @@ def _():
     def fwd(axis, *parts):
         return np.concatenate(parts, axis=axis)
 
+    # Each part's gradient is its slice of g: the views np.split would give,
+    # without its per-call overhead.
     def bwd(axis, g, out, need, *parts):
-        sizes = [p.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(g, splits, axis=axis))
+        index = [slice(None)] * g.ndim
+        grads, start = [], 0
+        for p in parts:
+            index[axis] = slice(start, start + p.shape[axis])
+            grads.append(g[tuple(index)])
+            start += p.shape[axis]
+        return tuple(grads)
 
     return fwd, bwd
 
@@ -584,16 +596,23 @@ def swapaxes01(a: Tensor) -> Tensor:
 
 
 def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
-    """Reverse sweep from a scalar output.  Without a ParamStore, fills
-    `.grad` on every tensor that participates.  With one, only tensors that
-    descend from a parameter in the store receive gradient: a node none of
-    whose inputs does is never swept, and a swept node forms no gradient for
-    an input that does not.  Returns {name: grad} for the store, with zeros
-    for parameters the tape never touched."""
+    """Reverse sweep from a scalar output.
+
+    Without a ParamStore, sets `.grad` on every tensor that participates,
+    replacing what it held.  With one, only tensors that descend from a
+    parameter in the store receive gradient: a node none of whose inputs
+    does is never swept, and a swept node forms no gradient for an input
+    that does not.  Each parameter's gradient is then added onto the `.grad`
+    it already holds (`zero_grads()` starts a new sum), contribution by
+    contribution in sweep order, and a node's output gradient is dropped once
+    that node is swept, so the sweep holds only the gradients it still owes
+    and afterwards only parameters hold `.grad`.  Returns {name: grad} for
+    the store, with zeros for parameters that hold no gradient."""
     if output.data.shape != ():
         raise NumericError(f"backward needs a scalar output, got shape {output.shape}")
     if params is None:
         needs = [[True] * len(node.inputs) for node in tape.nodes]
+        grads: dict[int, Array] = {}
     else:
         live = {id(t) for t in params.tensors()}
         needs = []
@@ -602,10 +621,12 @@ def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
             if True in need:
                 live.add(id(node.output))
             needs.append(need)
-    grads: dict[int, Array] = {id(output): np.ones((), dtype=np.float64)}
+        grads = {id(t): t.grad for t in params.tensors() if t.grad is not None}
+    grads[id(output)] = np.ones((), dtype=np.float64)
     touched: dict[int, Tensor] = {id(output): output}
+    take = grads.get if params is None else grads.pop
     for node, need in zip(reversed(tape.nodes), reversed(needs)):
-        g = grads.get(id(node.output))
+        g = take(id(node.output), None)
         if g is None:
             continue
         in_grads = _BACKWARD[node.op](
@@ -619,14 +640,16 @@ def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
             else:
                 grads[id(t)] = ig
                 touched[id(t)] = t
-    for key, t in touched.items():
-        t.grad = grads[key]
-    if params is not None:
-        return {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params.items()
-        }
-    return None
+    if params is None:
+        for key, t in touched.items():
+            t.grad = grads[key]
+        return None
+    for t in params.tensors():
+        t.grad = grads.get(id(t))
+    return {
+        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+        for name, t in params.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,11 @@ def save_ground_truth_jsonl(seq: GroundTruthSequence, path):
 
 
 def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruthSequence:
-    """Rebuild a ground-truth sequence from per-frame object records."""
+    """Rebuild a ground-truth sequence from per-frame object records.  The
+    file's first mask sets the grid; every mask must match it."""
     rows: dict[int, dict] = {}
     seen: set[int] = set()
+    grid_from = None  # (mask shape, the line that set it)
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             record = json.loads(line)
@@ -407,14 +409,16 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
                     "appearance": np.asarray(o["appearance"], dtype=np.float64),
                     "frames": {},
                 })
-                entry["frames"][t] = (
-                    np.asarray(o["box"], dtype=np.float64),
-                    _decode_mask(o["mask"]),
-                )
+                mask = _decode_mask(o["mask"])
+                grid_from = grid_from or (mask.shape, lineno)
+                if mask.shape != grid_from[0]:
+                    raise DataError(f"object {o['id']} mask has shape {mask.shape}, not "
+                                    f"{grid_from[0]} as on line {grid_from[1]}")
+                entry["frames"][t] = (np.asarray(o["box"], dtype=np.float64), mask)
         except (KeyError, ValueError, TypeError) as exc:
             raise DataError(f"{path}: malformed line {lineno}: {exc}") from None
     T = max(seen, default=-1) + 1
-    grid = next((m.shape[0] for e in rows.values() for _, m in e["frames"].values()), 24)
+    grid = grid_from[0][0] if grid_from else 24
     classes = (max((e["class"] for e in rows.values()), default=0) + 1
                if num_classes is None else num_classes)
     dims = next((len(e["appearance"]) for e in rows.values()), 8)

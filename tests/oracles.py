@@ -5,7 +5,9 @@ never import the implementation paths they audit."""
 import numpy as np
 
 import trackgraph.assocgraph as ag
+import trackgraph.learn as learn
 import trackgraph.numcore as nc
+import trackgraph.trackman as tm
 
 
 def jaccard(pred, gt) -> float:
@@ -227,3 +229,34 @@ def lovasz_softmax_frame_loop(logits, labels):
     for t in terms[1:]:
         total = total + t
     return total * (1.0 / len(terms))
+
+
+def joint_tape_train(dataset, model, config, thresholds=None):
+    """`learn.train` with the whole batch on one tape: each iteration records
+    every sequence's loss on the same tape, sums them in batch order, and
+    sweeps the batch mean once.  No divergence handling.  `learn.train`'s
+    per-sequence sweeps must match it bit for bit."""
+    thresholds = thresholds or tm.Thresholds()
+    rng = np.random.default_rng(config.seed)
+    state = nc.AdamState(model.params)
+    curve = []
+    for _ in range(config.iterations):
+        batch_idx = rng.integers(0, len(dataset), size=config.batch_size)
+        model.params.zero_grads()
+        with nc.Tape() as tape:
+            total = nc.Tensor(0.0)
+            acc = np.zeros(4)
+            for bi in batch_idx:
+                det_frames, gt = dataset[bi]
+                seq_total, bd = learn.sequence_loss(model, det_frames, gt,
+                                                    config.loss, thresholds)
+                total = total + seq_total
+                acc += (bd.score, bd.seg, bd.match, bd.init)
+            total = total * (1.0 / config.batch_size)
+        grads = nc.backward(tape, total, model.params)
+        nc.adam_step(model.params, grads, state, lr=config.lr,
+                     weight_decay=config.weight_decay, betas=config.betas)
+        acc /= config.batch_size
+        curve.append(learn.LossBreakdown(score=acc[0], seg=acc[1], match=acc[2],
+                                         init=acc[3], total=total.item()))
+    return curve

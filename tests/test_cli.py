@@ -257,6 +257,21 @@ def test_negative_ground_truth_frame_exits_two(tmp_path, capsys):
     assert "negative frame -1" in capsys.readouterr().err
 
 
+def test_ground_truth_mask_grid_mismatch_exits_two(tmp_path, capsys):
+    # the file's first mask sets the grid (6x6); one object on line 2 disagrees
+    _, gt, _ = _tiny_stream(tmp_path)
+    lines = gt.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["objects"][0]["mask"] = _MASK_5X5
+    gt.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    oid = record["objects"][0]["id"]
+    assert (f"malformed line 2: object {oid} mask has shape (5, 5), not (6, 6) as on line 1"
+            in capsys.readouterr().err)
+
+
 def test_gradcheck_single_target():
     assert run(["gradcheck", "--target", "gate"]) == 0
 

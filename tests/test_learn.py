@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import Tensor
 
-from oracles import lovasz_softmax_frame_loop
+from oracles import joint_tape_train, lovasz_softmax_frame_loop
 
 
 def box_frame(*boxes):
@@ -311,6 +312,37 @@ def test_training_reproducible():
     c2, p2 = run()
     assert c1 == c2
     np.testing.assert_array_equal(p1, p2)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_per_sequence_sweeps_match_joint_tape_bit_for_bit(batch_size):
+    data = build_dataset([51, 52, 53, 54, 55, 56])
+    config = learn.TrainConfig(iterations=2, batch_size=batch_size, lr=1e-3, seed=2)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.iterations):  # seed 2 draws distinct sequences
+        assert len(set(rng.integers(0, len(data), size=batch_size))) == batch_size
+    model = tm.build_model(small_config(), seed=5)
+    joint = tm.build_model(small_config(), seed=5)
+    assert learn.train(data, model, config) == joint_tape_train(data, joint, config)
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(t.grad, joint.params[name].grad, err_msg=name)
+        np.testing.assert_array_equal(t.data, joint.params[name].data, err_msg=name)
+
+
+def test_training_peak_memory_does_not_grow_with_batch_size():
+    # one sequence, so a batch of 4 repeats it: only the tapes held at once
+    # can make its iteration peak above batch 1's
+    data = build_dataset([61])
+    peaks = {}
+    for batch_size in (1, 4):
+        model = tm.build_model(small_config(), seed=7)
+        tracemalloc.start()
+        try:
+            learn.train(data, model, learn.TrainConfig(iterations=1, batch_size=batch_size))
+            peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] < 1.25 * peaks[1], peaks
 
 
 def test_divergence_detected_and_reported():

@@ -431,6 +431,45 @@ def test_adam_decoupled_weight_decay():
     np.testing.assert_allclose(store["w"].data, [2.0 * (1 - 0.1 * 0.5)])
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_backward_hands_each_part_its_slice(axis):
+    rng = np.random.default_rng(10)
+    shapes = [[2, 3, 4] for _ in range(3)]
+    for shape, size in zip(shapes, (1, 3, 2)):
+        shape[axis] = size
+    parts = [Tensor(rng.normal(size=s)) for s in shapes]
+    with Tape() as tape:
+        joined = nc.concat(parts, axis=axis)
+        probe = rng.normal(size=joined.shape)
+        out = nc.reshape(nc.tsum(joined * Tensor(probe)), ())
+    backward(tape, out)
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
+    for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        np.testing.assert_array_equal(p.grad, np.take(probe, np.arange(lo, hi), axis=axis))
+
+
+def test_backward_with_store_adds_onto_parameter_grads_and_keeps_no_other():
+    rng = np.random.default_rng(9)
+    store = ParamStore()
+    w = store.add("w", rng.normal(size=(3, 2)))
+    b = store.add("b", rng.normal(size=3))
+    x = Tensor(rng.normal(size=(4, 2)))
+    with Tape() as tape:
+        h = nc.tanh(linear(w, b, x))
+        out = nc.reshape(nc.tsum(h * h), ())
+    first = backward(tape, out, store)
+    assert x.grad is None
+    assert all(node.output.grad is None for node in tape.nodes)
+    assert first["w"] is w.grad and first["b"] is b.grad
+    # no zero_grads(): the second sweep adds its (equal) contribution
+    second = backward(tape, out, store)
+    for name, t in store.items():
+        np.testing.assert_array_equal(second[name], first[name] + first[name])
+        assert t.grad is second[name]
+    store.zero_grads()
+    np.testing.assert_array_equal(backward(tape, out, store)["w"], first["w"])
+
+
 def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
     rng = np.random.default_rng(7)
     store = ParamStore()

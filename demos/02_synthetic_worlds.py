@@ -32,10 +32,10 @@ fp_count = sum(int(np.count_nonzero(f.sources == "fp")) for f in stream.frames)
 print(f"detections per frame: {per_frame}  (false positives: {fp_count})")
 
 # the crossing pair shares a class; find the frame where they overlap most
-from trackgraph.assocgraph import iou
+from trackgraph.assocgraph import iou_matrix
 
 a, b = gt.objects[0], gt.objects[1]
-overlaps = [iou(a.boxes[t], b.boxes[t]) for t in range(gt.frames)]
+overlaps = [iou_matrix(a.boxes[t], b.boxes[t])[0, 0] for t in range(gt.frames)]
 print(f"crossing pair (class {a.class_id}) peak IoU "
       f"{max(overlaps):.2f} at frame {int(np.argmax(overlaps))}")
 

@@ -92,27 +92,13 @@ class GraphBatch:
 # geometry
 
 
-def iou(box_a, box_b) -> float:
-    """Intersection over union of two (cx, cy, w, h) boxes; 0 for an empty
-    union."""
-    ax0, ay0, ax1, ay1 = _corners(*(float(v) for v in box_a))
-    bx0, by0, bx1, by1 = _corners(*(float(v) for v in box_b))
-    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def _corners(cx, cy, w, h):
     return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """(len(boxes_a), len(boxes_b)) IoUs; the same operations in the same
-    order as `iou`, so every entry equals the scalar result bit for bit."""
+    """(len(boxes_a), len(boxes_b)) intersection over union of (cx, cy, w, h)
+    boxes; 0 where the union is empty.  The one box IoU of the package."""
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
     ax0, ay0, ax1, ay1 = _corners(*a)

@@ -1,11 +1,20 @@
-"""Sequence-level evaluation: spatio-temporal IoU, video mAP, and identity
-metrics, plus report rendering.
+"""Sequence-level evaluation: video mAP and identity metrics, plus report
+rendering.
 
-Tracks are compared as per-frame mask sets.  A predicted track's class and
-confidence come from its final-frame class distribution (the frame with the
-most accumulated evidence): class is the argmax over foreground classes and
-confidence is that class's probability, so tracks the model has pushed
-toward background rank at the bottom.
+Tracks are compared as per-frame masks whose nonzero pixels count.  The
+st-IoU of two tracks is YouTube-VIS's video IoU (Yang et al., ICCV 2019):
+summed per-frame intersections over summed per-frame unions, where a frame
+that only one track covers adds its area to the union; an empty union gives
+0.  Each sequence's masks, all on one grid, are stacked once into the
+integer (frames, predictions, ground truth) intersection tensor:
+`video_map` sums it over frames into an st-IoU matrix, formed once per call
+and reused at every threshold and class, and `id_metrics` reads it per frame.
+
+A predicted track's class is the argmax of its final record's foreground
+scores and its confidence is that class's probability, so tracks pushed
+toward background rank last.  The final record counts even when the track
+was lost frames earlier: YouTube-VIS takes one score per predicted video
+instance and leaves how to form it to the method.
 """
 
 from __future__ import annotations
@@ -14,13 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import synthworld as sw
+
 MAP_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.951, 0.05), 2))
 
 
 @dataclass
 class EvalTrack:
-    """Evaluation view of one track: binary masks on the frames where it
-    reported anything, one class, one confidence."""
+    """Evaluation view of one track: masks on the frames where it reported
+    anything, one class, one confidence."""
 
     id: int
     class_id: int
@@ -99,117 +110,124 @@ def tracks_from_gt(gt, sequence: int = 0) -> list[EvalTrack]:
 # metrics
 
 
+def _overlaps(predictions: list[EvalTrack], gts: list[EvalTrack]):
+    """The one overlap computation.  Per sequence, yields the indices of its
+    predictions in id order and of its ground truth in input order, the
+    frames any of them covers in ascending order, the integer (frames,
+    predictions, ground truth) intersection tensor over those frames, and
+    each track's total area.  Masks on a second grid raise DataError."""
+    groups: dict = {}
+    for i in sorted(range(len(predictions)), key=lambda i: predictions[i].id):
+        groups.setdefault(predictions[i].sequence, ([], []))[0].append(i)
+    for j, g in enumerate(gts):
+        groups.setdefault(g.sequence, ([], []))[1].append(j)
+    for seq, (pi, gi) in groups.items():
+        sides = [predictions[i] for i in pi], [gts[j] for j in gi]
+        masks = [(t, m) for side in sides for tr in side for t, m in tr.masks.items()]
+        grids = sorted({m.shape for _, m in masks})
+        if len(grids) > 1:
+            a, b = ("x".join(map(str, shape)) for shape in grids[:2])
+            raise sw.DataError(f"sequence {seq} has masks on grids {a} and {b}")
+        frames = sorted({t for t, _ in masks})
+        index = {t: f for f, t in enumerate(frames)}
+        cells = int(np.prod(grids[0])) if grids else 0
+        p, g = (np.zeros((len(frames), len(side), cells)) for side in sides)
+        for stack, side in zip((p, g), sides):
+            for k, tr in enumerate(side):
+                for t, m in tr.masks.items():
+                    stack[index[t], k] = np.ravel(m) != 0
+        # sums of 0/1 products are exact integers in float64
+        inter = np.matmul(p, g.transpose(0, 2, 1)).astype(np.int64)
+        yield (pi, gi, frames, inter, p.sum(axis=(0, 2)).astype(np.int64),
+               g.sum(axis=(0, 2)).astype(np.int64))
+
+
+def _st_iou_matrix(predictions: list[EvalTrack], gts: list[EvalTrack]) -> np.ndarray:
+    """(len(predictions), len(gts)) st-IoU; 0 between different sequences."""
+    out = np.zeros((len(predictions), len(gts)))
+    for pi, gi, _, inter, area_p, area_g in _overlaps(predictions, gts):
+        inter = inter.sum(axis=0)
+        union = area_p[:, None] + area_g[None, :] - inter
+        out[np.ix_(pi, gi)] = np.divide(inter, union, out=np.zeros(inter.shape),
+                                        where=union > 0)
+    return out
+
+
 def st_iou(track_a: EvalTrack, track_b: EvalTrack) -> float:
-    """Sum of per-frame intersections over sum of per-frame unions; a frame
-    where only one side exists contributes that side's area to the union."""
-    inter = 0
-    union = 0
-    for t in set(track_a.masks) | set(track_b.masks):
-        a = track_a.masks.get(t)
-        b = track_b.masks.get(t)
-        if a is not None and b is not None:
-            inter += int(np.logical_and(a, b).sum())
-            union += int(np.logical_or(a, b).sum())
-        elif a is not None:
-            union += int(np.count_nonzero(a))
-        else:
-            union += int(np.count_nonzero(b))
-    if union == 0:
-        return 0.0
-    return inter / union
+    """The st-IoU of the module docstring for one pair; 0 across sequences."""
+    return float(_st_iou_matrix([track_a], [track_b])[0, 0])
 
 
 def _interpolated_ap(tp_flags: list[bool], num_gt: int) -> float:
-    """101-point interpolated average precision."""
-    if num_gt == 0:
-        return 0.0
+    """101-point interpolated average precision; `num_gt` is at least 1.
+    Recall never falls down the ranking, so the best precision at or above
+    each recall level is a suffix maximum."""
     tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
-    recall = tp / num_gt
-    precision = tp / np.maximum(tp + fp, 1e-12)
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r - 1e-12
-        ap += float(precision[mask].max()) if mask.any() else 0.0
-    return ap / 101.0
+    precision = tp / np.arange(1, len(tp) + 1)
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    first = np.searchsorted(tp / num_gt, np.linspace(0.0, 1.0, 101) - 1e-12)
+    return sum(best[first].tolist()) / 101.0
 
 
-def _match_class_at_threshold(preds, gts, threshold: float) -> list[bool]:
-    """Greedy confidence-order matching: each prediction takes the free gt of
-    its own sequence with the highest st-IoU >= threshold."""
-    taken = set()
-    flags = []
-    for pred in preds:
-        best, best_gt = 0.0, None
-        for gi, gt in enumerate(gts):
-            if gi in taken or gt.sequence != pred.sequence:
-                continue
-            v = st_iou(pred, gt)
-            if v > best:
-                best, best_gt = v, gi
-        if best_gt is not None and best >= threshold:
-            taken.add(best_gt)
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+def _greedy_hits(iou: np.ndarray, threshold: float) -> list[bool]:
+    """Greedy confidence-order matching on one class's st-IoU rows (ranked
+    predictions x its ground truth): each prediction takes the free ground
+    truth of highest positive st-IoU, the lowest index on ties, and is a hit
+    when that value is >= threshold."""
+    free = np.ones(iou.shape[1], dtype=bool)
+    hits = []
+    for row in iou:
+        row = np.where(free, row, 0.0)
+        j = int(np.argmax(row))
+        hits.append(bool(row[j] > 0.0 and row[j] >= threshold))
+        free[j] &= not hits[-1]
+    return hits
 
 
 def video_map(predictions: list[EvalTrack], gts: list[EvalTrack],
               thresholds=MAP_THRESHOLDS) -> tuple[dict, dict, float]:
     """Per-threshold mAP, per-class AP (averaged over thresholds), and the
     overall mean.  Classes with no gt track are excluded from the averages;
-    equal-confidence predictions rank by lower id first."""
-    classes = sorted({g.class_id for g in gts})
-    per_threshold: dict[float, float] = {}
-    per_class_accum = {c: [] for c in classes}
-    for thr in thresholds:
-        class_aps = []
-        for c in classes:
-            preds = sorted([p for p in predictions if p.class_id == c],
-                           key=lambda p: (-p.confidence, p.sequence, p.id))
-            gt_c = [g for g in gts if g.class_id == c]
-            flags = _match_class_at_threshold(preds, gt_c, thr)
-            ap = _interpolated_ap(flags, len(gt_c))
-            class_aps.append(ap)
-            per_class_accum[c].append(ap)
-        per_threshold[float(thr)] = float(np.mean(class_aps)) if class_aps else 0.0
-    per_class = {c: float(np.mean(v)) for c, v in per_class_accum.items()}
+    equal-confidence predictions rank by sequence, then lower id first."""
+    iou = _st_iou_matrix(predictions, gts)
+    class_aps = {}
+    for c in sorted({g.class_id for g in gts}):
+        rows = sorted((i for i, p in enumerate(predictions) if p.class_id == c),
+                      key=lambda i: (-predictions[i].confidence, predictions[i].sequence,
+                                     predictions[i].id))
+        ranked = iou[np.ix_(rows, [j for j, g in enumerate(gts) if g.class_id == c])]
+        class_aps[c] = [_interpolated_ap(_greedy_hits(ranked, thr), ranked.shape[1])
+                        for thr in thresholds]
+    per_threshold = {float(thr): float(np.mean([aps[k] for aps in class_aps.values()]))
+                     if class_aps else 0.0 for k, thr in enumerate(thresholds)}
+    per_class = {c: float(np.mean(aps)) for c, aps in class_aps.items()}
     mean = float(np.mean(list(per_threshold.values()))) if per_threshold else 0.0
     return per_threshold, per_class, mean
-
-
-def _covering_track(preds: list[EvalTrack], gt_mask: np.ndarray, t: int):
-    best_overlap, best_id = 0, None
-    for p in sorted(preds, key=lambda p: p.id):
-        mask = p.masks.get(t)
-        if mask is None:
-            continue
-        overlap = int(np.logical_and(mask, gt_mask).sum())
-        if overlap > best_overlap:
-            best_overlap, best_id = overlap, p.id
-    return best_id
 
 
 def id_metrics(predictions: list[EvalTrack], gts: list[EvalTrack]) -> tuple[float, int]:
     """Association accuracy: fraction of (frame, gt object) pairs whose
     covering track is the object's most-frequent covering track.  ID switches:
-    changes of covering id between consecutive covered frames."""
-    total_pairs = 0
-    correct = 0
-    switches = 0
-    for gt in gts:
-        preds = [p for p in predictions if p.sequence == gt.sequence]
-        covers = []
-        for t in sorted(gt.masks):
-            total_pairs += 1
-            covers.append(_covering_track(preds, gt.masks[t], t))
-        covered = [c for c in covers if c is not None]
-        if covered:
-            ids, counts = np.unique(covered, return_counts=True)
-            main = int(ids[np.argmax(counts)])
-            correct += sum(1 for c in covers if c == main)
-            switches += sum(1 for a, b in zip(covered, covered[1:]) if a != b)
+    changes of covering id between consecutive covered frames.  A pair's
+    covering track is the prediction of largest positive intersection, the
+    lowest id on ties; none when no prediction overlaps."""
+    total_pairs = correct = switches = 0
+    for pi, gi, frames, inter, _, _ in _overlaps(predictions, gts):
+        if not (frames and gi):
+            continue    # no (frame, object) pair in this sequence
+        # a zero row in front: argmax 0 means no prediction overlaps
+        cover = np.argmax(np.pad(inter, ((0, 0), (1, 0), (0, 0))), axis=1)
+        ids = [None] + [predictions[i].id for i in pi]
+        index = {t: f for f, t in enumerate(frames)}
+        for q, j in enumerate(gi):
+            covers = [ids[cover[index[t], q]] for t in sorted(gts[j].masks)]
+            total_pairs += len(covers)
+            covered = [c for c in covers if c is not None]
+            if covered:
+                uniq, counts = np.unique(covered, return_counts=True)
+                main = int(uniq[np.argmax(counts)])
+                correct += covers.count(main)
+                switches += sum(1 for a, b in zip(covered, covered[1:]) if a != b)
     accuracy = correct / total_pairs if total_pairs else 0.0
     return accuracy, switches
 
@@ -236,8 +254,6 @@ def evaluate(predictions: list[EvalTrack], gts: list[EvalTrack],
 
 def tracks_from_json(blob: dict, sequence: int = 0) -> list[EvalTrack]:
     """EvalTracks from the track-output JSON schema."""
-    import base64
-
     out = []
     for tr in blob["tracks"]:
         masks = {}
@@ -245,9 +261,7 @@ def tracks_from_json(blob: dict, sequence: int = 0) -> list[EvalTrack]:
         for frame in tr["frames"]:
             final_scores = np.asarray(frame["scores"], dtype=np.float64)
             if frame.get("active") and "mask" in frame:
-                raw = np.frombuffer(base64.b64decode(frame["mask"]), dtype=np.uint8)
-                g = int(round(np.sqrt(raw.size)))
-                masks[int(frame["t"])] = raw.reshape(g, g).copy()
+                masks[int(frame["t"])] = sw.decode_mask(frame["mask"])
         if final_scores is None:
             continue
         out.append(_predicted_track(int(tr["id"]), final_scores, final_scores.size - 1,
@@ -265,8 +279,6 @@ def make_crossing_suite(num_sequences: int, seed: int, *, num_classes=5,
     """Training/evaluation suite of crossing-object worlds with corrupted
     detection streams: the stress case where same-class objects overlap
     mid-sequence."""
-    from . import synthworld as sw
-
     noise = noise or sw.NoiseConfig(miss_prob=0.1, false_positive_rate=0.3,
                                     class_temperature=0.3, box_jitter=0.01,
                                     appearance_noise=0.1, duplicate_prob=0.05)

@@ -98,11 +98,11 @@ def ramp_weights(seq_len: int) -> np.ndarray:
     return t / t.sum()
 
 
-def loss_score(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
+def loss_score(per_frame, seq_len: int) -> Tensor:
     """per_frame: list over frames of (scores Tensor (K, C+1), target classes
     (K,)).  Ramp-weighted cross-entropy -log p[target], with p clamped away
-    from 0/1, summed over tracks and averaged over the batch (the ramp
-    itself carries the sequence normalization)."""
+    from 0/1, summed over tracks (the ramp itself carries the sequence
+    normalization)."""
     weights = ramp_weights(seq_len)
     picked, picked_w = [], []
     for t, (scores, targets) in enumerate(per_frame):
@@ -111,7 +111,7 @@ def loss_score(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
                                 rows * scores.shape[-1] + np.asarray(targets, dtype=int)))
         picked_w.append(np.full(len(rows), weights[t]))
     ce = -_clamped_log(nc.concat(picked, axis=0))
-    return nc.tsum(ce * Tensor(np.concatenate(picked_w))) * (1.0 / batch_size)
+    return nc.tsum(ce * Tensor(np.concatenate(picked_w)))
 
 
 def bce_sum(probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -122,12 +122,12 @@ def bce_sum(probs: Tensor, targets: np.ndarray) -> Tensor:
     return -nc.tsum(t * logp + (1.0 - t) * lognot)
 
 
-def loss_bce(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
+def loss_bce(per_frame, seq_len: int) -> Tensor:
     """per_frame: list of (probs Tensor, targets) over the live entries.  Sum
-    over all of them; normalize by batch size and sequence length only."""
+    over all of them; normalize by sequence length only."""
     probs = nc.concat([nc.reshape(p, (-1,)) for p, _ in per_frame], axis=0)
     targets = np.concatenate([np.ravel(t) for _, t in per_frame])
-    return bce_sum(probs, targets) * (1.0 / (batch_size * seq_len))
+    return bce_sum(probs, targets) * (1.0 / seq_len)
 
 
 def lovasz_grad_vector(fg_sorted: np.ndarray) -> np.ndarray:
@@ -168,17 +168,17 @@ def lovasz_softmax_frame(logits: Tensor, labels: np.ndarray) -> Tensor:
     return nc.slot_sum(terms, 0) * (1.0 / k)
 
 
-def loss_seg(per_frame, seq_len: int, batch_size: int = 1) -> Tensor:
+def loss_seg(per_frame, seq_len: int) -> Tensor:
     """per_frame: list of (logits, labels) or None for frames without active
-    tracks.  Mean of per-frame terms over the sequence and batch, keeping the
-    component inside [0, 1]."""
+    tracks.  Mean of per-frame terms over the sequence, keeping the component
+    inside [0, 1]."""
     total = Tensor(0.0)
     for entry in per_frame:
         if entry is None:
             continue
         logits, labels = entry
         total = total + lovasz_softmax_frame(logits, labels)
-    return total * (1.0 / (batch_size * seq_len))
+    return total * (1.0 / seq_len)
 
 
 def total_loss(score: Tensor, seg: Tensor, match: Tensor, init: Tensor,

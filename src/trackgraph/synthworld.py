@@ -309,7 +309,7 @@ def _encode_mask(mask: np.ndarray) -> str:
     return base64.b64encode(np.asarray(mask, dtype=np.uint8).tobytes()).decode("ascii")
 
 
-def _decode_mask(data: str) -> np.ndarray:
+def decode_mask(data: str) -> np.ndarray:
     """A read-only square row-major uint8 mask; its grid is from the byte count."""
     raw = np.frombuffer(base64.b64decode(data), dtype=np.uint8)
     grid = math.isqrt(raw.size)
@@ -357,7 +357,7 @@ def _stack_line(rows, shapes: dict, lineno: int) -> DetectionFrame:
     each field's row shape in `shapes`; every detection must match it."""
     columns, wants = [], []
     for key, default in _JSON_FIELDS.items():
-        values = [_decode_mask(r[key]) if key == "mask"
+        values = [decode_mask(r[key]) if key == "mask"
                   else np.asarray(r[key], dtype=np.float64) for r in rows]
         if values and key not in shapes:
             shapes[key] = (values[0].shape, lineno)
@@ -409,7 +409,7 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
                     "appearance": np.asarray(o["appearance"], dtype=np.float64),
                     "frames": {},
                 })
-                mask = _decode_mask(o["mask"])
+                mask = decode_mask(o["mask"])
                 grid_from = grid_from or (mask.shape, lineno)
                 if mask.shape != grid_from[0]:
                     raise DataError(f"object {o['id']} mask has shape {mask.shape}, not "

@@ -10,11 +10,19 @@ import trackgraph.numcore as nc
 import trackgraph.trackman as tm
 
 
-def jaccard(pred, gt) -> float:
-    inter = np.logical_and(pred, gt).sum()
-    union = np.logical_or(pred, gt).sum()
-    if union == 0:
-        return 1.0
+def iou(box_a, box_b) -> float:
+    """Intersection over union of two (cx, cy, w, h) boxes; 0 for an empty
+    union."""
+    ax, ay, aw, ah = (float(v) for v in box_a)
+    bx, by, bw, bh = (float(v) for v in box_b)
+    ax0, ay0, ax1, ay1 = ax - aw / 2, ay - ah / 2, ax + aw / 2, ay + ah / 2
+    bx0, by0, bx1, by1 = bx - bw / 2, by - bh / 2, bx + bw / 2, by + bh / 2
+    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    if union <= 0.0:
+        return 0.0
     return inter / union
 
 
@@ -33,8 +41,8 @@ def st_iou_oracle(masks_a: dict, masks_b: dict) -> float:
 
 def ap_oracle(preds, gts, thr) -> float:
     """Average precision re-derived step by step: confidence-order greedy
-    matching to the best free ground-truth track, then an explicit
-    101-point interpolated precision sweep."""
+    matching to the best free ground-truth track of the prediction's own
+    sequence, then an explicit 101-point interpolated precision sweep."""
     preds = sorted(preds, key=lambda p: (-p.confidence, p.sequence, p.id))
     taken = [False] * len(gts)
     flags = []
@@ -67,15 +75,62 @@ def ap_oracle(preds, gts, thr) -> float:
     return ap / 101.0
 
 
-def map_oracle(preds, gts, thresholds) -> float:
+def video_map_oracle(preds, gts, thresholds):
+    """(per-threshold mAP, per-class AP, mean) as `evalkit.video_map`
+    returns them, one class and threshold at a time."""
     classes = sorted({g.class_id for g in gts})
-    vals = []
+    per_threshold, per_class = {}, {c: [] for c in classes}
     for thr in thresholds:
-        aps = [ap_oracle([p for p in preds if p.class_id == c],
-                         [g for g in gts if g.class_id == c], thr)
-               for c in classes]
-        vals.append(np.mean(aps) if aps else 0.0)
-    return float(np.mean(vals)) if vals else 0.0
+        aps = []
+        for c in classes:
+            aps.append(ap_oracle([p for p in preds if p.class_id == c],
+                                 [g for g in gts if g.class_id == c], thr))
+            per_class[c].append(aps[-1])
+        per_threshold[float(thr)] = float(np.mean(aps)) if aps else 0.0
+    mean = float(np.mean(list(per_threshold.values()))) if per_threshold else 0.0
+    return per_threshold, {c: float(np.mean(v)) for c, v in per_class.items()}, mean
+
+
+def covering_track_oracle(preds, gt_mask, t):
+    """The id of the prediction whose frame-t mask overlaps `gt_mask` most,
+    scanning in id order and keeping the first strict maximum; None when no
+    prediction overlaps."""
+    best_overlap, best_id = 0, None
+    for p in sorted(preds, key=lambda p: p.id):
+        mask = p.masks.get(t)
+        if mask is None:
+            continue
+        overlap = int(np.logical_and(mask, gt_mask).sum())
+        if overlap > best_overlap:
+            best_overlap, best_id = overlap, p.id
+    return best_id
+
+
+def id_metrics_oracle(preds, gts):
+    """(association accuracy, ID switches) as `evalkit.id_metrics` returns
+    them, one (frame, object) pair at a time."""
+    total_pairs = correct = switches = 0
+    for gt in gts:
+        same_seq = [p for p in preds if p.sequence == gt.sequence]
+        covers = [covering_track_oracle(same_seq, gt.masks[t], t) for t in sorted(gt.masks)]
+        total_pairs += len(covers)
+        covered = [c for c in covers if c is not None]
+        if covered:
+            ids, counts = np.unique(covered, return_counts=True)
+            main = int(ids[np.argmax(counts)])
+            correct += sum(1 for c in covers if c == main)
+            switches += sum(1 for a, b in zip(covered, covered[1:]) if a != b)
+    return (correct / total_pairs if total_pairs else 0.0), switches
+
+
+def report_oracle(preds, gts, thresholds) -> dict:
+    """`evalkit.evaluate(preds, gts).to_dict()` from the oracles above."""
+    per_threshold, per_class, mean = video_map_oracle(preds, gts, thresholds)
+    accuracy, switches = id_metrics_oracle(preds, gts)
+    return {"mean_map": mean,
+            "map_per_threshold": {f"{k:.2f}": v for k, v in per_threshold.items()},
+            "ap_per_class": {str(k): v for k, v in per_class.items()},
+            "association_accuracy": accuracy, "id_switches": switches, "scenarios": {}}
 
 
 def heuristic_pair_score(track_mu, track_class: int, track_box, det_box, det_scores,
@@ -88,7 +143,7 @@ def heuristic_pair_score(track_mu, track_class: int, track_box, det_box, det_sco
                                                       / (na * nb))
     same_class = 1.0 if int(np.argmax(det_scores[:-1])) == track_class else 0.0
     top = float(np.max(det_scores[:-1]))
-    return float(np.dot(np.ones(4), [cosine, ag.iou(track_box, det_box), same_class, top]))
+    return float(np.dot(np.ones(4), [cosine, iou(track_box, det_box), same_class, top]))
 
 
 def mask_head_oracle(params: dict, embeddings, masks, boxes, grid: int):

@@ -8,7 +8,7 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import NumericError, ParamStore, Tape, Tensor, backward, grad_check
 
-from oracles import gnn_forward_all_rows
+from oracles import gnn_forward_all_rows, iou
 
 
 def make_frame(config, rows):
@@ -154,15 +154,15 @@ def oracle_forward(p, config, tracks, dets, edges):
 
 
 def test_iou_identical():
-    assert ag.iou([0.5, 0.5, 0.2, 0.4], [0.5, 0.5, 0.2, 0.4]) == 1.0
+    assert ag.iou_matrix([0.5, 0.5, 0.2, 0.4], [0.5, 0.5, 0.2, 0.4])[0, 0] == 1.0
 
 
 def test_iou_disjoint():
-    assert ag.iou([0.2, 0.2, 0.1, 0.1], [0.8, 0.8, 0.1, 0.1]) == 0.0
+    assert ag.iou_matrix([0.2, 0.2, 0.1, 0.1], [0.8, 0.8, 0.1, 0.1])[0, 0] == 0.0
 
 
 def test_iou_empty_union():
-    assert ag.iou([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]) == 0.0
+    assert ag.iou_matrix([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0])[0, 0] == 0.0
 
 
 def test_iou_corner_boxes_matches_raster_oracle():
@@ -177,10 +177,9 @@ def test_iou_corner_boxes_matches_raster_oracle():
         x0, y0, x1, y1 = g[0] - g[2] / 2, g[1] - g[3] / 2, g[0] + g[2] / 2, g[1] + g[3] / 2
         gi[np.ix_((xs >= y0) & (xs <= y1), (xs >= x0) & (xs <= x1))] = True
     raster = (grid_a & grid_b).sum() / (grid_a | grid_b).sum()
-    exact = ag.iou(a, b)
+    exact = ag.iou_matrix([a], [b])[0, 0]
     assert exact == pytest.approx(1.0 / 7.0, abs=1e-12)
     assert exact == pytest.approx(raster, abs=2e-3)
-    assert ag.iou_matrix([a], [b])[0, 0] == exact
 
 
 def test_iou_matrix_equals_scalar_iou_bit_for_bit():
@@ -193,7 +192,7 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit():
             boxes_b[0, 2:] = 0.0  # an empty box: zero union against itself
         got = ag.iou_matrix(boxes_a, boxes_b)
         assert got.shape == (m, n)
-        want = np.array([[ag.iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(m, n)
+        want = np.array([[iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(m, n)
         np.testing.assert_array_equal(got, want)
     assert ag.iou_matrix([[0.5, 0.5, 0.0, 0.0]], [[0.5, 0.5, 0.0, 0.0]])[0, 0] == 0.0
 

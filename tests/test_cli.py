@@ -272,6 +272,27 @@ def test_ground_truth_mask_grid_mismatch_exits_two(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("t", [0, 7], ids=["overlapping_frame", "disjoint_frame"])
+def test_track_masks_on_another_grid_exit_two(tmp_path, capsys, t):
+    # the ground truth is on a 6x6 grid, the track's mask on 5x5
+    _, gt, _ = _tiny_stream(tmp_path)
+    tracks = tmp_path / "tracks.json"
+    frame = {"t": t, "active": True, "scores": [0.7, 0.1, 0.1, 0.1], "mask": _MASK_5X5}
+    tracks.write_text(json.dumps({"tracks": [{"id": 0, "frames": [frame]}]}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert "masks on grids 5x5 and 6x6" in capsys.readouterr().err
+
+
+def test_track_mask_payload_not_square_exits_two(tmp_path, capsys):
+    _, gt, _ = _tiny_stream(tmp_path)
+    tracks = tmp_path / "tracks.json"
+    frame = {"t": 0, "active": True, "scores": [0.7, 0.1, 0.1, 0.1],
+             "mask": base64.b64encode(bytes(24)).decode()}
+    tracks.write_text(json.dumps({"tracks": [{"id": 0, "frames": [frame]}]}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert "mask payload has 24 bytes, not a square grid" in capsys.readouterr().err
+
+
 def test_gradcheck_single_target():
     assert run(["gradcheck", "--target", "gate"]) == 0
 

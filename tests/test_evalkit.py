@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from trackgraph import evalkit as ek
+from trackgraph import synthworld as sw
+from trackgraph import trackman as tm
+from trackgraph.assocgraph import ModelConfig
+
+from oracles import id_metrics_oracle, report_oracle, st_iou_oracle, video_map_oracle
 
 
 def mask_of(cells, grid=6):
@@ -20,69 +25,6 @@ def block(r0, r1, c0, c1, grid=6):
 def track(tid, cls, conf, masks, seq=0):
     return ek.EvalTrack(id=tid, class_id=cls, confidence=conf, masks=masks,
                         sequence=seq)
-
-
-# ---------------------------------------------------------------------------
-# independent evaluation oracle (straight-line re-implementation)
-
-
-def st_iou_oracle(a, b):
-    inter = union = 0
-    for t in sorted(set(a.masks) | set(b.masks)):
-        ma = a.masks.get(t)
-        mb = b.masks.get(t)
-        g = (ma if ma is not None else mb).shape[0]
-        for r in range(g):
-            for c in range(g):
-                va = bool(ma[r, c]) if ma is not None else False
-                vb = bool(mb[r, c]) if mb is not None else False
-                inter += va and vb
-                union += va or vb
-    return inter / union if union else 0.0
-
-
-def ap_oracle(preds, gts, thr):
-    preds = sorted(preds, key=lambda p: (-p.confidence, p.sequence, p.id))
-    taken = [False] * len(gts)
-    flags = []
-    for p in preds:
-        best_v, best_i = 0.0, None
-        for i, g in enumerate(gts):
-            if taken[i] or g.sequence != p.sequence:
-                continue
-            v = st_iou_oracle(p, g)
-            if v > best_v:
-                best_v, best_i = v, i
-        if best_i is not None and best_v >= thr:
-            taken[best_i] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    if not gts:
-        return 0.0
-    ap = 0.0
-    for k in range(101):
-        r = k / 100.0
-        best_p = 0.0
-        tp = fp = 0
-        for i, f in enumerate(flags):
-            tp += f
-            fp += not f
-            if tp / len(gts) >= r - 1e-12:
-                best_p = max(best_p, tp / (tp + fp))
-        ap += best_p
-    return ap / 101.0
-
-
-def map_oracle(preds, gts, thresholds):
-    classes = sorted({g.class_id for g in gts})
-    vals = []
-    for thr in thresholds:
-        aps = [ap_oracle([p for p in preds if p.class_id == c],
-                         [g for g in gts if g.class_id == c], thr)
-               for c in classes]
-        vals.append(np.mean(aps) if aps else 0.0)
-    return float(np.mean(vals)) if vals else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +61,7 @@ def test_st_iou_symmetric_and_bounded():
         v1, v2 = ek.st_iou(a, b), ek.st_iou(b, a)
         assert v1 == v2
         assert 0.0 <= v1 <= 1.0
-        assert v1 == pytest.approx(st_iou_oracle(a, b), abs=1e-12)
+        assert v1 == st_iou_oracle(a.masks, b.masks)
 
 
 def test_video_map_perfect_predictions():
@@ -146,24 +88,100 @@ def test_video_map_single_prediction_at_iou_06():
     assert per_thr[0.95] == pytest.approx(0.0)
 
 
+def random_fixture(rng):
+    """Predictions and ground truth over up to three sequences, each on its
+    own grid, with repeated ids, equal confidences, mask values above 1,
+    tracks without masks and empty sides.  A track often copies the masks
+    of an earlier track of its sequence, all of them or all but one frame,
+    so equal and high overlaps are common."""
+    grids = rng.integers(3, 6, size=3)
+
+    def masks(seq, earlier):
+        same = [tr for tr in earlier if tr.sequence == seq]
+        if same and rng.random() < 0.5:
+            m = dict(same[int(rng.integers(len(same)))].masks)
+            if m and rng.random() < 0.5:
+                del m[sorted(m)[int(rng.integers(len(m)))]]
+            return m
+        g = grids[seq]
+        return {t: rng.integers(0, 4, size=(g, g)) * (rng.random((g, g)) < 0.4)
+                for t in range(4) if rng.random() < 0.6}
+
+    def tracks(n, conf, earlier):
+        out = []
+        for _ in range(n):
+            seq = int(rng.integers(0, 3))
+            out.append(track(int(rng.integers(0, 4)), int(rng.integers(0, 2)), conf(),
+                             masks(seq, earlier + out), seq))
+        return out
+
+    gts = tracks(int(rng.integers(0, 6)), lambda: 1.0, [])
+    preds = tracks(int(rng.integers(0, 7)), lambda: float(rng.choice([0.3, 0.5, 0.9])),
+                   gts)
+    return preds, gts
+
+
 def test_video_map_matches_brute_force_oracle_on_random_fixtures():
     rng = np.random.default_rng(7)
-    thresholds = ek.MAP_THRESHOLDS
-    for trial in range(30):
-        n_gt = int(rng.integers(1, 4))
-        n_pred = int(rng.integers(0, 5))
-        gts = [track(i, int(rng.integers(0, 2)), 1.0,
-                     {t: rng.integers(0, 2, size=(4, 4)).astype(np.uint8)
-                      for t in range(3)})
-               for i in range(n_gt)]
-        preds = [track(10 + i, int(rng.integers(0, 2)),
-                       float(np.round(rng.uniform(0.1, 1.0), 2)),
-                       {t: rng.integers(0, 2, size=(4, 4)).astype(np.uint8)
-                        for t in range(3) if rng.random() > 0.2})
-                 for i in range(n_pred)]
-        _, _, got = ek.video_map(preds, gts, thresholds)
-        expect = map_oracle(preds, gts, thresholds)
-        assert got == pytest.approx(expect, abs=1e-12), f"trial {trial}"
+    for trial in range(200):
+        preds, gts = random_fixture(rng)
+        got = ek.video_map(preds, gts)
+        assert got == video_map_oracle(preds, gts, ek.MAP_THRESHOLDS), f"trial {trial}"
+
+
+def test_id_metrics_matches_oracle_on_random_fixtures():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        preds, gts = random_fixture(rng)
+        assert ek.id_metrics(preds, gts) == id_metrics_oracle(preds, gts), f"trial {trial}"
+
+
+def test_st_iou_matches_oracle_on_random_fixtures():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        preds, gts = random_fixture(rng)
+        for p in preds:
+            for g in gts:
+                if p.sequence == g.sequence:
+                    assert ek.st_iou(p, g) == st_iou_oracle(p.masks, g.masks)
+
+
+def test_evaluate_equals_oracle_report_on_a_tracked_crowded_world():
+    # 20 objects, 40 frames, grid 24, every detection joined by a false
+    # positive.  Untrained learned heads score every track near mAP 0, so
+    # the model associates and scores without learning, and its mask head
+    # copies the detection mask: matching then decides at every threshold.
+    world = sw.WorldConfig(frames=40, max_objects=20, mask_grid=24, exit_prob=0.0,
+                           entry_window=1, seed=11)
+    gt = sw.crossing_sequence(world, num_pairs=2)
+    noise = sw.NoiseConfig(miss_prob=0.1, false_positive_rate=1.0, class_temperature=0.3,
+                           box_jitter=0.01, appearance_noise=0.1, duplicate_prob=0.05)
+    det = sw.corrupt(gt, noise, seed=18)
+    model = tm.build_model(ModelConfig(heuristic_scoring=True, heuristic_association=True),
+                           seed=3)
+    for name in model.params.names():
+        if name.startswith("mask_head"):
+            model.params[name].data[...] = 0.0
+    model.params["mask_head/conv1/w"].data[0, 16 * 9 + 4] = 20.0
+    model.params["mask_head/conv2/w"].data[0, 4] = 1.0
+    model.params["mask_head/conv2/b"].data[...] = -10.0
+    memory, _ = tm.run_sequence(det.frames, model)
+    preds = ek.tracks_from_memory(memory, world.num_classes)
+    gts = ek.tracks_from_gt(gt)
+    got = ek.evaluate(preds, gts).to_dict()
+    assert got == report_oracle(preds, gts, ek.MAP_THRESHOLDS)
+    assert got["mean_map"] > 0.05 and got["id_switches"] > 0
+
+
+def test_masks_on_two_grids_in_one_sequence_raise():
+    gt = [track(0, 0, 1.0, {0: block(1, 3, 1, 3)})]
+    for t in (0, 1):  # overlapping and disjoint frames
+        pred = [track(1, 0, 0.9, {t: np.ones((5, 5), dtype=np.uint8)})]
+        with pytest.raises(sw.DataError, match="grids 5x5 and 6x6"):
+            ek.evaluate(pred, gt)
+    # one grid per sequence is enough
+    pred = [track(1, 0, 0.9, {0: np.ones((5, 5), dtype=np.uint8)}, seq=1)]
+    assert ek.evaluate(pred, gt).mean_map == 0.0
 
 
 def test_video_map_invariant_to_id_relabeling():
@@ -187,6 +205,19 @@ def test_video_map_equal_confidence_tie_rule():
     _, _, map_hi = ek.video_map(preds_swapped, gt)
     assert map_lo == pytest.approx(1.0)   # TP ranked first
     assert map_hi < 1.0                    # FP ranked first pulls AP down
+
+
+def test_video_map_equal_st_iou_goes_to_lowest_index_gt():
+    m0, m1, m2 = block(0, 2, 0, 2), block(2, 4, 2, 4), block(4, 6, 4, 6)
+    gt_a = track(0, 0, 1.0, {0: m0, 1: m1})
+    gt_b = track(1, 0, 1.0, {1: m1, 2: m2})
+    # st-IoU 8/12 against both; the first gt in input order takes it
+    wide = track(5, 0, 0.9, {0: m0, 1: m1, 2: m2})
+    exact_a = track(6, 0, 0.5, {0: m0, 1: m1})
+    per_thr, _, _ = ek.video_map([wide, exact_a], [gt_a, gt_b])
+    assert per_thr[0.50] == pytest.approx(51 / 101)   # exact_a finds only gt_b free
+    per_thr, _, _ = ek.video_map([wide, exact_a], [gt_b, gt_a])
+    assert per_thr[0.50] == 1.0
 
 
 def test_id_metrics_perfect_coverage():

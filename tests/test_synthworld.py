@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from trackgraph import assocgraph as ag
 from trackgraph import synthworld as sw
 
 
@@ -330,13 +331,11 @@ def test_load_malformed_line_reports_number(tmp_path):
 
 
 def test_crossing_preset_same_class_overlap():
-    from trackgraph.assocgraph import iou
-
     cfg = sw.WorldConfig(seed=31, max_objects=4, frames=10)
     seq = sw.crossing_sequence(cfg, num_pairs=1)
     a, b = seq.objects[0], seq.objects[1]
     assert a.class_id == b.class_id
-    overlaps = [iou(a.boxes[t], b.boxes[t]) for t in range(cfg.frames)]
+    overlaps = [ag.iou_matrix(a.boxes[t], b.boxes[t])[0, 0] for t in range(cfg.frames)]
     mid = cfg.frames // 2
     assert max(overlaps[mid - 2 : mid + 3]) > 0.3
     assert overlaps[0] < 0.1

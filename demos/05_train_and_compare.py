@@ -28,8 +28,7 @@ for name, flags in (("full", {}), ("limited_gnn", {"limited_gnn": True})):
     t0 = time.time()
     curve = learn.train(train_suite, model,
                         learn.TrainConfig(iterations=BUDGET, batch_size=2,
-                                          lr=1e-3, seed=1,
-                                          loss=learn.LossConfig(sequence_length=8)))
+                                          lr=1e-3, seed=1))
     report = ek.evaluate_model_on_suite(model, heldout)
     print(f"{name:12s} loss {curve[9].total:6.2f} -> {curve[-1].total:6.2f}   "
           f"mAP {report.mean_map:.3f}  assoc {report.association_accuracy:.3f}  "

@@ -103,16 +103,14 @@ def update(model: GaussianAppearance, x, rates: UpdateRates, *,
 
 
 def init_rate_params(params: ParamStore, embed_dim: int, rng: np.random.Generator):
-    params.add("rate_head/w", nc.uniform_init(rng, (2, embed_dim), embed_dim))
-    params.add("rate_head/b", np.zeros(2))
+    nc.add_linear(params, "rate_head", embed_dim, 2, rng)
 
 
 def predict_rates(track_embedding: Tensor, params: ParamStore) -> UpdateRates:
     """(kappa, nu) = sigmoid of a 2-output linear head on the track embedding,
     so both rates live strictly inside (0, 1).  A (D,) embedding gives scalar
     rates; stacked (M, D) embeddings give (M, 1) columns."""
-    head = nc.linear(params["rate_head/w"], params["rate_head/b"], track_embedding)
-    rates = nc.sigmoid(head)
+    rates = nc.sigmoid(nc.apply_linear(params, "rate_head", track_embedding))
     lead = track_embedding.shape[:-1]
     if lead:
         rates = nc.swapaxes01(rates)  # (2, M)

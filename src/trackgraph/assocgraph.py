@@ -116,23 +116,17 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
 # parameters
 
 
-def _add_linear(params: ParamStore, name: str, in_dim: int, out_dim: int,
-                rng: np.random.Generator):
-    params.add(f"{name}/w", nc.uniform_init(rng, (out_dim, in_dim), in_dim))
-    params.add(f"{name}/b", np.zeros(out_dim))
-
-
 def _add_gate_mlp(params: ParamStore, name: str, dim: int, rng):
     hidden = max(dim // 4, 1)
-    _add_linear(params, f"{name}/l1", dim, hidden, rng)
-    _add_linear(params, f"{name}/l2", hidden, dim, rng)
+    nc.add_linear(params, f"{name}/l1", dim, hidden, rng)
+    nc.add_linear(params, f"{name}/l2", hidden, dim, rng)
 
 
 def _add_residual(params: ParamStore, name: str, dim: int, rng):
     hidden = max(dim // 4, 1)
-    _add_linear(params, f"{name}/l1", dim, hidden, rng)
-    _add_linear(params, f"{name}/l2", hidden, hidden, rng)
-    _add_linear(params, f"{name}/l3", hidden, dim, rng)
+    nc.add_linear(params, f"{name}/l1", dim, hidden, rng)
+    nc.add_linear(params, f"{name}/l2", hidden, hidden, rng)
+    nc.add_linear(params, f"{name}/l3", hidden, dim, rng)
 
 
 def init_gnn_params(params: ParamStore, config: ModelConfig, rng: np.random.Generator):
@@ -145,47 +139,44 @@ def init_gnn_params(params: ParamStore, config: ModelConfig, rng: np.random.Gene
     for k in range(config.num_blocks):
         e_in = EDGE_FEATURES + d + din if k == 0 else 3 * d
         d_in = din + d if k == 0 else 2 * d
-        _add_linear(params, f"block{k}/f_e", e_in, d, rng)
-        _add_linear(params, f"block{k}/f_e2", d, d, rng)
+        nc.add_linear(params, f"block{k}/f_e", e_in, d, rng)
+        nc.add_linear(params, f"block{k}/f_e2", d, d, rng)
         for node in ("tau", "tau0"):
             _add_gate_mlp(params, f"block{k}/g_{node}", d, rng)
-            _add_linear(params, f"block{k}/f_{node}", 2 * d, d, rng)
-            _add_linear(params, f"block{k}/f_{node}2", d, d, rng)
+            nc.add_linear(params, f"block{k}/f_{node}", 2 * d, d, rng)
+            nc.add_linear(params, f"block{k}/f_{node}2", d, d, rng)
         _add_gate_mlp(params, f"block{k}/g_delta", d, rng)
-        _add_linear(params, f"block{k}/f_delta", d_in, d, rng)
-        _add_linear(params, f"block{k}/f_delta2", d, d, rng)
+        nc.add_linear(params, f"block{k}/f_delta", d_in, d, rng)
+        nc.add_linear(params, f"block{k}/f_delta2", d, d, rng)
         for elem in ("edges", "tracks", "dets"):
             _add_residual(params, f"res{k}/{elem}", d, rng)
-    _add_linear(params, "match_head", d, 1, rng)
-    _add_linear(params, "init_head", d, 1, rng)
-    _add_linear(params, "match_feat_head", EDGE_FEATURES, 1, rng)
-    _add_linear(params, "init_feat_head", EDGE_FEATURES, 1, rng)
+    nc.add_linear(params, "match_head", d, 1, rng)
+    nc.add_linear(params, "init_head", d, 1, rng)
+    nc.add_linear(params, "match_feat_head", EDGE_FEATURES, 1, rng)
+    nc.add_linear(params, "init_feat_head", EDGE_FEATURES, 1, rng)
 
 
 # ---------------------------------------------------------------------------
 # forward pieces
 
 
-def _lin(params, name, x):
-    return nc.linear(params[f"{name}/w"], params[f"{name}/b"], x)
-
-
 def _gate_mlp(params, name, x):
-    h = nc.relu(_lin(params, f"{name}/l1", x))
-    return nc.sigmoid(_lin(params, f"{name}/l2", h))
+    h = nc.relu(nc.apply_linear(params, f"{name}/l1", x))
+    return nc.sigmoid(nc.apply_linear(params, f"{name}/l2", h))
 
 
 def _residual(params, name, x):
-    h = nc.relu(_lin(params, f"{name}/l1", x))
-    h = nc.relu(_lin(params, f"{name}/l2", h))
-    h = _lin(params, f"{name}/l3", h)
+    h = nc.relu(nc.apply_linear(params, f"{name}/l1", x))
+    h = nc.relu(nc.apply_linear(params, f"{name}/l2", h))
+    h = nc.apply_linear(params, f"{name}/l3", h)
     return nc.relu(x + h)
 
 
 def _node_update(params, block, node, x, agg, gated):
-    h = nc.relu(_lin(params, f"{block}/f_{node}", nc.concat([x, agg], axis=-1)))
+    h = nc.relu(nc.apply_linear(params, f"{block}/f_{node}",
+                                nc.concat([x, agg], axis=-1)))
     if not gated:
-        h = nc.relu(_lin(params, f"{block}/f_{node}2", h))
+        h = nc.relu(nc.apply_linear(params, f"{block}/f_{node}2", h))
     return h
 
 
@@ -243,9 +234,10 @@ def _edge_update(params, k, ed, tr, de, gated):
     ma, na = ed.shape[0], ed.shape[1]
     tr_b = nc.broadcast_to(nc.reshape(tr, (ma, 1, tr.shape[-1])), (ma, na, tr.shape[-1]))
     de_b = nc.broadcast_to(nc.reshape(de, (1, na, de.shape[-1])), (ma, na, de.shape[-1]))
-    h = nc.relu(_lin(params, f"block{k}/f_e", nc.concat([ed, tr_b, de_b], axis=-1)))
+    h = nc.relu(nc.apply_linear(params, f"block{k}/f_e",
+                                nc.concat([ed, tr_b, de_b], axis=-1)))
     if not gated:
-        h = nc.relu(_lin(params, f"block{k}/f_e2", h))
+        h = nc.relu(nc.apply_linear(params, f"block{k}/f_e2", h))
     return h
 
 
@@ -258,7 +250,7 @@ def _split_track_update(params, k, tr, agg_row0, agg_rest, gated):
 
 
 def _head_probs(params, head, edges):
-    return nc.reshape(nc.sigmoid(_lin(params, head, edges)), edges.shape[:-1])
+    return nc.reshape(nc.sigmoid(nc.apply_linear(params, head, edges)), edges.shape[:-1])
 
 
 def match_probabilities(batch: GraphBatch, params: ParamStore,

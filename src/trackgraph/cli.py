@@ -9,6 +9,7 @@ effective config and seed into the output so it can be reproduced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -90,9 +91,7 @@ def cmd_generate(args) -> int:
     config = {
         "world": {"num_classes": 5, "frames": args.frames, "max_objects": args.objects,
                   "appearance_dim": 8, "mask_grid": 24},
-        "noise": {"miss_prob": 0.1, "false_positive_rate": 0.3,
-                  "class_temperature": 0.3, "box_jitter": 0.01,
-                  "appearance_noise": 0.1, "duplicate_prob": 0.05},
+        "noise": dataclasses.asdict(sw.SUITE_NOISE),
         "sequences": args.sequences,
         "crossing": args.crossing,
     }

@@ -6,9 +6,10 @@ st-IoU of two tracks is YouTube-VIS's video IoU (Yang et al., ICCV 2019):
 summed per-frame intersections over summed per-frame unions, where a frame
 that only one track covers adds its area to the union; an empty union gives
 0.  Each sequence's masks, all on one grid, are stacked once into the
-integer (frames, predictions, ground truth) intersection tensor:
-`video_map` sums it over frames into an st-IoU matrix, formed once per call
-and reused at every threshold and class, and `id_metrics` reads it per frame.
+integer (frames, predictions, ground truth) intersection tensor, once per
+`evaluate` call and scenario: `video_map` sums it over frames into an
+st-IoU matrix, reused at every threshold and class, and `id_metrics` reads
+it per frame.
 
 A predicted track's class is the argmax of its final record's foreground
 scores and its confidence is that class's probability, so tracks pushed
@@ -110,9 +111,9 @@ def tracks_from_gt(gt, sequence: int = 0) -> list[EvalTrack]:
 # metrics
 
 
-def _overlaps(predictions: list[EvalTrack], gts: list[EvalTrack]):
-    """The one overlap computation.  Per sequence, yields the indices of its
-    predictions in id order and of its ground truth in input order, the
+def _overlaps(predictions: list[EvalTrack], gts: list[EvalTrack]) -> list[tuple]:
+    """The one overlap computation.  One entry per sequence: the indices of
+    its predictions in id order and of its ground truth in input order, the
     frames any of them covers in ascending order, the integer (frames,
     predictions, ground truth) intersection tensor over those frames, and
     each track's total area.  Masks on a second grid raise DataError."""
@@ -121,6 +122,7 @@ def _overlaps(predictions: list[EvalTrack], gts: list[EvalTrack]):
         groups.setdefault(predictions[i].sequence, ([], []))[0].append(i)
     for j, g in enumerate(gts):
         groups.setdefault(g.sequence, ([], []))[1].append(j)
+    out = []
     for seq, (pi, gi) in groups.items():
         sides = [predictions[i] for i in pi], [gts[j] for j in gi]
         masks = [(t, m) for side in sides for tr in side for t, m in tr.masks.items()]
@@ -138,14 +140,16 @@ def _overlaps(predictions: list[EvalTrack], gts: list[EvalTrack]):
                     stack[index[t], k] = np.ravel(m) != 0
         # sums of 0/1 products are exact integers in float64
         inter = np.matmul(p, g.transpose(0, 2, 1)).astype(np.int64)
-        yield (pi, gi, frames, inter, p.sum(axis=(0, 2)).astype(np.int64),
-               g.sum(axis=(0, 2)).astype(np.int64))
+        out.append((pi, gi, frames, inter, p.sum(axis=(0, 2)).astype(np.int64),
+                    g.sum(axis=(0, 2)).astype(np.int64)))
+    return out
 
 
-def _st_iou_matrix(predictions: list[EvalTrack], gts: list[EvalTrack]) -> np.ndarray:
-    """(len(predictions), len(gts)) st-IoU; 0 between different sequences."""
-    out = np.zeros((len(predictions), len(gts)))
-    for pi, gi, _, inter, area_p, area_g in _overlaps(predictions, gts):
+def _st_iou_matrix(shape: tuple[int, int], overlaps: list[tuple]) -> np.ndarray:
+    """The (predictions, ground truth) st-IoU matrix of `_overlaps`' entries;
+    0 between different sequences."""
+    out = np.zeros(shape)
+    for pi, gi, _, inter, area_p, area_g in overlaps:
         inter = inter.sum(axis=0)
         union = area_p[:, None] + area_g[None, :] - inter
         out[np.ix_(pi, gi)] = np.divide(inter, union, out=np.zeros(inter.shape),
@@ -155,7 +159,7 @@ def _st_iou_matrix(predictions: list[EvalTrack], gts: list[EvalTrack]) -> np.nda
 
 def st_iou(track_a: EvalTrack, track_b: EvalTrack) -> float:
     """The st-IoU of the module docstring for one pair; 0 across sequences."""
-    return float(_st_iou_matrix([track_a], [track_b])[0, 0])
+    return float(_st_iou_matrix((1, 1), _overlaps([track_a], [track_b]))[0, 0])
 
 
 def _interpolated_ap(tp_flags: list[bool], num_gt: int) -> float:
@@ -184,12 +188,13 @@ def _greedy_hits(iou: np.ndarray, threshold: float) -> list[bool]:
     return hits
 
 
-def video_map(predictions: list[EvalTrack], gts: list[EvalTrack],
+def video_map(predictions: list[EvalTrack], gts: list[EvalTrack], overlaps: list[tuple],
               thresholds=MAP_THRESHOLDS) -> tuple[dict, dict, float]:
     """Per-threshold mAP, per-class AP (averaged over thresholds), and the
-    overall mean.  Classes with no gt track are excluded from the averages;
-    equal-confidence predictions rank by sequence, then lower id first."""
-    iou = _st_iou_matrix(predictions, gts)
+    overall mean from `overlaps = _overlaps(predictions, gts)`.  Classes with
+    no gt track are excluded from the averages; equal-confidence predictions
+    rank by sequence, then lower id first."""
+    iou = _st_iou_matrix((len(predictions), len(gts)), overlaps)
     class_aps = {}
     for c in sorted({g.class_id for g in gts}):
         rows = sorted((i for i, p in enumerate(predictions) if p.class_id == c),
@@ -205,14 +210,16 @@ def video_map(predictions: list[EvalTrack], gts: list[EvalTrack],
     return per_threshold, per_class, mean
 
 
-def id_metrics(predictions: list[EvalTrack], gts: list[EvalTrack]) -> tuple[float, int]:
+def id_metrics(predictions: list[EvalTrack], gts: list[EvalTrack],
+               overlaps: list[tuple]) -> tuple[float, int]:
     """Association accuracy: fraction of (frame, gt object) pairs whose
     covering track is the object's most-frequent covering track.  ID switches:
     changes of covering id between consecutive covered frames.  A pair's
     covering track is the prediction of largest positive intersection, the
-    lowest id on ties; none when no prediction overlaps."""
+    lowest id on ties; none when no prediction overlaps.  `overlaps` as in
+    `video_map`."""
     total_pairs = correct = switches = 0
-    for pi, gi, frames, inter, _, _ in _overlaps(predictions, gts):
+    for pi, gi, frames, inter, _, _ in overlaps:
         if not (frames and gi):
             continue    # no (frame, object) pair in this sequence
         # a zero row in front: argmax 0 means no prediction overlaps
@@ -235,14 +242,16 @@ def id_metrics(predictions: list[EvalTrack], gts: list[EvalTrack]) -> tuple[floa
 def evaluate(predictions: list[EvalTrack], gts: list[EvalTrack],
              thresholds=MAP_THRESHOLDS,
              scenarios: dict[str, tuple[list, list]] | None = None) -> EvalReport:
-    per_threshold, per_class, mean = video_map(predictions, gts, thresholds)
-    accuracy, switches = id_metrics(predictions, gts)
+    overlaps = _overlaps(predictions, gts)
+    per_threshold, per_class, mean = video_map(predictions, gts, overlaps, thresholds)
+    accuracy, switches = id_metrics(predictions, gts, overlaps)
     report = EvalReport(per_threshold=per_threshold, mean_map=mean,
                         per_class_ap=per_class, association_accuracy=accuracy,
                         id_switches=switches)
     for name, (p, g) in (scenarios or {}).items():
-        _, _, smap = video_map(p, g, thresholds)
-        sacc, ssw = id_metrics(p, g)
+        overlaps = _overlaps(p, g)
+        _, _, smap = video_map(p, g, overlaps, thresholds)
+        sacc, ssw = id_metrics(p, g, overlaps)
         report.scenarios[name] = {"mean_map": smap, "association_accuracy": sacc,
                                   "id_switches": ssw}
     return report
@@ -279,9 +288,7 @@ def make_crossing_suite(num_sequences: int, seed: int, *, num_classes=5,
     """Training/evaluation suite of crossing-object worlds with corrupted
     detection streams: the stress case where same-class objects overlap
     mid-sequence."""
-    noise = noise or sw.NoiseConfig(miss_prob=0.1, false_positive_rate=0.3,
-                                    class_temperature=0.3, box_jitter=0.01,
-                                    appearance_noise=0.1, duplicate_prob=0.05)
+    noise = noise or sw.SUITE_NOISE
     suite = []
     for k in range(num_sequences):
         cfg = sw.WorldConfig(num_classes=num_classes, frames=frames,

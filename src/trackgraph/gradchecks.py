@@ -89,9 +89,11 @@ def check_gnn(epsilon=1e-4) -> float:
              rng.normal(size=config.embed_dim), rng.normal(size=3)) for _ in range(2)]
     y, c, mu = (Tensor(np.array(col)) for col in zip(*rows))
     memory = tm.TrackMemory(
-        tracks=[tm.TrackState(id=i, birth_frame=0, last_box=np.array([0.4, 0.5, 0.2, 0.2]))
-                for i in range(2)],
-        y=y, c=c, mu=mu, sigma=Tensor(np.full(mu.shape, 0.05)))
+        tracks=[tm.TrackState(id=i, birth_frame=0) for i in range(2)],
+        y=y, c=c, mu=mu, sigma=Tensor(np.full(mu.shape, 0.05)),
+        boxes=np.tile([0.4, 0.5, 0.2, 0.2], (2, 1)),
+        class_votes=np.zeros((2, config.num_classes), dtype=np.int64),
+        conf_sum=np.zeros(2))
     probe_t = Tensor(rng.normal(size=(len(memory) + 1, config.embed_dim)))
     probe_m = Tensor(rng.normal(size=(len(memory), len(frame))))
 

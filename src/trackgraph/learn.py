@@ -38,7 +38,7 @@ class DivergenceError(RuntimeError):
 @dataclass
 class LossConfig:
     lambdas: tuple[float, float, float, float] = (1.0, 1.0, 4.0, 1.0)
-    sequence_length: int = 10
+    sequence_length: int = 10  # read by nothing (the data sets it); perfbench/ passes it
 
     def __post_init__(self):
         if any(l < 0 for l in self.lambdas):
@@ -339,39 +339,31 @@ def _sweep_sequence(sequence, model: tm.TrackModel, config: TrainConfig,
 # config and checkpoint files
 
 
+# external training-config keys that set a ModelConfig or TrainConfig field
+_MODEL_KEYS = {"D": "embed_dim", "blocks": "num_blocks", "num_classes": "num_classes",
+               "appearance_dim": "appearance_dim", "mask_grid": "mask_grid"}
+_TRAIN_KEYS = {"iterations": int, "batch_size": int, "lr": float, "weight_decay": float,
+               "seed": int}
+
+
 def train_config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig, tm.Thresholds]:
     """External training-config schema: {"T", "batch_size", "lr",
     "weight_decay", "lambdas", "seed", "D", "blocks", "ablations": {...}}.
-    Unknown keys are rejected."""
-    known = {"T", "batch_size", "lr", "weight_decay", "lambdas", "seed", "D",
-             "blocks", "iterations", "num_classes", "appearance_dim",
-             "mask_grid", "ablations"}
-    unknown = set(d) - known
+    An omitted key keeps the ModelConfig, TrainConfig or LossConfig default;
+    "T" is accepted, but the data sets the sequence length.  Unknown keys are
+    rejected."""
+    unknown = set(d) - {"T", "lambdas", "ablations", *_MODEL_KEYS, *_TRAIN_KEYS}
     if unknown:
         raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-    model_kw = dict(
-        embed_dim=int(d.get("D", 32)),
-        num_blocks=int(d.get("blocks", 2)),
-        num_classes=int(d.get("num_classes", 5)),
-        appearance_dim=int(d.get("appearance_dim", 8)),
-        mask_grid=int(d.get("mask_grid", 24)),
-    )
+    model_kw = {field: int(d[key]) for key, field in _MODEL_KEYS.items() if key in d}
     ablations = d.get("ablations", {})
     if not isinstance(ablations, dict):
         raise ValueError(f"ablations must be an object of model config keys, got {ablations!r}")
     model_kw.update(ablations)
-    model_config = ModelConfig.from_dict({**ModelConfig().to_dict(), **model_kw})
-    loss = LossConfig(lambdas=tuple(d.get("lambdas", (1.0, 1.0, 4.0, 1.0))),
-                      sequence_length=int(d.get("T", 10)))
-    train_config = TrainConfig(
-        iterations=int(d.get("iterations", 500)),
-        batch_size=int(d.get("batch_size", 2)),
-        lr=float(d.get("lr", 2e-4)),
-        weight_decay=float(d.get("weight_decay", 1e-4)),
-        seed=int(d.get("seed", 0)),
-        loss=loss,
-    )
-    return model_config, train_config, tm.Thresholds()
+    loss = LossConfig(**({"lambdas": tuple(d["lambdas"])} if "lambdas" in d else {}))
+    train_kw = {key: cast(d[key]) for key, cast in _TRAIN_KEYS.items() if key in d}
+    return (ModelConfig.from_dict(model_kw), TrainConfig(**train_kw, loss=loss),
+            tm.Thresholds())
 
 
 def save_checkpoint(path, model: tm.TrackModel, extra: dict | None = None):

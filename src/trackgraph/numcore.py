@@ -735,6 +735,19 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
     return rng.uniform(-bound, bound, size=shape)
 
 
+def add_linear(params: ParamStore, name: str, in_dim: int, out_dim: int,
+               rng: np.random.Generator):
+    """A named linear layer: `{name}/w` (out_dim, in_dim), drawn from rng, and
+    a zero `{name}/b`."""
+    params.add(f"{name}/w", uniform_init(rng, (out_dim, in_dim), in_dim))
+    params.add(f"{name}/b", np.zeros(out_dim))
+
+
+def apply_linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
+    """The named layer `name` of `add_linear` applied to x's last axis."""
+    return linear(params[f"{name}/w"], params[f"{name}/b"], x)
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 

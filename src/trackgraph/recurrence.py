@@ -31,15 +31,12 @@ class RecurrentState:
 
 def init_gate_params(params: ParamStore, embed_dim: int, rng: np.random.Generator):
     for gate in GATE_NAMES:
-        params.add(f"gate/{gate}/w",
-                   nc.uniform_init(rng, (embed_dim, embed_dim), embed_dim))
-        params.add(f"gate/{gate}/b", np.zeros(embed_dim))
+        nc.add_linear(params, f"gate/{gate}", embed_dim, embed_dim, rng)
 
 
 def init_simple_gate_params(params: ParamStore, embed_dim: int,
                             rng: np.random.Generator):
-    params.add("simple_gate/w", nc.uniform_init(rng, (embed_dim, embed_dim), embed_dim))
-    params.add("simple_gate/b", np.zeros(embed_dim))
+    nc.add_linear(params, "simple_gate", embed_dim, embed_dim, rng)
 
 
 def gate_step(tau_tilde: Tensor, state: RecurrentState,
@@ -47,7 +44,7 @@ def gate_step(tau_tilde: Tensor, state: RecurrentState,
     """One gated update from the graph-network track output tau_tilde."""
 
     def head(gate):
-        return nc.linear(params[f"gate/{gate}/w"], params[f"gate/{gate}/b"], tau_tilde)
+        return nc.apply_linear(params, f"gate/{gate}", tau_tilde)
 
     a_forget = nc.sigmoid(head("forget"))
     a_input = nc.sigmoid(head("input"))
@@ -69,6 +66,5 @@ def new_track_state(delta_out: Tensor) -> RecurrentState:
 
 def simple_gate_step(tau_tilde: Tensor, params: ParamStore) -> Tensor:
     """Stateless single-gate variant: sigmoid(h(x)) * tanh(x)."""
-    gate = nc.sigmoid(nc.linear(params["simple_gate/w"], params["simple_gate/b"],
-                                tau_tilde))
+    gate = nc.sigmoid(nc.apply_linear(params, "simple_gate", tau_tilde))
     return gate * nc.tanh(tau_tilde)

@@ -72,6 +72,11 @@ class NoiseConfig:
                 raise DataError(f"{name} must be nonnegative")
 
 
+# The noise of `trackgraph generate` and of evalkit.make_crossing_suite.
+SUITE_NOISE = NoiseConfig(miss_prob=0.1, false_positive_rate=0.3, class_temperature=0.3,
+                          box_jitter=0.01, appearance_noise=0.1, duplicate_prob=0.05)
+
+
 @dataclass
 class TrackedObject:
     """One ground-truth object: constant identity, class, and latent

@@ -1,12 +1,12 @@
 """Per-frame track management: graph construction, assignment, track birth,
 scoring, mask reweighting, and memory update.
 
-The track memory is one TrackMemory: the recurrent state and appearance
-Gaussians of all M tracks as stacked (M, D) and (M, A) tensors, with identity
-and per-frame records in a TrackState side table, one per row.  Every
-learned piece of a frame (graph, gate, rate head, appearance update, mask
-head, score head) runs once over those stacked rows, and reads the frame's
-detections as the rows of the synthworld.DetectionFrame that step() takes.
+The track memory is one TrackMemory: everything step() carries to the next
+frame is one row per track, and a TrackState per row holds only the
+track's identity and per-frame records.  Every learned piece of a frame
+(graph, gate, rate head, appearance update, mask head, score head) runs
+once over the stacked rows, and reads the frame's detections as the rows
+of the synthworld.DetectionFrame that step() takes.
 
 step() is the full inference loop for one frame and is the same code path
 during training (a tape is simply active, so every probability, score, and
@@ -58,40 +58,42 @@ class FrameRecord:
 
 @dataclass
 class TrackState:
-    """Identity and bookkeeping of one track.  Its recurrent state and
-    appearance Gaussian live in the matching row of TrackMemory."""
+    """Identity and output of one track; its state is a row of TrackMemory."""
 
     id: int
     birth_frame: int
-    last_box: np.ndarray | None = None
-    active: bool = True
     records: list[FrameRecord] = field(default_factory=list)
-    # matched-detection history for the heuristic scoring variant
-    conf_votes: list[float] = field(default_factory=list)
-    class_votes: list[int] = field(default_factory=list)
 
     @property
-    def class_distribution(self) -> np.ndarray:
-        return self.records[-1].scores
+    def active(self) -> bool:
+        """Whether a detection matched the track on its latest frame."""
+        return bool(self.records) and self.records[-1].active
 
 
 @dataclass
 class TrackMemory:
-    """Every track as one row of stacked tensors: recurrent state y and c
-    (M, D), appearance mean mu and variance sigma (M, A).  Row i belongs to
-    tracks[i]; iterating, len() and indexing go over that TrackState table."""
+    """Every track as one row: recurrent state y, c (M, D) and appearance mean
+    and variance mu, sigma (M, A) as Tensors; as numpy rows, the last matched
+    box (M, 4), the counts of the matched detections' top classes (M, C) and
+    the sum of their top foreground scores (M,).  Row i belongs to tracks[i];
+    iterating, len() and indexing go over that TrackState table."""
 
     tracks: list[TrackState]
     y: Tensor
     c: Tensor
     mu: Tensor
     sigma: Tensor
+    boxes: np.ndarray
+    class_votes: np.ndarray
+    conf_sum: np.ndarray
 
     @classmethod
     def empty(cls, config: ModelConfig) -> "TrackMemory":
         rows = Tensor(np.zeros((0, config.embed_dim)))
         apps = Tensor(np.zeros((0, config.appearance_dim)))
-        return cls(tracks=[], y=rows, c=rows, mu=apps, sigma=apps)
+        return cls(tracks=[], y=rows, c=rows, mu=apps, sigma=apps, boxes=np.zeros((0, 4)),
+                   class_votes=np.zeros((0, config.num_classes), dtype=np.int64),
+                   conf_sum=np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.tracks)
@@ -101,10 +103,6 @@ class TrackMemory:
 
     def __getitem__(self, i) -> TrackState:
         return self.tracks[i]
-
-    @property
-    def boxes(self) -> np.ndarray:
-        return np.array([t.last_box for t in self.tracks]).reshape(-1, 4)
 
 
 @dataclass
@@ -150,14 +148,11 @@ def build_model(config: ModelConfig, seed: int = 0) -> TrackModel:
 
 def init_head_params(params: ParamStore, config: ModelConfig, rng):
     d = config.embed_dim
-    params.add("score_head/w", nc.uniform_init(rng, (config.num_classes + 1, d), d))
-    params.add("score_head/b", np.zeros(config.num_classes + 1))
-    params.add("mask_head/proj/w", nc.uniform_init(rng, (16, d), d))
-    params.add("mask_head/proj/b", np.zeros(16))
-    params.add("mask_head/conv1/w", nc.uniform_init(rng, (16, 18 * 9), 18 * 9))
-    params.add("mask_head/conv1/b", np.zeros(16))
-    params.add("mask_head/conv2/w", nc.uniform_init(rng, (1, 16 * 9), 16 * 9))
-    params.add("mask_head/conv2/b", np.zeros(1))
+    nc.add_linear(params, "score_head", d, config.num_classes + 1, rng)
+    nc.add_linear(params, "mask_head/proj", d, 16, rng)
+    # the two 3x3 convolutions as (out, in * 9 taps) weights
+    nc.add_linear(params, "mask_head/conv1", 18 * 9, 16, rng)
+    nc.add_linear(params, "mask_head/conv2", 16 * 9, 1, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +162,19 @@ def init_head_params(params: ParamStore, config: ModelConfig, rng):
 def score_tracks(embeddings: Tensor, params: ParamStore) -> Tensor:
     """Class distributions over C+1 (background last) from track embeddings,
     one row per track."""
-    return nc.softmax(nc.linear(params["score_head/w"], params["score_head/b"],
-                                embeddings))
+    return nc.softmax(nc.apply_linear(params, "score_head", embeddings))
 
 
-def score_tracks_average(confidences, classes) -> tuple[float, int]:
-    """Heuristic scoring: mean matched-detection confidence plus majority-vote
-    class (ties broken toward the smaller class id)."""
-    conf = float(np.mean(confidences)) if len(confidences) else 0.0
-    if len(classes) == 0:
-        return conf, 0
-    counts = np.bincount(np.asarray(classes, dtype=int))
-    return conf, int(np.argmax(counts))
-
-
-def _heuristic_distribution(track: TrackState, num_classes: int) -> np.ndarray:
-    conf, cls = score_tracks_average(track.conf_votes, track.class_votes)
-    dist = np.zeros(num_classes + 1)
-    dist[cls] = conf
-    dist[num_classes] = 1.0 - conf
+def score_tracks_average(class_votes: np.ndarray, conf_sum: np.ndarray) -> np.ndarray:
+    """Heuristic scoring of memory rows: (M, C+1) distributions that put the
+    mean matched-detection confidence on the majority class (ties go to the
+    smaller class id) and the rest on the background.  A row without votes
+    gets class 0 with confidence 0."""
+    m, num_classes = class_votes.shape
+    conf = conf_sum / np.maximum(class_votes.sum(axis=1), 1)
+    dist = np.zeros((m, num_classes + 1))
+    dist[np.arange(m), np.argmax(class_votes, axis=1)] = conf
+    dist[:, num_classes] = 1.0 - conf
     return dist
 
 
@@ -216,7 +205,7 @@ def heuristic_scores(memory: TrackMemory, frame: DetectionFrame) -> np.ndarray:
     norms = np.linalg.norm(mu, axis=1)[:, None] * np.linalg.norm(apps, axis=1)
     cosine = np.zeros(norms.shape)
     np.divide(mu @ apps.T, norms, out=cosine, where=norms != 0.0)
-    track_class = np.array([np.argmax(t.class_distribution[:-1]) if t.records else 0
+    track_class = np.array([np.argmax(t.records[-1].scores[:-1]) if t.records else 0
                             for t in memory], dtype=int)
     same_class = track_class[:, None] == np.argmax(frame.scores[:, :-1], axis=1)
     return cosine + ag.iou_matrix(memory.boxes, frame.boxes) + same_class + frame.top
@@ -274,8 +263,7 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     k = len(masks)
     if k == 0:
         return None, None
-    proj = nc.relu(nc.linear(params["mask_head/proj/w"], params["mask_head/proj/b"],
-                             embeddings))                          # (K,16)
+    proj = nc.relu(nc.apply_linear(params, "mask_head/proj", embeddings))  # (K,16)
     # conv1/w is (16 out, 18 in * 9 taps): in < 16 projection, 16/17 data
     w1 = nc.reshape(params["mask_head/conv1/w"], (-1,))
     c, o, t = np.ix_(range(16), range(16), range(9))
@@ -338,46 +326,37 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
     match_p = ag.match_probabilities(out_batch, params, config)
     init_p = ag.init_probabilities(out_batch, params, config)
 
-    # -- assignment ---------------------------------------------------------
+    # -- assignment: each existing track's detection, -1 when unmatched -------
+    matches = np.full(m, -1)
     if config.heuristic_association:
         assigned = greedy_assignment(heuristic_scores(memory, frame), cutoff=2.0)
-        matches = [assigned.get(i) for i in range(m)]
-        match_data = np.zeros((m, n))
-        match_data[list(assigned), list(assigned.values())] = 1.0
-        init_data = np.ones(n)
-        init_data[list(assigned.values())] = 0.0
-        match_p, init_p = Tensor(match_data), Tensor(init_data)
-        init_decisions = init_data >= 0.5
+        matches[list(assigned)] = list(assigned.values())
+        match_p = Tensor((matches[:, None] == np.arange(n)).astype(np.float64))
+        init_p = Tensor(1.0 - match_p.data.sum(axis=0))
+        init_decisions = init_p.data >= 0.5
     else:
-        matches = [None] * m
         if n:
             best = np.argmax(match_p.data, axis=1)
-            matches = [int(j) if match_p.data[i, j] >= thresholds.match_active
-                       else None for i, j in enumerate(best)]
+            hit = match_p.data[np.arange(m), best] >= thresholds.match_active
+            matches[hit] = best[hit]
         init_decisions = init_p.data >= thr_init
 
     # -- advance existing tracks through the gate; births (refused once the
     # memory holds max_tracks) ----------------------------------------------
     state = _advance(memory, nc.gather(out_batch.tracks, np.arange(1, m + 1)),
                      params, config)
-    born_js = [int(j) for j in np.flatnonzero(init_decisions)[: config.max_tracks - m]]
+    born_js = np.flatnonzero(init_decisions)[: config.max_tracks - m]
     born_state = rec.new_track_state(nc.gather(out_batch.dets, born_js))
     next_id = max((t.id for t in memory), default=-1) + 1
     born = [TrackState(id=next_id + k, birth_frame=frame_index)
             for k in range(len(born_js))]
 
-    # -- matched-track bookkeeping and appearance updates --------------------
+    # -- appearance updates of the matched existing tracks ---------------------
     tracks = memory.tracks + born
-    row_js = matches + born_js  # each next-memory row's detection, or None
-    for track, j in zip(tracks, row_js):
-        track.active = j is not None
-        if track.active:
-            track.last_box = frame.boxes[j].copy()
-            track.conf_votes.append(float(frame.top[j]))
-            track.class_votes.append(int(np.argmax(frame.scores[j, :-1])))
+    row_js = np.concatenate([matches, born_js])  # each next-memory row's detection
     # active rows: matched existing tracks in memory order, then the newborns
-    seg_rows = [row for row, j in enumerate(row_js) if j is not None]
-    seg_js = [row_js[row] for row in seg_rows]
+    seg_rows = np.flatnonzero(row_js >= 0)
+    seg_js = row_js[seg_rows]
     u = len(seg_rows) - len(born)
     upd_rows, upd_js = seg_rows[:u], seg_js[:u]
     rates = ap.predict_rates(nc.gather(state.y, upd_rows), params)
@@ -387,17 +366,25 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
         frame.appearance[upd_js], rates, freeze_sigma=config.const_variance)
     newborn = ap.init_model(frame.appearance[born_js], config.sigma0)
 
-    # -- the next memory: one concat (and gather) per stacked tensor ----------
+    # -- the next memory: one concat (and gather) per stacked tensor; an
+    # active row takes its detection's box, class vote and confidence --------
     app_rows = np.arange(m + len(born))
     app_rows[upd_rows] = m + np.arange(u)
     app_rows[m:] += u
+    boxes, class_votes, conf_sum = (
+        np.concatenate([a, np.zeros((len(born),) + a.shape[1:], a.dtype)])
+        for a in (memory.boxes, memory.class_votes, memory.conf_sum))
+    boxes[seg_rows] = frame.boxes[seg_js]
+    class_votes[seg_rows, np.argmax(frame.scores[seg_js, :-1], axis=1)] += 1
+    conf_sum[seg_rows] += frame.top[seg_js]
     nxt = TrackMemory(
         tracks=tracks,
         y=nc.concat([state.y, born_state.y], axis=0),
         c=nc.concat([state.c, born_state.c], axis=0),
         mu=nc.gather(nc.concat([memory.mu, updated.mu, newborn.mu], axis=0), app_rows),
         sigma=nc.gather(nc.concat([memory.sigma, updated.sigma, newborn.sigma], axis=0),
-                        app_rows))
+                        app_rows),
+        boxes=boxes, class_votes=class_votes, conf_sum=conf_sum)
 
     instance_map, seg_logits = reweight_masks(
         nc.gather(nxt.y, seg_rows), frame.masks[seg_js], frame.boxes[seg_js], params,
@@ -405,18 +392,17 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
 
     # -- scoring and per-frame records -----------------------------------------
     if config.heuristic_scoring:
-        scores = Tensor(np.array([_heuristic_distribution(t, config.num_classes)
-                                  for t in tracks]).reshape(-1, config.num_classes + 1))
+        scores = Tensor(score_tracks_average(class_votes, conf_sum))
     else:
         scores = score_tracks(nxt.y, params)
-    for row, track in enumerate(tracks):
-        record = FrameRecord(t=frame_index, active=track.active,
-                             scores=scores.data[row].copy())
-        if track.active:
-            k = seg_rows.index(row)
-            record.matched_detection = seg_js[k]
-            record.box = track.last_box.copy()
-            record.mask = (instance_map == k + 1).astype(np.uint8)
+    k = 0  # instance-map value of the latest active row
+    for row, (track, j) in enumerate(zip(tracks, row_js.tolist())):
+        record = FrameRecord(t=frame_index, active=j >= 0, scores=scores.data[row].copy())
+        if j >= 0:
+            k += 1
+            record.matched_detection = j
+            record.box = frame.boxes[j].copy()
+            record.mask = (instance_map == k).astype(np.uint8)
         track.records.append(record)
 
     output = FrameOutput(
@@ -430,7 +416,7 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
         born=born,
         scores=scores,
         seg_logits=seg_logits,
-        seg_tracks=[tracks[row] for row in seg_rows],
+        seg_tracks=[tracks[row] for row in seg_rows.tolist()],
         instance_map=instance_map,
     )
     return nxt, output

@@ -146,6 +146,19 @@ def heuristic_pair_score(track_mu, track_class: int, track_box, det_box, det_sco
     return float(np.dot(np.ones(4), [cosine, iou(track_box, det_box), same_class, top]))
 
 
+def heuristic_distribution_oracle(confidences, classes, num_classes: int) -> np.ndarray:
+    """The heuristic class distribution of one track from its per-frame lists
+    of matched-detection confidences and top classes: np.mean of the
+    confidences on the majority class (ties to the smaller id), the rest on
+    the background; a track without votes gets class 0 with confidence 0."""
+    conf = float(np.mean(confidences)) if confidences else 0.0
+    cls = int(np.argmax(np.bincount(np.asarray(classes, dtype=int)))) if classes else 0
+    dist = np.zeros(num_classes + 1)
+    dist[cls] = conf
+    dist[num_classes] = 1.0 - conf
+    return dist
+
+
 def mask_head_oracle(params: dict, embeddings, masks, boxes, grid: int):
     """The mask head from its definition, pixel by pixel: the ReLU track
     projection broadcast to every pixel, concatenated with the detection mask

@@ -22,23 +22,27 @@ def make_frame(config, rows):
 
 
 def make_memory(rows, embed_dim, appearance_dim):
-    """TrackMemory from per-track (mu, sigma, box, y) rows."""
+    """TrackMemory from per-track (mu, sigma, box, y) rows, without votes (the
+    graph reads none)."""
     def stack(k, width):
         return Tensor(np.array([r[k] for r in rows], dtype=np.float64).reshape(-1, width))
 
+    m = len(rows)
     return tm.TrackMemory(
-        tracks=[tm.TrackState(id=i, birth_frame=0,
-                              last_box=np.asarray(r[2], dtype=np.float64))
-                for i, r in enumerate(rows)],
-        y=stack(3, embed_dim), c=Tensor(np.zeros((len(rows), embed_dim))),
-        mu=stack(0, appearance_dim), sigma=stack(1, appearance_dim))
+        tracks=[tm.TrackState(id=i, birth_frame=0) for i in range(m)],
+        y=stack(3, embed_dim), c=Tensor(np.zeros((m, embed_dim))),
+        mu=stack(0, appearance_dim), sigma=stack(1, appearance_dim),
+        boxes=stack(2, 4).data, class_votes=np.zeros((m, 1), dtype=int),
+        conf_sum=np.zeros(m))
 
 
 def permute(memory, perm):
     return tm.TrackMemory(tracks=[memory.tracks[i] for i in perm],
                           y=Tensor(memory.y.data[perm]), c=Tensor(memory.c.data[perm]),
                           mu=Tensor(memory.mu.data[perm]),
-                          sigma=Tensor(memory.sigma.data[perm]))
+                          sigma=Tensor(memory.sigma.data[perm]), boxes=memory.boxes[perm],
+                          class_votes=memory.class_votes[perm],
+                          conf_sum=memory.conf_sum[perm])
 
 
 def small_config(**kw):

@@ -27,6 +27,14 @@ def track(tid, cls, conf, masks, seq=0):
                         sequence=seq)
 
 
+def video_map(preds, gts):
+    return ek.video_map(preds, gts, ek._overlaps(preds, gts))
+
+
+def id_metrics(preds, gts):
+    return ek.id_metrics(preds, gts, ek._overlaps(preds, gts))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -69,7 +77,7 @@ def test_video_map_perfect_predictions():
           track(1, 2, 1.0, {0: block(0, 2, 0, 2)})]
     preds = [track(10, 1, 0.9, dict(gt[0].masks)),
              track(11, 2, 0.8, dict(gt[1].masks))]
-    _, per_class, mean = ek.video_map(preds, gt)
+    _, per_class, mean = video_map(preds, gt)
     assert mean == pytest.approx(1.0)
     assert per_class == {1: 1.0, 2: 1.0}
 
@@ -80,7 +88,7 @@ def test_video_map_single_prediction_at_iou_06():
     gt = [track(0, 0, 1.0, {0: mask_of(cells_gt)})]
     pred = [track(5, 0, 0.7, {0: mask_of(cells_pred)})]
     assert ek.st_iou(pred[0], gt[0]) == pytest.approx(0.6)
-    per_thr, _, _ = ek.video_map(pred, gt)
+    per_thr, _, _ = video_map(pred, gt)
     assert per_thr[0.50] == pytest.approx(1.0)
     assert per_thr[0.55] == pytest.approx(1.0)
     assert per_thr[0.60] == pytest.approx(1.0)
@@ -125,7 +133,7 @@ def test_video_map_matches_brute_force_oracle_on_random_fixtures():
     rng = np.random.default_rng(7)
     for trial in range(200):
         preds, gts = random_fixture(rng)
-        got = ek.video_map(preds, gts)
+        got = video_map(preds, gts)
         assert got == video_map_oracle(preds, gts, ek.MAP_THRESHOLDS), f"trial {trial}"
 
 
@@ -133,7 +141,7 @@ def test_id_metrics_matches_oracle_on_random_fixtures():
     rng = np.random.default_rng(8)
     for trial in range(200):
         preds, gts = random_fixture(rng)
-        assert ek.id_metrics(preds, gts) == id_metrics_oracle(preds, gts), f"trial {trial}"
+        assert id_metrics(preds, gts) == id_metrics_oracle(preds, gts), f"trial {trial}"
 
 
 def test_st_iou_matches_oracle_on_random_fixtures():
@@ -191,7 +199,7 @@ def test_video_map_invariant_to_id_relabeling():
     masks = {t: rng.integers(0, 2, size=(4, 4)).astype(np.uint8) for t in range(3)}
     preds1 = [track(1, 0, 0.5, masks), track(2, 0, 0.9, {0: masks[0]})]
     preds2 = [track(42, 0, 0.5, masks), track(77, 0, 0.9, {0: masks[0]})]
-    assert ek.video_map(preds1, gts)[2] == ek.video_map(preds2, gts)[2]
+    assert video_map(preds1, gts)[2] == video_map(preds2, gts)[2]
 
 
 def test_video_map_equal_confidence_tie_rule():
@@ -200,9 +208,9 @@ def test_video_map_equal_confidence_tie_rule():
     bad = {0: block(3, 6, 3, 6)}
     # lower id first at equal confidence: good has the lower id
     preds = [track(1, 0, 0.5, good), track(2, 0, 0.5, bad)]
-    _, _, map_lo = ek.video_map(preds, gt)
+    _, _, map_lo = video_map(preds, gt)
     preds_swapped = [track(2, 0, 0.5, good), track(1, 0, 0.5, bad)]
-    _, _, map_hi = ek.video_map(preds_swapped, gt)
+    _, _, map_hi = video_map(preds_swapped, gt)
     assert map_lo == pytest.approx(1.0)   # TP ranked first
     assert map_hi < 1.0                    # FP ranked first pulls AP down
 
@@ -214,16 +222,16 @@ def test_video_map_equal_st_iou_goes_to_lowest_index_gt():
     # st-IoU 8/12 against both; the first gt in input order takes it
     wide = track(5, 0, 0.9, {0: m0, 1: m1, 2: m2})
     exact_a = track(6, 0, 0.5, {0: m0, 1: m1})
-    per_thr, _, _ = ek.video_map([wide, exact_a], [gt_a, gt_b])
+    per_thr, _, _ = video_map([wide, exact_a], [gt_a, gt_b])
     assert per_thr[0.50] == pytest.approx(51 / 101)   # exact_a finds only gt_b free
-    per_thr, _, _ = ek.video_map([wide, exact_a], [gt_b, gt_a])
+    per_thr, _, _ = video_map([wide, exact_a], [gt_b, gt_a])
     assert per_thr[0.50] == 1.0
 
 
 def test_id_metrics_perfect_coverage():
     gt = [track(0, 0, 1.0, {t: block(1, 4, 1, 4) for t in range(4)})]
     preds = [track(9, 0, 0.9, {t: block(1, 4, 1, 4) for t in range(4)})]
-    acc, switches = ek.id_metrics(preds, gt)
+    acc, switches = id_metrics(preds, gt)
     assert acc == 1.0 and switches == 0
 
 
@@ -231,7 +239,7 @@ def test_id_metrics_swap_counts_switch():
     gt = [track(0, 0, 1.0, {t: block(1, 4, 1, 4) for t in range(4)})]
     preds = [track(1, 0, 0.9, {0: block(1, 4, 1, 4), 1: block(1, 4, 1, 4)}),
              track(2, 0, 0.9, {2: block(1, 4, 1, 4), 3: block(1, 4, 1, 4)})]
-    acc, switches = ek.id_metrics(preds, gt)
+    acc, switches = id_metrics(preds, gt)
     assert switches >= 1
     assert acc == pytest.approx(0.5)
 
@@ -246,7 +254,7 @@ def test_id_metrics_crossing_fixture_hand_enumerated():
     p1 = {0: box_a[0], 1: box_a[1], 2: box_b[2], 3: box_b[3]}
     p2 = {0: box_b[0], 1: box_b[1], 2: box_a[2], 3: box_a[3]}
     preds = [track(1, 0, 0.9, p1), track(2, 0, 0.9, p2)]
-    acc, switches = ek.id_metrics(preds, gt)
+    acc, switches = id_metrics(preds, gt)
     # hand enumeration: A covered by [1,1,2,2], B by [2,2,1,1]; main track for
     # each is id 1 (count tie, lower id); 2 correct frames per object
     assert acc == pytest.approx(0.5)
@@ -256,7 +264,7 @@ def test_id_metrics_crossing_fixture_hand_enumerated():
 def test_id_metrics_no_coverage_counts_incorrect():
     gt = [track(0, 0, 1.0, {0: block(0, 2, 0, 2), 1: block(0, 2, 0, 2)})]
     preds = [track(1, 0, 0.9, {0: block(0, 2, 0, 2)})]
-    acc, _ = ek.id_metrics(preds, gt)
+    acc, _ = id_metrics(preds, gt)
     assert acc == pytest.approx(0.5)
 
 
@@ -270,6 +278,25 @@ def test_evaluate_report_shape_and_scenarios():
     assert d["scenarios"]["easy"]["mean_map"] == pytest.approx(1.0)
     table = report.to_table()
     assert "video mAP" in table and "association accuracy" in table
+
+
+def test_evaluate_forms_the_overlaps_once(monkeypatch):
+    gt = [track(0, 1, 1.0, {0: block(1, 4, 1, 4), 1: block(2, 5, 2, 5)})]
+    preds = [track(9, 1, 0.9, {0: block(1, 4, 1, 4)}),
+             track(3, 2, 0.4, {1: block(0, 2, 0, 2)})]
+    passes = []
+    real = ek._overlaps
+
+    def counted(p, g):
+        passes.append(len(p))
+        return real(p, g)
+
+    monkeypatch.setattr(ek, "_overlaps", counted)
+    want = report_oracle(preds, gt, ek.MAP_THRESHOLDS)
+    assert ek.evaluate(preds, gt).to_dict() == want
+    assert len(passes) == 1
+    ek.evaluate(preds, gt, scenarios={"one": (preds[:1], gt)})
+    assert passes[1:] == [2, 1]  # once for the pool, once for the scenario
 
 
 def test_render_overlay_ppm():

@@ -15,7 +15,7 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import ParamStore, Tensor, grad_check
 
-from oracles import heuristic_pair_score, mask_head_oracle
+from oracles import heuristic_distribution_oracle, heuristic_pair_score, mask_head_oracle
 
 
 def small_config(**kw):
@@ -130,8 +130,10 @@ def test_match_probabilities_drive_box_adoption():
     force_head(model.params, "init_head", 0.0, -50.0)
     memory, _ = tm.step(memory, moved, model, tm.Thresholds(), "infer", 1)
     assert len(memory) == 1
-    np.testing.assert_array_equal(memory[0].last_box, moved.boxes[0])
+    np.testing.assert_array_equal(memory.boxes, moved.boxes)
     np.testing.assert_array_equal(memory[0].records[-1].box, moved.boxes[0])
+    np.testing.assert_array_equal(memory.class_votes, [[2, 0, 0]])
+    np.testing.assert_array_equal(memory.conf_sum, [2.0])
 
 
 def test_track_ids_stable_and_memory_monotone():
@@ -304,9 +306,70 @@ def test_score_head_gradients():
 
 
 def test_score_tracks_average_heuristic():
-    conf, cls = tm.score_tracks_average([0.8, 0.6], [2, 2, 0])
-    assert conf == pytest.approx(0.7)
-    assert cls == 2
+    # class 2 wins 2:1; a 1:1 tie goes to class 1; no votes give class 0 at 0
+    dist = tm.score_tracks_average(np.array([[1, 0, 2], [0, 1, 1], [0, 0, 0]]),
+                                   np.array([2.1, 1.0, 0.0]))
+    np.testing.assert_allclose(dist, [[0, 0, 0.7, 0.3], [0, 0.5, 0, 0.5], [0, 0, 0, 1]],
+                               rtol=0, atol=1e-15)
+    empty = tm.score_tracks_average(np.zeros((0, 3), dtype=int), np.zeros(0))
+    assert empty.shape == (0, 4)
+
+
+def _heuristic_stream(frames):
+    gt = sw.generate_sequence(sw.WorldConfig(
+        seed=21, max_objects=4, frames=frames, num_classes=3, appearance_dim=3,
+        mask_grid=6, exit_prob=0.0, entry_window=1))
+    return sw.corrupt(gt, sw.NoiseConfig(miss_prob=0.1, false_positive_rate=0.5,
+                                         class_temperature=0.5, box_jitter=0.01,
+                                         appearance_noise=0.1), seed=22)
+
+
+def test_memory_rows_recount_from_outputs():
+    # after every step, each row's box is its track's last active box and its
+    # votes and confidence sum recount the matched detections of the outputs
+    model = tm.build_model(small_config(), seed=11)
+    model.params["match_head/b"].data[...] = 2.0  # some tracks match, some do not
+    memory, outputs = [], []
+    for t, frame in enumerate(_heuristic_stream(12).frames):
+        memory, out = tm.step(memory, frame, model, tm.Thresholds(), "infer", t)
+        outputs.append(out)
+        for row, track in enumerate(memory):
+            matched = [(o.detections, r.matched_detection) for o, r in
+                       zip(outputs[track.birth_frame:], track.records) if r.active]
+            boxes = [r.box for r in track.records if r.active]
+            np.testing.assert_array_equal(memory.boxes[row], boxes[-1])
+            votes = np.bincount([int(np.argmax(d.scores[j, :-1])) for d, j in matched],
+                                minlength=3)
+            np.testing.assert_array_equal(memory.class_votes[row], votes)
+            conf = 0.0
+            for d, j in matched:
+                conf += d.top[j]
+            assert memory.conf_sum[row] == conf
+    records = [r.active for track in memory for r in track.records]
+    assert memory.class_votes.max() > 1 and not all(records)
+
+
+def test_heuristic_scoring_matches_per_list_rule():
+    model = tm.build_model(small_config(heuristic_scoring=True), seed=12)
+    force_head(model.params, "match_head", 0.0, 5.0)  # long vote lists
+    memory, outputs = [], []
+    lengths = set()
+    for t, frame in enumerate(_heuristic_stream(14).frames):
+        memory, out = tm.step(memory, frame, model, tm.Thresholds(), "infer", t)
+        outputs.append(out)
+        for row, track in enumerate(memory):
+            matched = [(o.detections, r.matched_detection) for o, r in
+                       zip(outputs[track.birth_frame:], track.records) if r.active]
+            want = heuristic_distribution_oracle(
+                [float(d.top[j]) for d, j in matched],
+                [int(np.argmax(d.scores[j, :-1])) for d, j in matched], 3)
+            got = out.scores.data[row]
+            assert np.argmax(got[:-1]) == np.argmax(want[:-1])
+            np.testing.assert_allclose(got, want, rtol=0, atol=2.2e-16)
+            if len(matched) <= 7:  # np.mean sums pairwise from 8 terms on
+                np.testing.assert_array_equal(got, want)
+            lengths.add(len(matched))
+    assert max(lengths) > 8
 
 
 def test_heuristic_scores_match_pair_oracle():
@@ -319,22 +382,25 @@ def test_heuristic_scores_match_pair_oracle():
         m, n = (int(v) for v in rng.integers(0, 5, size=2))
         mu = rng.normal(size=(m, 3))
         mu[: m // 3] = 0.0  # cosine against a zero vector is 0
-        tracks = [tm.TrackState(id=i, birth_frame=0, last_box=box()) for i in range(m)]
+        boxes = np.array([box() for _ in range(m)]).reshape(m, 4)
+        tracks = [tm.TrackState(id=i, birth_frame=0) for i in range(m)]
         for track in tracks[: m // 2]:  # the rest have no record yet: class 0
             track.records.append(tm.FrameRecord(t=0, active=True,
                                                 scores=rng.dirichlet(np.ones(4))))
         dets = [make_det(box(), rng.dirichlet(np.ones(4)), rng.normal(size=3))
                 for _ in range(n)]
         if m > 1 and n:  # a detection identical to track 1 is a perfect pair
-            dets[0] = make_det(tracks[1].last_box, one_hot(0), mu[1])
+            dets[0] = make_det(boxes[1], one_hot(0), mu[1])
         memory = tm.TrackMemory(tracks=tracks, y=Tensor(np.zeros((m, 8))),
                                 c=Tensor(np.zeros((m, 8))), mu=Tensor(mu),
-                                sigma=Tensor(np.ones((m, 3))))
+                                sigma=Tensor(np.ones((m, 3))), boxes=boxes,
+                                class_votes=np.zeros((m, 3), dtype=int),
+                                conf_sum=np.zeros(m))
         frame = make_frame(dets)
         got = tm.heuristic_scores(memory, frame)
         classes = [int(np.argmax(t.records[-1].scores[:-1])) if t.records else 0
                    for t in tracks]
-        want = np.array([[heuristic_pair_score(mu[i], classes[i], tracks[i].last_box,
+        want = np.array([[heuristic_pair_score(mu[i], classes[i], boxes[i],
                                                frame.boxes[j], frame.scores[j],
                                                frame.appearance[j])
                           for j in range(n)] for i in range(m)]).reshape(m, n)

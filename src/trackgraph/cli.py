@@ -122,13 +122,26 @@ def cmd_generate(args) -> int:
 
 
 def _load_pairs(data_dir: Path):
+    """Each detection stream with its ground truth, which must cover every
+    frame of the stream and, when the stream has detections, lie in its
+    classes and (if it has objects) on its mask grid."""
     pairs = []
     for det_path in sorted(data_dir.glob("*.det.jsonl")):
         gt_path = det_path.with_name(det_path.name.replace(".det.jsonl", ".gt.jsonl"))
         if not gt_path.exists():
             raise sw.DataError(f"missing ground truth for {det_path}")
         det = sw.load_detections_jsonl(det_path)
-        gt = sw.load_ground_truth_jsonl(gt_path, num_classes=det.num_classes)
+        has_dets = any(len(f) for f in det.frames)
+        gt = sw.load_ground_truth_jsonl(gt_path,
+                                        num_classes=det.num_classes if has_dets else None)
+        grid = det.frames[0].masks.shape[-1] if has_dets else None
+        if has_dets and gt.objects and gt.config.mask_grid != grid:
+            g = gt.config.mask_grid
+            raise sw.DataError(f"{gt_path} has masks on a {g}x{g} grid, "
+                               f"{det_path} on a {grid}x{grid} grid")
+        if gt.frames < len(det.frames):
+            raise sw.DataError(f"{gt_path} covers {gt.frames} frames, "
+                               f"{det_path} has {len(det.frames)}")
         pairs.append((det.frames, gt))
     if not pairs:
         raise sw.DataError(f"no *.det.jsonl sequences found in {data_dir}")

@@ -6,6 +6,11 @@ model did: graph blocks, gating, appearance updates, rate predictions, and
 mask reweighting.  Losses are normalized by batch size and sequence length
 but never by track or detection counts, so false positives cannot dilute
 the loss of true pairs.
+
+Targets are array expressions over the memory rows: a sequence's ground
+truth is stacked once, objects as rows by ascending id, and one identity
+array holds each memory row's gt row (-1 for none); a newborn takes its
+detection's row via FrameOutput.row_detections.  Only the id order matters.
 """
 
 from __future__ import annotations
@@ -75,13 +80,14 @@ class TrainConfig:
 # target assignment
 
 
-def assign_targets(frame, gt_objects, iou_threshold: float = 0.5) -> dict[int, int]:
-    """Label the frame's detections with gt identities: global greedy over
-    (gt, detection) pairs by descending IoU, one-to-one, at IoU >= threshold.
-    Unlabeled detections are background.  gt_objects: list of (gt_id, box)."""
-    ious = ag.iou_matrix([box for _, box in gt_objects], frame.boxes)
-    return {j: gt_objects[gi][0]
-            for gi, j in tm.greedy_assignment(ious, iou_threshold).items()}
+def assign_targets(frame, gt_boxes, iou_threshold: float = 0.5) -> np.ndarray:
+    """The (n,) row of `gt_boxes` that labels each of the frame's detections,
+    -1 for background: global greedy over (gt, detection) pairs by descending
+    IoU, one-to-one, at IoU >= threshold."""
+    assigned = tm.greedy_assignment(ag.iou_matrix(gt_boxes, frame.boxes), iou_threshold)
+    det_gt = np.full(len(frame), -1)
+    det_gt[list(assigned.values())] = list(assigned)
+    return det_gt
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +201,21 @@ def total_loss(score: Tensor, seg: Tensor, match: Tensor, init: Tensor,
 # sequence unrolling
 
 
-def _gt_frame_objects(gt, t):
-    return [(obj.id, obj.boxes[t]) for obj in gt.objects if obj.present[t]]
-
-
-def _paint_gt_map(gt, t, grid: int) -> np.ndarray:
-    """Ground-truth instance map: object masks painted in ascending id order
-    (higher ids on top); 0 elsewhere, values are gt_id + 1."""
-    out = np.zeros((grid, grid), dtype=np.int64)
-    for obj in sorted(gt.objects, key=lambda o: o.id):
-        if obj.present[t]:
-            out[obj.masks[t] > 0] = obj.id + 1
-    return out
+def _stack_ground_truth(gt, frames: int, num_classes: int):
+    """The sequence's objects by ascending id as rows over its first `frames`
+    frames: present (K, T), boxes (K, T, 4), classes (K + 1,) ending in the
+    background class, which row -1 reads, and the (T, G*G) gt maps: the
+    largest row + 1 covering a pixel (higher ids paint on top), else 0."""
+    objects = sorted(gt.objects, key=lambda o: o.id)
+    shape = (len(objects), frames)
+    present = np.array([o.present[:frames] for o in objects], dtype=bool).reshape(shape)
+    boxes = np.array([o.boxes[:frames] for o in objects], dtype=float).reshape(*shape, 4)
+    masks = np.array([o.masks[:frames] > 0 for o in objects], dtype=bool).reshape(
+        *shape, gt.config.mask_grid ** 2) & present[:, :, None]
+    gt_maps = np.where(masks, np.arange(1, len(objects) + 1)[:, None, None], 0).max(
+        axis=0, initial=0)
+    classes = np.array([o.class_id for o in objects] + [num_classes])
+    return present, boxes, classes, gt_maps
 
 
 def unroll_sequence(model: tm.TrackModel, det_frames, gt,
@@ -215,48 +224,34 @@ def unroll_sequence(model: tm.TrackModel, det_frames, gt,
     four loss Tensors plus the final memory."""
     config = model.config
     seq_len = len(det_frames)
-    identity: dict[int, int] = {}  # track id -> gt id, -1 for none
-    class_of = {obj.id: obj.class_id for obj in gt.objects}
+    present, boxes, classes, gt_maps = _stack_ground_truth(gt, seq_len, config.num_classes)
+    identity = np.zeros(0, dtype=int)
     memory = tm.TrackMemory.empty(config)
     score_frames, match_frames, init_frames, seg_frames = [], [], [], []
 
     for t, frame in enumerate(det_frames):
         memory, out = tm.step(memory, frame, model, thresholds, mode, t)
-        labels = assign_targets(out.detections, _gt_frame_objects(gt, t))
-        det_ids = np.array([labels.get(j, -1) for j in range(out.num_dets)])
-        row_ids = np.array([identity[track.id] for track in out.track_rows])
+        live = np.append(np.flatnonzero(present[:, t]), -1)  # -1 keeps background
+        det_gt = live[assign_targets(out.detections, boxes[live[:-1], t])]
 
-        # match targets over pre-birth rows x detections: same gt identity
-        match_t = (row_ids[:, None] == det_ids[None, :]) & (det_ids[None, :] >= 0)
-        match_frames.append((out.match_probs, match_t))
-
+        # match targets over pre-birth rows x detections: same gt row
+        match_frames.append((out.match_probs,
+                             (identity[:, None] == det_gt) & (det_gt >= 0)))
         # init targets: labeled detection whose object has no track yet
-        init_t = (det_ids >= 0) & ~np.isin(det_ids, row_ids)
-        init_frames.append((out.init_probs, init_t))
+        init_frames.append((out.init_probs, (det_gt >= 0) & ~np.isin(det_gt, identity)))
 
-        # newborn tracks inherit the label of their initializing detection
-        for track in out.born:
-            j = track.records[-1].matched_detection
-            identity[track.id] = labels.get(j, -1)
+        # newborns take their initializing detection's row
+        identity = np.concatenate([identity, det_gt[out.row_detections[out.num_tracks:]]])
+        score_frames.append((out.scores, classes[identity]))
 
-        # score targets, one per row of the new memory
-        targets = [class_of.get(identity[track.id], config.num_classes)
-                   for track in memory]
-        score_frames.append((out.scores, targets))
-
-        # segmentation targets: earliest identity-carrying track owns the
-        # object's pixels
+        # segmentation targets: the earliest active track of a gt row owns the
+        # object's pixels (instance-map value k + 1 for the k-th active row)
         if out.seg_logits is not None:
-            owner_row: dict[int, int] = {}
-            for k, track in enumerate(out.seg_tracks):
-                tid = identity[track.id]
-                if tid >= 0 and tid not in owner_row:
-                    owner_row[tid] = k + 1
-            gt_map = _paint_gt_map(gt, t, config.mask_grid)
-            labels_map = np.zeros_like(gt_map)
-            for gt_id, row in owner_row.items():
-                labels_map[gt_map == gt_id + 1] = row
-            seg_frames.append((out.seg_logits, labels_map))
+            rows, first = np.unique(identity[out.row_detections >= 0], return_index=True)
+            owner = np.zeros(len(classes), dtype=int)
+            owner[rows[rows >= 0] + 1] = first[rows >= 0] + 1
+            seg_frames.append((out.seg_logits, owner[gt_maps[t]].reshape(
+                config.mask_grid, config.mask_grid)))
         else:
             seg_frames.append(None)
 

@@ -399,7 +399,9 @@ def save_ground_truth_jsonl(seq: GroundTruthSequence, path):
 
 def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruthSequence:
     """Rebuild a ground-truth sequence from per-frame object records.  The
-    file's first mask sets the grid; every mask must match it."""
+    file's first mask sets the grid; every mask must match it.  An object
+    keeps one class on every line, in [0, num_classes) when that is given."""
+    top = math.inf if num_classes is None else num_classes
     rows: dict[int, dict] = {}
     seen: set[int] = set()
     grid_from = None  # (mask shape, the line that set it)
@@ -409,11 +411,17 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
             t = _frame_index(record, seen)
             seen.add(t)
             for o in record["objects"]:
+                cls = int(o["class"])
+                if not 0 <= cls < top:
+                    raise DataError(f"object {o['id']} has class {cls}, outside [0, {top})")
                 entry = rows.setdefault(int(o["id"]), {
-                    "class": int(o["class"]),
+                    "class": cls, "line": lineno,
                     "appearance": np.asarray(o["appearance"], dtype=np.float64),
                     "frames": {},
                 })
+                if cls != entry["class"]:
+                    raise DataError(f"object {o['id']} has class {cls}, not "
+                                    f"{entry['class']} as on line {entry['line']}")
                 mask = decode_mask(o["mask"])
                 grid_from = grid_from or (mask.shape, lineno)
                 if mask.shape != grid_from[0]:

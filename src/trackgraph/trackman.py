@@ -117,7 +117,10 @@ class FrameOutput:
     match/init probabilities refer to the memory as it stood when the graph
     ran (before any births this frame): match_probs is (m, n), init_probs
     (n,).  scores holds one class distribution per row of the returned
-    memory (track_rows, then born)."""
+    memory (track_rows, then born), and row_detections (M',) each such row's
+    detection this frame, -1 when unmatched: a newborn's is
+    row_detections[num_tracks:], and the active rows, row_detections >= 0,
+    are the seg_tracks in order."""
 
     frame: int
     num_tracks: int
@@ -127,6 +130,7 @@ class FrameOutput:
     init_probs: Tensor
     track_rows: list[TrackState]
     born: list[TrackState]
+    row_detections: np.ndarray
     scores: Tensor
     seg_logits: Tensor | None
     seg_tracks: list[TrackState]
@@ -414,6 +418,7 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
         init_probs=init_p,
         track_rows=memory.tracks,
         born=born,
+        row_detections=row_js,
         scores=scores,
         seg_logits=seg_logits,
         seg_tracks=[tracks[row] for row in seg_rows.tolist()],

@@ -328,3 +328,59 @@ def joint_tape_train(dataset, model, config, thresholds=None):
         curve.append(learn.LossBreakdown(score=acc[0], seg=acc[1], match=acc[2],
                                          init=acc[3], total=total.item()))
     return curve
+
+
+def unroll_targets_oracle(model, det_frames, gt, thresholds, mode="train"):
+    """`learn.unroll_sequence`'s four losses with targets built per track:
+    each detection's gt id from a greedy over (object, detection) pairs by
+    descending IoU in gt-object order, a dict from track id to gt id (None
+    for none), each newborn labeled through its record's matched detection,
+    the class target looked up per track, and the ground-truth map painted
+    object by object in ascending id order.  The earliest active track of an
+    object owns its pixels.  The losses themselves are learn's, so the two
+    must agree bit for bit."""
+    config = model.config
+    class_of = {obj.id: obj.class_id for obj in gt.objects}
+    identity = {}
+    memory = tm.TrackMemory.empty(config)
+    score_frames, match_frames, init_frames, seg_frames = [], [], [], []
+    for t, frame in enumerate(det_frames):
+        memory, out = tm.step(memory, frame, model, thresholds, mode, t)
+        objects = [obj for obj in gt.objects if obj.present[t]]
+        ious = ag.iou_matrix([obj.boxes[t] for obj in objects], out.detections.boxes)
+        labels, used = {}, set()
+        for _, gi, j in sorted((-ious[gi, j], gi, j) for gi in range(len(objects))
+                               for j in range(out.num_dets)):
+            if ious[gi, j] >= 0.5 and gi not in used and j not in labels:
+                labels[j] = objects[gi].id
+                used.add(gi)
+        det_ids = [labels.get(j) for j in range(out.num_dets)]
+        row_ids = [identity[track.id] for track in out.track_rows]
+        match_frames.append((out.match_probs, np.array(
+            [[d is not None and d == r for d in det_ids] for r in row_ids],
+            dtype=bool).reshape(out.num_tracks, out.num_dets)))
+        init_frames.append((out.init_probs, np.array(
+            [d is not None and d not in row_ids for d in det_ids], dtype=bool)))
+        for track in out.born:
+            identity[track.id] = labels.get(track.records[-1].matched_detection)
+        score_frames.append((out.scores, [
+            config.num_classes if identity[track.id] is None else class_of[identity[track.id]]
+            for track in memory]))
+        if out.seg_logits is None:
+            seg_frames.append(None)
+            continue
+        owner = {}
+        for k, track in enumerate(out.seg_tracks):
+            if identity[track.id] is not None:
+                owner.setdefault(identity[track.id], k + 1)
+        labels_map = np.zeros((config.mask_grid, config.mask_grid), dtype=int)
+        for obj in sorted(gt.objects, key=lambda o: o.id):
+            if obj.present[t]:
+                labels_map[obj.masks[t] > 0] = owner.get(obj.id, 0)
+        seg_frames.append((out.seg_logits, labels_map))
+    seq_len = len(det_frames)
+    return {"score": learn.loss_score(score_frames, seq_len),
+            "seg": learn.loss_seg(seg_frames, seq_len),
+            "match": learn.loss_bce(match_frames, seq_len),
+            "init": learn.loss_bce(init_frames, seq_len),
+            "memory": memory}

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,75 @@ def test_track_mask_payload_not_square_exits_two(tmp_path, capsys):
     tracks.write_text(json.dumps({"tracks": [{"id": 0, "frames": [frame]}]}))
     assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
     assert "mask payload has 24 bytes, not a square grid" in capsys.readouterr().err
+
+
+def _train_on_mutated_gt(tmp_path, mutate):
+    """Train on the tiny suite after `mutate` edits the last sequence's
+    ground-truth records in place; returns (exit code, gt path, det path)."""
+    data, _, argv = train_argv(tmp_path)
+    gt = sorted(data.glob("*.gt.jsonl"))[-1]
+    records = [json.loads(line) for line in gt.read_text().splitlines()]
+    mutate(records)
+    gt.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return run(argv), gt, Path(str(gt).replace(".gt.jsonl", ".det.jsonl"))
+
+
+@pytest.mark.parametrize("cls", [-1, 3, 9])
+def test_ground_truth_class_outside_model_classes_exits_two(tmp_path, capsys, cls):
+    # the streams have 3 classes; a class of 3 or more would index past the
+    # score head's foreground classes
+    def mutate(records):
+        for r in records:
+            for o in r["objects"]:
+                o["class"] = cls
+    code, gt, _ = _train_on_mutated_gt(tmp_path, mutate)
+    assert code == 2
+    assert re.search(rf"{re.escape(str(gt))}: malformed line \d+: object \d+ has class "
+                     rf"{cls}, outside \[0, 3\)", capsys.readouterr().err)
+
+
+def test_ground_truth_class_change_exits_two(tmp_path, capsys):
+    seen = {}
+
+    def mutate(records):
+        obj = records[-1]["objects"][0]
+        first = next(i for i, r in enumerate(records)
+                     if any(o["id"] == obj["id"] for o in r["objects"]))
+        assert first < len(records) - 1
+        seen.update(id=obj["id"], old=obj["class"], line=first + 1)
+        obj["class"] = (obj["class"] + 1) % 3
+    code, _, _ = _train_on_mutated_gt(tmp_path, mutate)
+    assert code == 2
+    assert (f"malformed line 4: object {seen['id']} has class {(seen['old'] + 1) % 3}, "
+            f"not {seen['old']} as on line {seen['line']}" in capsys.readouterr().err)
+
+
+def test_negative_ground_truth_class_exits_two_in_eval(tmp_path, capsys):
+    _, gt, _ = _tiny_stream(tmp_path)
+    lines = [json.loads(line) for line in gt.read_text().splitlines()]
+    lines[-1]["objects"][0]["class"] = -2
+    gt.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert "has class -2, outside [0, inf)" in capsys.readouterr().err
+
+
+def test_ground_truth_on_another_grid_than_its_stream_exits_two(tmp_path, capsys):
+    def mutate(records):
+        for r in records:
+            for o in r["objects"]:
+                o["mask"] = _MASK_5X5
+    code, gt, det = _train_on_mutated_gt(tmp_path, mutate)
+    assert code == 2
+    assert (f"{gt} has masks on a 5x5 grid, {det} on a 6x6 grid"
+            in capsys.readouterr().err)
+
+
+def test_ground_truth_shorter_than_its_stream_exits_two(tmp_path, capsys):
+    code, gt, det = _train_on_mutated_gt(tmp_path, lambda records: records.pop())
+    assert code == 2
+    assert f"{gt} covers 3 frames, {det} has 4" in capsys.readouterr().err
 
 
 def test_gradcheck_single_target():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,7 +13,8 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import Tensor
 
-from oracles import iou, joint_tape_train, lovasz_softmax_frame_loop
+from oracles import (iou, joint_tape_train, lovasz_softmax_frame_loop,
+                     unroll_targets_oracle)
 
 
 def box_frame(*boxes):
@@ -41,32 +43,40 @@ def small_world(seed=0, frames=6, objects=2):
 
 
 def test_assign_iou_above_threshold():
-    gt = [(7, [0.5, 0.5, 0.2, 0.2])]
+    gt = [[0.5, 0.5, 0.2, 0.2]]
     # a detection with IoU exactly 0.6: nested box, area ratio 0.6
     frame = box_frame([0.5, 0.5, 0.2, 0.2 * 0.6])
-    assert iou(gt[0][1], frame.boxes[0]) == pytest.approx(0.6)
-    assert learn.assign_targets(frame, gt) == {0: 7}
+    assert iou(gt[0], frame.boxes[0]) == pytest.approx(0.6)
+    assert learn.assign_targets(frame, gt).tolist() == [0]
 
 
 def test_assign_iou_below_threshold():
-    gt = [(7, [0.5, 0.5, 0.2, 0.2])]
+    gt = [[0.5, 0.5, 0.2, 0.2]]
     frame = box_frame([0.5, 0.5, 0.2, 0.2 * 0.4])
-    assert iou(gt[0][1], frame.boxes[0]) == pytest.approx(0.4)
-    assert learn.assign_targets(frame, gt) == {}
+    assert iou(gt[0], frame.boxes[0]) == pytest.approx(0.4)
+    assert learn.assign_targets(frame, gt).tolist() == [-1]
 
 
 def test_assign_best_detection_wins():
-    gt = [(3, [0.5, 0.5, 0.2, 0.2])]
+    gt = [[0.5, 0.5, 0.2, 0.2]]
     frame = box_frame([0.5, 0.5, 0.2, 0.2 * 0.6], [0.5, 0.5, 0.2, 0.2 * 0.7])
-    labels = learn.assign_targets(frame, gt)
-    assert labels == {1: 3}
+    assert learn.assign_targets(frame, gt).tolist() == [-1, 0]
 
 
 def test_assign_one_to_one_across_objects():
-    gt = [(0, [0.3, 0.5, 0.2, 0.2]), (1, [0.32, 0.5, 0.2, 0.2])]
+    gt = [[0.3, 0.5, 0.2, 0.2], [0.32, 0.5, 0.2, 0.2]]
     frame = box_frame([0.3, 0.5, 0.2, 0.2], [0.32, 0.5, 0.2, 0.2])
-    labels = learn.assign_targets(frame, gt)
-    assert labels == {0: 0, 1: 1}
+    assert learn.assign_targets(frame, gt).tolist() == [0, 1]
+
+
+def test_assign_without_ground_truth_is_all_background():
+    frame = box_frame([0.3, 0.5, 0.2, 0.2], [0.6, 0.5, 0.2, 0.2])
+    assert learn.assign_targets(frame, np.zeros((0, 4))).tolist() == [-1, -1]
+
+
+def test_assign_empty_frame():
+    labels = learn.assign_targets(box_frame(), [[0.3, 0.5, 0.2, 0.2]])
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +287,66 @@ def test_unroll_sequence_identities_and_targets():
         assert np.isfinite(v) and v >= 0.0
     # tracks were born and carry gt identities via their init detections
     assert len(parts["memory"]) >= len(gt.objects)
+
+
+LOSS_KEYS = ("score", "seg", "match", "init")
+
+
+def unrolled_losses(unroll, model, det_frames, gt):
+    parts = unroll(model, det_frames, gt, tm.Thresholds(), mode="train")
+    return [parts[key].item() for key in LOSS_KEYS]
+
+
+# births everywhere or through the learned head; misses, false positives and
+# duplicate detections; objects entering and leaving
+TARGET_STREAMS = [
+    (seed, births, sw.NoiseConfig(miss_prob=0.15, false_positive_rate=0.6,
+                                  duplicate_prob=0.3, box_jitter=0.01,
+                                  class_temperature=0.3))
+    for seed, births in ((3, True), (4, False), (5, True), (6, False))]
+
+
+def target_stream(seed, births, noise, **model_kw):
+    model = tm.build_model(small_config(max_tracks=12, **model_kw), seed=seed)
+    if births:
+        model.params["init_head/b"].data[...] = 2.0
+    world = sw.WorldConfig(seed=seed, frames=8, max_objects=4, num_classes=3,
+                           appearance_dim=3, mask_grid=6, entry_window=4, exit_prob=0.1)
+    gt = sw.generate_sequence(world)
+    return model, sw.corrupt(gt, noise, seed=seed + 50).frames, gt
+
+
+@pytest.mark.parametrize("model_kw", [{}, {"heuristic_association": True}],
+                         ids=["default", "heuristic_association"])
+@pytest.mark.parametrize("seed,births,noise", TARGET_STREAMS,
+                         ids=[f"seed{s}" for s, _, _ in TARGET_STREAMS])
+def test_unroll_targets_match_per_track_oracle_bit_for_bit(seed, births, noise, model_kw):
+    model, det_frames, gt = target_stream(seed, births, noise, **model_kw)
+    got = unrolled_losses(learn.unroll_sequence, model, det_frames, gt)
+    assert got == unrolled_losses(unroll_targets_oracle, model, det_frames, gt)
+
+
+def test_unroll_losses_depend_only_on_gt_id_order():
+    model, det_frames, gt = target_stream(*TARGET_STREAMS[0])
+    relabeled = dataclasses.replace(gt, objects=[
+        dataclasses.replace(obj, id=3 * obj.id - 5) for obj in gt.objects])
+    assert min(obj.id for obj in relabeled.objects) < -1
+    assert (unrolled_losses(learn.unroll_sequence, model, det_frames, relabeled)
+            == unrolled_losses(learn.unroll_sequence, model, det_frames, gt))
+
+
+def test_sequence_without_ground_truth_objects_trains():
+    model = tm.build_model(small_config(), seed=2)
+    model.params["init_head/b"].data[...] = 2.0  # births from false positives
+    gt = sw.generate_sequence(sw.WorldConfig(seed=2, frames=5, max_objects=0, num_classes=3,
+                                             appearance_dim=3, mask_grid=6))
+    assert not gt.objects
+    det = sw.corrupt(gt, sw.NoiseConfig(false_positive_rate=2.0), seed=9)
+    assert any(len(f) for f in det.frames) and not all(len(f) for f in det.frames)
+    curve = learn.train([(det.frames, gt)], model,
+                        learn.TrainConfig(iterations=2, batch_size=1, seed=0))
+    assert all(np.isfinite([b.score, b.seg, b.match, b.init, b.total]).all()
+               for b in curve)
 
 
 def test_one_adam_step_descends_on_fixed_batch():

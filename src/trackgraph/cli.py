@@ -121,31 +121,50 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_pairs(data_dir: Path):
-    """Each detection stream with its ground truth, which must cover every
-    frame of the stream and, when the stream has detections, lie in its
-    classes and (if it has objects) on its mask grid."""
+def _load_pairs(data_dir: Path, config: ModelConfig):
+    """Each detection stream with its ground truth, and `config` with the
+    class count, appearance size and mask grid of the first stream that has
+    a detection (as given when none has).  Every other stream with a
+    detection must agree with that one.  Each ground truth must cover every
+    frame of its stream and lie in the model's classes and, if it has
+    objects, on its grid."""
+    det_paths = sorted(data_dir.glob("*.det.jsonl"))
+    if not det_paths:
+        raise sw.DataError(f"no *.det.jsonl sequences found in {data_dir}")
+    streams, origin = [], None
+    for det_path in det_paths:
+        det = sw.load_detections_jsonl(det_path)
+        has_dets = any(len(f) for f in det.frames)
+        if has_dets:
+            frame = det.frames[0]
+            shapes = {"num_classes": det.num_classes, "mask_grid": frame.masks.shape[-1],
+                      "appearance_dim": frame.appearance.shape[-1]}
+            if origin is None:
+                try:
+                    config, origin = dataclasses.replace(config, **shapes), det_path
+                except ValueError as exc:  # e.g. scores with no foreground class
+                    raise sw.DataError(f"{det_path}: {exc}") from None
+            for name, value in shapes.items():
+                if value != getattr(config, name):
+                    raise sw.DataError(f"{det_path} has {name} {value}, "
+                                       f"{origin} has {getattr(config, name)}")
+        streams.append((det_path, det, has_dets))
     pairs = []
-    for det_path in sorted(data_dir.glob("*.det.jsonl")):
+    for det_path, det, has_dets in streams:
         gt_path = det_path.with_name(det_path.name.replace(".det.jsonl", ".gt.jsonl"))
         if not gt_path.exists():
             raise sw.DataError(f"missing ground truth for {det_path}")
-        det = sw.load_detections_jsonl(det_path)
-        has_dets = any(len(f) for f in det.frames)
-        gt = sw.load_ground_truth_jsonl(gt_path,
-                                        num_classes=det.num_classes if has_dets else None)
-        grid = det.frames[0].masks.shape[-1] if has_dets else None
-        if has_dets and gt.objects and gt.config.mask_grid != grid:
-            g = gt.config.mask_grid
+        gt = sw.load_ground_truth_jsonl(gt_path, num_classes=config.num_classes)
+        g, grid = gt.masks.shape[-1], config.mask_grid
+        if len(gt) and g != grid:
+            where = det_path if has_dets else origin or "the training config"
             raise sw.DataError(f"{gt_path} has masks on a {g}x{g} grid, "
-                               f"{det_path} on a {grid}x{grid} grid")
+                               f"{where} on a {grid}x{grid} grid")
         if gt.frames < len(det.frames):
             raise sw.DataError(f"{gt_path} covers {gt.frames} frames, "
                                f"{det_path} has {len(det.frames)}")
         pairs.append((det.frames, gt))
-    if not pairs:
-        raise sw.DataError(f"no *.det.jsonl sequences found in {data_dir}")
-    return pairs
+    return pairs, config
 
 
 def cmd_train(args) -> int:
@@ -154,14 +173,7 @@ def cmd_train(args) -> int:
         raw["seed"] = args.seed
     _apply_overrides(raw, args.override)
     model_config, train_config, thresholds = learn.train_config_from_dict(raw)
-    dataset = _load_pairs(Path(args.data))
-    first_gt = dataset[0][1].config
-    model_config = ModelConfig.from_dict({
-        **model_config.to_dict(),
-        "num_classes": first_gt.num_classes,
-        "appearance_dim": first_gt.appearance_dim,
-        "mask_grid": first_gt.mask_grid,
-    })
+    dataset, model_config = _load_pairs(Path(args.data), model_config)
     model = tm.build_model(model_config, seed=train_config.seed)
     curve = learn.train(dataset, model, train_config, thresholds)
     out = Path(args.out)
@@ -209,8 +221,10 @@ def cmd_eval(args) -> int:
     if args.render:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
-        for t in range(gt.config.frames):
-            ppm = ek.render_overlay_ppm(preds, t, gt.config.mask_grid)
+        # evaluate has checked that every mask lies on one grid
+        grid = next((m.shape[-1] for tr in gts + preds for m in tr.masks.values()), 0)
+        for t in range(gt.frames):
+            ppm = ek.render_overlay_ppm(preds, t, grid)
             (render_dir / f"frame_{t:03d}.ppm").write_bytes(ppm)
         print(f"overlays in {render_dir}")
     return EXIT_OK

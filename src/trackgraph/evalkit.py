@@ -98,13 +98,11 @@ def tracks_from_memory(memory, num_classes: int, sequence: int = 0) -> list[Eval
 
 
 def tracks_from_gt(gt, sequence: int = 0) -> list[EvalTrack]:
-    out = []
-    for obj in gt.objects:
-        masks = {t: obj.masks[t] for t in range(gt.frames) if obj.present[t]}
-        if masks:
-            out.append(EvalTrack(id=obj.id, class_id=obj.class_id, confidence=1.0,
-                                 masks=masks, sequence=sequence))
-    return out
+    """One track per ground-truth row present on some frame, in id order."""
+    return [EvalTrack(id=int(oid), class_id=int(cls), confidence=1.0, sequence=sequence,
+                      masks={t: masks[t] for t in np.flatnonzero(present).tolist()})
+            for oid, cls, present, masks in zip(gt.ids, gt.classes, gt.present, gt.masks)
+            if present.any()]
 
 
 # ---------------------------------------------------------------------------

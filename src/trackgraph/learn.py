@@ -7,10 +7,12 @@ mask reweighting.  Losses are normalized by batch size and sequence length
 but never by track or detection counts, so false positives cannot dilute
 the loss of true pairs.
 
-Targets are array expressions over the memory rows: a sequence's ground
-truth is stacked once, objects as rows by ascending id, and one identity
-array holds each memory row's gt row (-1 for none); a newborn takes its
-detection's row via FrameOutput.row_detections.  Only the id order matters.
+Targets are array expressions over the memory rows: they read the
+sequence's synthworld.GroundTruth rows (objects by ascending id) sliced to
+the stream's length, and one identity array holds each memory row's gt row
+(-1 for none); a newborn takes its detection's row via
+FrameOutput.row_detections.  Only the id order matters: a higher id paints
+on top in the gt maps.
 """
 
 from __future__ import annotations
@@ -201,30 +203,18 @@ def total_loss(score: Tensor, seg: Tensor, match: Tensor, init: Tensor,
 # sequence unrolling
 
 
-def _stack_ground_truth(gt, frames: int, num_classes: int):
-    """The sequence's objects by ascending id as rows over its first `frames`
-    frames: present (K, T), boxes (K, T, 4), classes (K + 1,) ending in the
-    background class, which row -1 reads, and the (T, G*G) gt maps: the
-    largest row + 1 covering a pixel (higher ids paint on top), else 0."""
-    objects = sorted(gt.objects, key=lambda o: o.id)
-    shape = (len(objects), frames)
-    present = np.array([o.present[:frames] for o in objects], dtype=bool).reshape(shape)
-    boxes = np.array([o.boxes[:frames] for o in objects], dtype=float).reshape(*shape, 4)
-    masks = np.array([o.masks[:frames] > 0 for o in objects], dtype=bool).reshape(
-        *shape, gt.config.mask_grid ** 2) & present[:, :, None]
-    gt_maps = np.where(masks, np.arange(1, len(objects) + 1)[:, None, None], 0).max(
-        axis=0, initial=0)
-    classes = np.array([o.class_id for o in objects] + [num_classes])
-    return present, boxes, classes, gt_maps
-
-
 def unroll_sequence(model: tm.TrackModel, det_frames, gt,
                     thresholds: tm.Thresholds, mode: str = "train"):
     """Run step() over the sequence, assemble loss inputs, and return the
     four loss Tensors plus the final memory."""
     config = model.config
-    seq_len = len(det_frames)
-    present, boxes, classes, gt_maps = _stack_ground_truth(gt, seq_len, config.num_classes)
+    K, seq_len = len(gt), len(det_frames)
+    present, boxes = gt.present[:, :seq_len], gt.boxes[:, :seq_len]
+    classes = np.append(gt.classes, config.num_classes)  # row -1: background
+    # (T, G*G) gt maps: the largest row + 1 covering a pixel, else 0
+    gt_maps = np.where(
+        (gt.masks[:, :seq_len].reshape(K, seq_len, config.mask_grid ** 2) > 0)
+        & present[:, :, None], np.arange(1, K + 1)[:, None, None], 0).max(axis=0, initial=0)
     identity = np.zeros(0, dtype=int)
     memory = tm.TrackMemory.empty(config)
     score_frames, match_frames, init_frames, seg_frames = [], [], [], []

@@ -5,7 +5,10 @@ vectors move smoothly through the unit square, and a corruption pass turns
 the ground truth into a noisy detection stream (misses, duplicates, false
 positives, class confusion, box jitter, appearance noise).  Streams load and
 save as JSON Lines so externally produced detections can be fed in.  A
-frame's detections are one DetectionFrame of stacked arrays from the start.
+frame's detections are one DetectionFrame of stacked arrays from the start,
+and a sequence's ground truth is one GroundTruth: its objects as rows in
+ascending id order, from the generator and the loader to training targets
+and evaluation.
 
 Sampling order (replayable, one generator seeded from the config):
   per object i = 0..max_objects-1, in order:
@@ -77,27 +80,31 @@ SUITE_NOISE = NoiseConfig(miss_prob=0.1, false_positive_rate=0.3, class_temperat
                           box_jitter=0.01, appearance_noise=0.1, duplicate_prob=0.05)
 
 
-@dataclass
-class TrackedObject:
-    """One ground-truth object: constant identity, class, and latent
-    appearance; per-frame presence, box, and mask."""
+@dataclass(eq=False)
+class GroundTruth:
+    """A sequence's objects as stacked rows in ascending id order: constant
+    identity, class and latent appearance; per-frame presence, box and mask.
+    The order is the paint order of the gt maps: where masks overlap, the
+    higher id is on top."""
 
-    id: int
-    class_id: int
-    appearance: np.ndarray            # (A,) latent
-    present: np.ndarray               # (T,) bool
-    boxes: np.ndarray                 # (T, 4) cx, cy, w, h
-    masks: np.ndarray                 # (T, G, G) uint8
+    num_classes: int
+    ids: np.ndarray         # (K,) int, strictly ascending
+    classes: np.ndarray     # (K,) int
+    appearance: np.ndarray  # (K, A) latent
+    present: np.ndarray     # (K, T) bool
+    boxes: np.ndarray       # (K, T, 4) cx, cy, w, h
+    masks: np.ndarray       # (K, T, G, G) uint8
 
-
-@dataclass
-class GroundTruthSequence:
-    config: WorldConfig
-    objects: list[TrackedObject] = field(default_factory=list)
+    def __post_init__(self):
+        if (self.ids[1:] <= self.ids[:-1]).any():
+            raise DataError(f"ground-truth ids {self.ids.tolist()} are not strictly ascending")
 
     @property
     def frames(self) -> int:
-        return self.config.frames
+        return self.present.shape[1]
+
+    def __len__(self):
+        return len(self.ids)
 
 
 @dataclass(eq=False)
@@ -162,12 +169,22 @@ def _clamp_center(c, half, lo=0.0, hi=1.0):
     return min(max(c, lo + half), hi - half)
 
 
-def generate_sequence(config: WorldConfig) -> GroundTruthSequence:
-    """Sample a world per the documented order; deterministic in the seed."""
+def _stack_rows(config: WorldConfig, rows) -> GroundTruth:
+    """Per-object (class, appearance, present, boxes, masks) rows stacked
+    once, with ids 0..K-1 in row order."""
+    T, G, K = config.frames, config.mask_grid, len(rows)
+    shapes = ((), (config.appearance_dim,), (T,), (T, 4), (T, G, G))
+    dtypes = (np.int64, np.float64, bool, np.float64, np.uint8)
+    return GroundTruth(config.num_classes, np.arange(K), *(
+        np.array(col, dtype=dtype).reshape(K, *shape)
+        for col, dtype, shape in zip(list(zip(*rows)) or [()] * 5, dtypes, shapes)))
+
+
+def _random_rows(config: WorldConfig):
+    """The rows of generate_sequence, drawn in the documented order."""
     rng = np.random.default_rng(config.seed)
     T, G = config.frames, config.mask_grid
-    seq = GroundTruthSequence(config=config)
-    for i in range(config.max_objects):
+    for _ in range(config.max_objects):
         class_id = int(rng.integers(0, config.num_classes))
         entry = int(rng.integers(0, min(config.entry_window, T)))
         present = np.zeros(T, dtype=bool)
@@ -195,20 +212,21 @@ def generate_sequence(config: WorldConfig) -> GroundTruthSequence:
             boxes[t] = (cx, cy, w, h)
             if present[t]:
                 masks[t] = render_mask(boxes[t], G)
-        seq.objects.append(TrackedObject(id=i, class_id=class_id,
-                                         appearance=appearance, present=present,
-                                         boxes=boxes, masks=masks))
-    return seq
+        yield class_id, appearance, present, boxes, masks
 
 
-def crossing_sequence(config: WorldConfig, num_pairs: int = 1) -> GroundTruthSequence:
+def generate_sequence(config: WorldConfig) -> GroundTruth:
+    """Sample a world per the documented order; deterministic in the seed."""
+    return _stack_rows(config, list(_random_rows(config)))
+
+
+def crossing_sequence(config: WorldConfig, num_pairs: int = 1) -> GroundTruth:
     """Stress preset: pairs of same-class objects that start on opposite sides
     and cross near the middle of the sequence, plus random extras up to
     max_objects.  Deterministic in the seed."""
     rng = np.random.default_rng(config.seed)
     T, G = config.frames, config.mask_grid
-    seq = GroundTruthSequence(config=config)
-    next_id = 0
+    rows = []
     for _ in range(num_pairs):
         class_id = int(rng.integers(0, config.num_classes))
         lane = rng.uniform(0.35, 0.65)
@@ -226,19 +244,11 @@ def crossing_sequence(config: WorldConfig, num_pairs: int = 1) -> GroundTruthSeq
                 cy = _clamp_center(lane + direction * drift * (a - 0.5), h / 2)
                 boxes[t] = (cx, cy, w, h)
                 masks[t] = render_mask(boxes[t], G)
-            seq.objects.append(TrackedObject(
-                id=next_id, class_id=class_id, appearance=appearance,
-                present=np.ones(T, dtype=bool), boxes=boxes, masks=masks))
-            next_id += 1
+            rows.append((class_id, appearance, np.ones(T, dtype=bool), boxes, masks))
     extra_cfg = WorldConfig(**{**config.__dict__,
-                               "max_objects": max(config.max_objects - next_id, 0),
+                               "max_objects": max(config.max_objects - len(rows), 0),
                                "seed": config.seed + 1})
-    extras = generate_sequence(extra_cfg)
-    for obj in extras.objects:
-        obj.id = next_id
-        next_id += 1
-        seq.objects.append(obj)
-    return seq
+    return _stack_rows(config, rows + list(_random_rows(extra_cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,38 +271,34 @@ def _diffuse_scores(rng, num_classes: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def corrupt(gt: GroundTruthSequence, noise: NoiseConfig, seed: int) -> DetectionSequence:
+def corrupt(gt: GroundTruth, noise: NoiseConfig, seed: int) -> DetectionSequence:
     """Emit one detection per present object (unless missed), plus duplicates
     and false positives; truncate to the 16 highest-confidence detections."""
     rng = np.random.default_rng(seed)
-    cfg = gt.config
-    A, G = cfg.appearance_dim, cfg.mask_grid
-    shapes = ((4,), (cfg.num_classes + 1,), (A,), (G, G))
-    out = DetectionSequence(num_classes=cfg.num_classes)
-    for t in range(cfg.frames):
+    C, A, G = gt.num_classes, gt.appearance.shape[1], gt.masks.shape[-1]
+    shapes = ((4,), (C + 1,), (A,), (G, G))
+    out = DetectionSequence(num_classes=C)
+    for t in range(gt.frames):
         rows = []  # (box, scores, appearance, mask, source)
-        for obj in gt.objects:
-            if not obj.present[t]:
-                continue
+        for k in np.flatnonzero(gt.present[:, t]):
             if rng.random() < noise.miss_prob:
                 continue
             copies = 2 if rng.random() < noise.duplicate_prob else 1
             for _ in range(copies):
-                box = obj.boxes[t]
+                box = gt.boxes[k, t]
                 if noise.box_jitter > 0:
                     box = box + rng.normal(0, noise.box_jitter, size=4)
                     box[2:] = np.maximum(box[2:], 0.01)
-                app = obj.appearance
+                app = gt.appearance[k]
                 if noise.appearance_noise > 0:
                     app = app + rng.normal(0, noise.appearance_noise, size=A)
-                rows.append((box, _class_scores(obj.class_id, cfg.num_classes,
-                                                noise.class_temperature),
-                             app, obj.masks[t], obj.id))
+                rows.append((box, _class_scores(gt.classes[k], C, noise.class_temperature),
+                             app, gt.masks[k, t], int(gt.ids[k])))
         if noise.false_positive_rate > 0:
             for _ in range(int(rng.poisson(noise.false_positive_rate))):
                 box = np.array([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
                                 rng.uniform(0.08, 0.25), rng.uniform(0.08, 0.25)])
-                scores = _diffuse_scores(rng, cfg.num_classes)
+                scores = _diffuse_scores(rng, C)
                 rows.append((box, scores, rng.normal(size=A), render_mask(box, G), "fp"))
         out.frames.append(truncate_detections(DetectionFrame.stack(zip(*rows), shapes), 16))
     return out
@@ -310,7 +316,8 @@ def truncate_detections(frame: DetectionFrame, cap: int) -> DetectionFrame:
 # JSON Lines input/output
 
 
-def _encode_mask(mask: np.ndarray) -> str:
+def encode_mask(mask: np.ndarray) -> str:
+    """A mask's uint8 bytes in row-major order as base64 text."""
     return base64.b64encode(np.asarray(mask, dtype=np.uint8).tobytes()).decode("ascii")
 
 
@@ -326,7 +333,7 @@ def decode_mask(data: str) -> np.ndarray:
 def save_detections_jsonl(seq: DetectionSequence, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for t, frame in enumerate(seq.frames):
-            dets = [{"box": box, "scores": scores, "mask": _encode_mask(mask),
+            dets = [{"box": box, "scores": scores, "mask": encode_mask(mask),
                      "appearance": app, **({"source": src} if src is not None else {})}
                     for box, scores, mask, app, src in zip(
                         frame.boxes.tolist(), frame.scores.tolist(), frame.masks,
@@ -364,94 +371,83 @@ def _stack_line(rows, shapes: dict, lineno: int) -> DetectionFrame:
     for key, default in _JSON_FIELDS.items():
         values = [decode_mask(r[key]) if key == "mask"
                   else np.asarray(r[key], dtype=np.float64) for r in rows]
-        if values and key not in shapes:
-            shapes[key] = (values[0].shape, lineno)
-        want, origin = shapes.get(key, (default, None))
         for i, v in enumerate(values):
-            if v.shape != want:
-                raise DataError(f"detection {i} field {key!r} has shape {v.shape}, not "
-                                f"{want}" + (f" as on line {origin}" if origin else ""))
+            _check_row_shape(shapes, key, v, lineno, f"detection {i} field {key!r}")
         columns.append(values)
-        wants.append(want)
+        wants.append(shapes.get(key, (default,))[0])
     frame = DetectionFrame.stack(columns + [[r.get("source") for r in rows]], wants)
     if not (np.isfinite(frame.boxes).all() and (frame.boxes[:, 2:] > 0).all()):
         raise DataError("a box is not finite with w, h > 0")
     return frame
 
 
-def save_ground_truth_jsonl(seq: GroundTruthSequence, path):
-    cfg = seq.config
+def _check_row_shape(shapes: dict, key: str, value: np.ndarray, lineno: int, label: str):
+    """`value` must have field `key`'s row shape in `shapes` (shape, the line
+    that set it); the first value of a field not there yet sets it."""
+    want, origin = shapes.setdefault(key, (value.shape, lineno))
+    if value.shape != want:
+        raise DataError(f"{label} has shape {value.shape}, not {want}"
+                        + (f" as on line {origin}" if origin else ""))
+
+
+def save_ground_truth_jsonl(gt: GroundTruth, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in range(cfg.frames):
-            objects = []
-            for obj in seq.objects:
-                if not obj.present[t]:
-                    continue
-                objects.append({
-                    "id": obj.id,
-                    "class": obj.class_id,
-                    "box": [float(v) for v in obj.boxes[t]],
-                    "mask": _encode_mask(obj.masks[t]),
-                    "appearance": [float(v) for v in obj.appearance],
-                })
+        for t in range(gt.frames):
+            objects = [{"id": int(gt.ids[k]), "class": int(gt.classes[k]),
+                        "box": gt.boxes[k, t].tolist(), "mask": encode_mask(gt.masks[k, t]),
+                        "appearance": gt.appearance[k].tolist()}
+                       for k in np.flatnonzero(gt.present[:, t])]
             fh.write(json.dumps({"frame": t, "objects": objects}) + "\n")
 
 
-def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruthSequence:
-    """Rebuild a ground-truth sequence from per-frame object records.  The
-    file's first mask sets the grid; every mask must match it.  An object
-    keeps one class on every line, in [0, num_classes) when that is given."""
+def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth:
+    """Ground-truth rows from per-frame object records.  The file's first
+    mask sets the grid and its first appearance the appearance size; every
+    object must match them and have a 4-entry box.  An object keeps one
+    class on every line, in [0, num_classes) when that is given.  A file
+    without objects gives K = 0 rows."""
     top = math.inf if num_classes is None else num_classes
-    rows: dict[int, dict] = {}
+    objects: dict[int, tuple] = {}  # id -> (class, appearance, the line that set them)
+    cells = []                      # (id, frame, box, mask) per object and line
     seen: set[int] = set()
-    grid_from = None  # (mask shape, the line that set it)
+    shapes = {"box": ((4,), None)}  # JSON field -> (row shape, the line that set it)
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
             record = json.loads(line)
             t = _frame_index(record, seen)
             seen.add(t)
             for o in record["objects"]:
-                cls = int(o["class"])
+                # both become int64 rows, so a value beyond int64 is malformed
+                oid, cls = np.array([o["id"], o["class"]], dtype=np.int64).tolist()
                 if not 0 <= cls < top:
-                    raise DataError(f"object {o['id']} has class {cls}, outside [0, {top})")
-                entry = rows.setdefault(int(o["id"]), {
-                    "class": cls, "line": lineno,
-                    "appearance": np.asarray(o["appearance"], dtype=np.float64),
-                    "frames": {},
-                })
-                if cls != entry["class"]:
-                    raise DataError(f"object {o['id']} has class {cls}, not "
-                                    f"{entry['class']} as on line {entry['line']}")
-                mask = decode_mask(o["mask"])
-                grid_from = grid_from or (mask.shape, lineno)
-                if mask.shape != grid_from[0]:
-                    raise DataError(f"object {o['id']} mask has shape {mask.shape}, not "
-                                    f"{grid_from[0]} as on line {grid_from[1]}")
-                entry["frames"][t] = (np.asarray(o["box"], dtype=np.float64), mask)
-        except (KeyError, ValueError, TypeError) as exc:
+                    raise DataError(f"object {oid} has class {cls}, outside [0, {top})")
+                row = {"box": np.asarray(o["box"], dtype=np.float64),
+                       "mask": decode_mask(o["mask"]),
+                       "appearance": np.asarray(o["appearance"], dtype=np.float64)}
+                for key, value in row.items():
+                    _check_row_shape(shapes, key, value, lineno, f"object {oid} {key}")
+                first = objects.setdefault(oid, (cls, row["appearance"], lineno))
+                if cls != first[0]:
+                    raise DataError(f"object {oid} has class {cls}, not "
+                                    f"{first[0]} as on line {first[2]}")
+                cells.append((oid, t, row["box"], row["mask"]))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise DataError(f"{path}: malformed line {lineno}: {exc}") from None
-    T = max(seen, default=-1) + 1
-    grid = grid_from[0][0] if grid_from else 24
-    classes = (max((e["class"] for e in rows.values()), default=0) + 1
-               if num_classes is None else num_classes)
-    dims = next((len(e["appearance"]) for e in rows.values()), 8)
-    cfg = WorldConfig(num_classes=max(classes, 1), frames=max(T, 1),
-                      max_objects=len(rows), appearance_dim=max(dims, 1),
-                      mask_grid=grid)
-    seq = GroundTruthSequence(config=cfg)
-    for oid in sorted(rows):
-        entry = rows[oid]
-        present = np.zeros(T, dtype=bool)
-        boxes = np.zeros((T, 4))
-        masks = np.zeros((T, grid, grid), dtype=np.uint8)
-        for t, (box, mask) in entry["frames"].items():
-            present[t] = True
-            boxes[t] = box
-            masks[t] = mask
-        seq.objects.append(TrackedObject(id=oid, class_id=entry["class"],
-                                         appearance=entry["appearance"],
-                                         present=present, boxes=boxes, masks=masks))
-    return seq
+    ids = np.array(sorted(objects), dtype=np.int64)
+    K, T = len(ids), max(seen, default=-1) + 1
+    (G, _), (A,) = shapes.get("mask", ((0, 0),))[0], shapes.get("appearance", ((0,),))[0]
+    classes = np.array([objects[i][0] for i in ids.tolist()], dtype=np.int64)
+    present = np.zeros((K, T), dtype=bool)
+    boxes = np.zeros((K, T, 4))
+    masks = np.zeros((K, T, G, G), dtype=np.uint8)
+    if cells:
+        oid, t, box, mask = zip(*cells)
+        k = np.searchsorted(ids, oid)
+        present[k, t], boxes[k, t], masks[k, t] = True, box, mask
+    return GroundTruth(
+        num_classes=int(classes.max(initial=0)) + 1 if num_classes is None else num_classes,
+        ids=ids, classes=classes, present=present, boxes=boxes, masks=masks,
+        appearance=np.array([objects[i][1] for i in ids.tolist()]).reshape(K, A))
 
 
 def _frame_index(record, seen) -> int:

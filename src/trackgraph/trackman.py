@@ -18,7 +18,6 @@ frames can be reclaimed under its original identity.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import numcore as nc
 from . import recurrence as rec
 from .assocgraph import ModelConfig
 from .numcore import NumericError, ParamStore, Tensor
-from .synthworld import DataError, DetectionFrame, truncate_detections
+from .synthworld import DataError, DetectionFrame, encode_mask, truncate_detections
 
 
 @dataclass
@@ -452,8 +451,7 @@ def tracks_to_json(memory: TrackMemory, num_frames: int) -> dict:
                      "scores": [float(v) for v in r.scores]}
             if r.active:
                 entry["box"] = [float(v) for v in r.box]
-                entry["mask"] = base64.b64encode(
-                    np.asarray(r.mask, dtype=np.uint8).tobytes()).decode("ascii")
+                entry["mask"] = encode_mask(r.mask)
             frames.append(entry)
         tracks.append({"id": t.id, "birth_frame": t.birth_frame, "frames": frames})
     return {"num_frames": num_frames, "tracks": tracks}

@@ -340,19 +340,19 @@ def unroll_targets_oracle(model, det_frames, gt, thresholds, mode="train"):
     object owns its pixels.  The losses themselves are learn's, so the two
     must agree bit for bit."""
     config = model.config
-    class_of = {obj.id: obj.class_id for obj in gt.objects}
+    class_of = dict(zip(gt.ids.tolist(), gt.classes.tolist()))
     identity = {}
     memory = tm.TrackMemory.empty(config)
     score_frames, match_frames, init_frames, seg_frames = [], [], [], []
     for t, frame in enumerate(det_frames):
         memory, out = tm.step(memory, frame, model, thresholds, mode, t)
-        objects = [obj for obj in gt.objects if obj.present[t]]
-        ious = ag.iou_matrix([obj.boxes[t] for obj in objects], out.detections.boxes)
+        objects = [k for k in range(len(gt)) if gt.present[k, t]]
+        ious = ag.iou_matrix([gt.boxes[k, t] for k in objects], out.detections.boxes)
         labels, used = {}, set()
         for _, gi, j in sorted((-ious[gi, j], gi, j) for gi in range(len(objects))
                                for j in range(out.num_dets)):
             if ious[gi, j] >= 0.5 and gi not in used and j not in labels:
-                labels[j] = objects[gi].id
+                labels[j] = int(gt.ids[objects[gi]])
                 used.add(gi)
         det_ids = [labels.get(j) for j in range(out.num_dets)]
         row_ids = [identity[track.id] for track in out.track_rows]
@@ -374,9 +374,9 @@ def unroll_targets_oracle(model, det_frames, gt, thresholds, mode="train"):
             if identity[track.id] is not None:
                 owner.setdefault(identity[track.id], k + 1)
         labels_map = np.zeros((config.mask_grid, config.mask_grid), dtype=int)
-        for obj in sorted(gt.objects, key=lambda o: o.id):
-            if obj.present[t]:
-                labels_map[obj.masks[t] > 0] = owner.get(obj.id, 0)
+        for k in sorted(range(len(gt)), key=lambda k: gt.ids[k]):
+            if gt.present[k, t]:
+                labels_map[gt.masks[k, t] > 0] = owner.get(int(gt.ids[k]), 0)
         seg_frames.append((out.seg_logits, labels_map))
     seq_len = len(det_frames)
     return {"score": learn.loss_score(score_frames, seq_len),

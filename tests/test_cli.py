@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -346,6 +347,17 @@ def test_negative_ground_truth_class_exits_two_in_eval(tmp_path, capsys):
     assert "has class -2, outside [0, inf)" in capsys.readouterr().err
 
 
+def test_ground_truth_id_beyond_int64_exits_two(tmp_path, capsys):
+    _, gt, _ = _tiny_stream(tmp_path)
+    lines = [json.loads(line) for line in gt.read_text().splitlines()]
+    lines[-1]["objects"][0]["id"] = 2 ** 63
+    gt.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert f"malformed line {len(lines)}: " in capsys.readouterr().err
+
+
 def test_ground_truth_on_another_grid_than_its_stream_exits_two(tmp_path, capsys):
     def mutate(records):
         for r in records:
@@ -361,6 +373,110 @@ def test_ground_truth_shorter_than_its_stream_exits_two(tmp_path, capsys):
     code, gt, det = _train_on_mutated_gt(tmp_path, lambda records: records.pop())
     assert code == 2
     assert f"{gt} covers 3 frames, {det} has 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("box", [0.5, 0.5, 0.2], "malformed line 4: object {oid} box has shape (3,), not (4,)"),
+    ("appearance", [0.1, 0.2], "malformed line 4: object {oid} appearance has shape (2,), "
+                               "not (3,) as on line {first}"),
+], ids=["box_length", "ragged_appearance"])
+def test_ground_truth_row_shapes_exit_two(tmp_path, capsys, field, value, message):
+    seen = {}
+
+    def mutate(records):
+        obj = records[-1]["objects"][0]
+        obj[field] = value
+        seen.update(oid=obj["id"], first=next(i + 1 for i, r in enumerate(records)
+                                              if r["objects"]))
+    code, gt, _ = _train_on_mutated_gt(tmp_path, mutate)
+    assert code == 2
+    assert f"{gt}: " + message.format(**seen) in capsys.readouterr().err
+
+
+_EMPTY_FRAMES = {"gt": '{{"frame": {t}, "objects": []}}\n',
+                 "det": '{{"frame": {t}, "detections": []}}\n'}
+
+
+def _empty_file(data, name, kind):
+    (data / f"{name}.{kind}.jsonl").write_text(
+        "".join(_EMPTY_FRAMES[kind].format(t=t) for t in range(4)))
+
+
+def _model_shapes(ckpt):
+    config = learn.load_checkpoint(ckpt).config
+    return config.num_classes, config.appearance_dim, config.mask_grid
+
+
+def test_first_ground_truth_without_objects_trains(tmp_path):
+    # the model's shapes come from the streams, not from an empty gt file
+    data, ckpt, argv = train_argv(tmp_path)
+    _empty_file(data, "seq_000", "gt")
+    assert run(argv) == 0
+    assert _model_shapes(ckpt) == (3, 3, 6)
+
+
+def test_model_shapes_from_first_stream_with_a_detection(tmp_path):
+    data, ckpt, argv = train_argv(tmp_path)
+    _empty_file(data, "seq_000", "det")
+    assert run(argv) == 0
+    assert _model_shapes(ckpt) == (3, 3, 6)
+
+
+def test_without_detections_the_config_shapes_stand(tmp_path, capsys):
+    data, ckpt, argv = train_argv(tmp_path)
+    for name in ("seq_000", "seq_001"):
+        _empty_file(data, name, "det")
+    assert run(argv) == 2  # the default 24x24 grid does not fit the gt masks
+    assert (f"{data / 'seq_000.gt.jsonl'} has masks on a 6x6 grid, the training config "
+            "on a 24x24 grid") in capsys.readouterr().err
+    shapes = ["--override", "num_classes=4", "--override", "appearance_dim=2",
+              "--override", "mask_grid=6"]
+    assert run(argv + shapes) == 0
+    assert _model_shapes(ckpt) == (4, 2, 6)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("world.num_classes=4", "has num_classes 4, {first} has 3"),
+    ("world.appearance_dim=4", "has appearance_dim 4, {first} has 3"),
+    ("world.mask_grid=5", "has mask_grid 5, {first} has 6"),
+], ids=["num_classes", "appearance_dim", "mask_grid"])
+def test_streams_that_disagree_on_model_shapes_exit_two(tmp_path, capsys, override,
+                                                        message):
+    data, ckpt, argv = train_argv(tmp_path)
+    second = data / "seq_001.det.jsonl"
+    assert run(["generate", "--seed", "8", "--frames", "4", "--objects", "2",
+                "--out", str(second), "--override", "world.mask_grid=6",
+                "--override", "world.appearance_dim=3",
+                "--override", "world.num_classes=3", "--override", override]) == 0
+    assert run(argv) == 2
+    first = data / "seq_000.det.jsonl"
+    assert f"{second} " + message.format(first=first) in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+# sha256 of the files `trackgraph generate --frames 6` writes with a 8x8 grid
+# and appearance size 3 (numpy 2.4, x86-64); a change to the documented
+# sampling or corruption order, or to either JSON Lines format, changes them
+GENERATED_SHA256 = {
+    "plain": (["--seed", "4", "--objects", "3"], {
+        "det": "9f0cd45c563448b64d1cd35379cdd9c88207eee0e617406d53043410d095e772",
+        "gt": "fe9b0422fa090f85305192b9d5fe799ee11e983f429d14795d78c18d48665956"}),
+    "crossing": (["--seed", "9", "--objects", "5", "--crossing"], {
+        "det": "0581f99a28a1f9c0ff2d5999770cd6fc87166f5b32efcd163e9db34e952a33bd",
+        "gt": "eb22c1451bbf8eaa7ec812466a6834d6c703654d77085af85c73120c32e0a56b"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_SHA256))
+def test_generated_files_are_pinned(tmp_path, name):
+    args, digests = GENERATED_SHA256[name]
+    out = tmp_path / "world.det.jsonl"
+    assert run(["generate", "--frames", "6", "--out", str(out),
+                "--override", "world.mask_grid=8",
+                "--override", "world.appearance_dim=3"] + args) == 0
+    for kind, digest in digests.items():
+        path = tmp_path / f"world.{kind}.jsonl"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, kind
 
 
 def test_gradcheck_single_target():
@@ -423,7 +539,7 @@ def test_eval_zero_noise_oracle_model_perfect_map(tmp_path):
     # give the single surviving track the true class with high confidence
     assert len(preds) >= 1
     main = max(preds, key=lambda p: len(p.masks))
-    main.class_id = gt.objects[0].class_id
+    main.class_id = int(gt.classes[0])
     main.confidence = 1.0
     for p in preds:
         if p is not main:

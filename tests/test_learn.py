@@ -286,7 +286,7 @@ def test_unroll_sequence_identities_and_targets():
         v = parts[key].item()
         assert np.isfinite(v) and v >= 0.0
     # tracks were born and carry gt identities via their init detections
-    assert len(parts["memory"]) >= len(gt.objects)
+    assert len(parts["memory"]) >= len(gt)
 
 
 LOSS_KEYS = ("score", "seg", "match", "init")
@@ -328,9 +328,8 @@ def test_unroll_targets_match_per_track_oracle_bit_for_bit(seed, births, noise, 
 
 def test_unroll_losses_depend_only_on_gt_id_order():
     model, det_frames, gt = target_stream(*TARGET_STREAMS[0])
-    relabeled = dataclasses.replace(gt, objects=[
-        dataclasses.replace(obj, id=3 * obj.id - 5) for obj in gt.objects])
-    assert min(obj.id for obj in relabeled.objects) < -1
+    relabeled = dataclasses.replace(gt, ids=3 * gt.ids - 5)
+    assert relabeled.ids.min() < -1
     assert (unrolled_losses(learn.unroll_sequence, model, det_frames, relabeled)
             == unrolled_losses(learn.unroll_sequence, model, det_frames, gt))
 
@@ -340,7 +339,7 @@ def test_sequence_without_ground_truth_objects_trains():
     model.params["init_head/b"].data[...] = 2.0  # births from false positives
     gt = sw.generate_sequence(sw.WorldConfig(seed=2, frames=5, max_objects=0, num_classes=3,
                                              appearance_dim=3, mask_grid=6))
-    assert not gt.objects
+    assert len(gt) == 0
     det = sw.corrupt(gt, sw.NoiseConfig(false_positive_rate=2.0), seed=9)
     assert any(len(f) for f in det.frames) and not all(len(f) for f in det.frames)
     curve = learn.train([(det.frames, gt)], model,

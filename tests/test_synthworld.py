@@ -13,20 +13,18 @@ def test_generate_determinism_bit_exact():
     cfg = sw.WorldConfig(seed=42, max_objects=4)
     a = sw.generate_sequence(cfg)
     b = sw.generate_sequence(cfg)
-    assert len(a.objects) == len(b.objects)
-    for oa, ob in zip(a.objects, b.objects):
-        assert oa.class_id == ob.class_id
-        np.testing.assert_array_equal(oa.present, ob.present)
-        np.testing.assert_array_equal(oa.boxes, ob.boxes)
-        np.testing.assert_array_equal(oa.masks, ob.masks)
-        np.testing.assert_array_equal(oa.appearance, ob.appearance)
+    assert len(a) == len(b) == 4
+    for name in ("ids", "classes", "present", "boxes", "masks", "appearance"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_generate_no_objects():
     cfg = sw.WorldConfig(seed=1, max_objects=0, frames=10)
     seq = sw.generate_sequence(cfg)
-    assert seq.objects == []
+    assert len(seq) == 0
     assert seq.frames == 10
+    assert seq.masks.shape == (0, 10, cfg.mask_grid, cfg.mask_grid)
+    assert seq.appearance.shape == (0, cfg.appearance_dim)
 
 
 def test_generate_replays_documented_sampling_order():
@@ -35,7 +33,7 @@ def test_generate_replays_documented_sampling_order():
     cfg = sw.WorldConfig(seed=7, max_objects=3, frames=10)
     seq = sw.generate_sequence(cfg)
     rng = np.random.default_rng(7)
-    for obj in seq.objects:
+    for k in range(len(seq)):
         class_id = int(rng.integers(0, cfg.num_classes))
         entry = int(rng.integers(0, min(cfg.entry_window, cfg.frames)))
         present = np.zeros(cfg.frames, dtype=bool)
@@ -51,27 +49,27 @@ def test_generate_replays_documented_sampling_order():
         rng.uniform(*cfg.size_range, size=2)       # box size
         for _ in range(1, cfg.frames):
             rng.normal(0.0, cfg.turn_sigma)        # per-frame turn noise
-        assert obj.class_id == class_id
-        np.testing.assert_array_equal(obj.present, present)
-    assert len(seq.objects) == 3
+        assert seq.classes[k] == class_id
+        np.testing.assert_array_equal(seq.present[k], present)
+    assert len(seq) == 3
 
 
 def test_boxes_inside_unit_square_and_masks_nonempty():
     cfg = sw.WorldConfig(seed=3, max_objects=6, frames=20)
     seq = sw.generate_sequence(cfg)
-    for obj in seq.objects:
+    for k in range(len(seq)):
         for t in range(cfg.frames):
-            cx, cy, w, h = obj.boxes[t]
-            if obj.present[t]:
+            cx, cy, w, h = seq.boxes[k, t]
+            if seq.present[k, t]:
                 assert cx - w / 2 >= -1e-9 and cx + w / 2 <= 1 + 1e-9
                 assert cy - h / 2 >= -1e-9 and cy + h / 2 <= 1 + 1e-9
-                assert obj.masks[t].sum() > 0
+                assert seq.masks[k, t].sum() > 0
 
 
 def test_object_identity_constant():
     cfg = sw.WorldConfig(seed=5, max_objects=5)
     seq = sw.generate_sequence(cfg)
-    assert [o.id for o in seq.objects] == list(range(5))
+    assert seq.ids.tolist() == list(range(5))
 
 
 def test_corrupt_zero_noise_is_identity():
@@ -79,15 +77,15 @@ def test_corrupt_zero_noise_is_identity():
     seq = sw.generate_sequence(cfg)
     det = sw.corrupt(seq, sw.NoiseConfig(), seed=0)
     for t in range(cfg.frames):
-        present = [o for o in seq.objects if o.present[t]]
+        present = np.flatnonzero(seq.present[:, t])
         frame = det.frames[t]
         assert len(frame) == len(present)
-        for j, o in enumerate(present):
-            np.testing.assert_array_equal(frame.boxes[j], o.boxes[t])
-            np.testing.assert_array_equal(frame.masks[j], o.masks[t])
-            np.testing.assert_array_equal(frame.appearance[j], o.appearance)
-            assert frame.scores[j, o.class_id] == 1.0
-            assert frame.sources[j] == o.id
+        for j, k in enumerate(present):
+            np.testing.assert_array_equal(frame.boxes[j], seq.boxes[k, t])
+            np.testing.assert_array_equal(frame.masks[j], seq.masks[k, t])
+            np.testing.assert_array_equal(frame.appearance[j], seq.appearance[k])
+            assert frame.scores[j, seq.classes[k]] == 1.0
+            assert type(frame.sources[j]) is int and frame.sources[j] == seq.ids[k]
 
 
 def test_corrupt_miss_everything():
@@ -105,7 +103,7 @@ def test_corrupt_miss_rate_monte_carlo():
     cfg = sw.WorldConfig(seed=9, max_objects=4, frames=10, exit_prob=0.0,
                          entry_window=1)
     seq = sw.generate_sequence(cfg)
-    presence = sum(int(o.present[t]) for o in seq.objects for t in range(cfg.frames))
+    presence = int(seq.present.sum())
     runs = 1000
     counts = []
     for r in range(runs):
@@ -132,7 +130,7 @@ def test_provenance_partition():
     seq = sw.generate_sequence(cfg)
     det = sw.corrupt(seq, sw.NoiseConfig(false_positive_rate=1.0, miss_prob=0.2),
                      seed=4)
-    ids = {o.id for o in seq.objects}
+    ids = set(seq.ids.tolist())
     for frame in det.frames:
         assert all(s == "fp" or s in ids for s in frame.sources)
     clean = sw.corrupt(seq, sw.NoiseConfig(), seed=5)
@@ -178,18 +176,56 @@ def test_ground_truth_roundtrip(tmp_path):
     path = tmp_path / "gt.jsonl"
     sw.save_ground_truth_jsonl(seq, path)
     back = sw.load_ground_truth_jsonl(path, num_classes=cfg.num_classes)
-    by_id = {o.id: o for o in back.objects}
-    for obj in seq.objects:
-        if not obj.present.any():
-            continue
-        b = by_id[obj.id]
-        assert b.class_id == obj.class_id
-        np.testing.assert_array_equal(b.present, obj.present)
-        np.testing.assert_array_equal(b.appearance, obj.appearance)
-        for t in range(cfg.frames):
-            if obj.present[t]:
-                np.testing.assert_array_equal(b.boxes[t], obj.boxes[t])
-                np.testing.assert_array_equal(b.masks[t], obj.masks[t])
+    # an object never present writes no record, so it does not come back
+    kept = seq.present.any(axis=1)
+    np.testing.assert_array_equal(back.ids, seq.ids[kept])
+    np.testing.assert_array_equal(back.classes, seq.classes[kept])
+    np.testing.assert_array_equal(back.present, seq.present[kept])
+    np.testing.assert_array_equal(back.appearance, seq.appearance[kept])
+    on = back.present
+    np.testing.assert_array_equal(back.boxes[on], seq.boxes[kept][on])
+    np.testing.assert_array_equal(back.masks[on], seq.masks[kept][on])
+
+
+ROW_FIELDS = ("ids", "classes", "appearance", "present", "boxes", "masks")
+
+
+@pytest.mark.parametrize("objects", [4, 0])
+def test_ground_truth_round_trip_keeps_every_array_and_dtype(tmp_path, objects):
+    # every object is present on every frame, so the file drops nothing
+    cfg = sw.WorldConfig(seed=37, frames=6, max_objects=objects, num_classes=3,
+                         appearance_dim=5, mask_grid=7, entry_window=1, exit_prob=0.0)
+    gt = sw.crossing_sequence(cfg, num_pairs=objects // 2)
+    assert len(gt) == objects and gt.present.all()
+    path = tmp_path / "gt.jsonl"
+    sw.save_ground_truth_jsonl(gt, path)
+    back = sw.load_ground_truth_jsonl(path, num_classes=3)
+    if not objects:  # a file without objects sets no appearance size or grid
+        gt = dataclasses.replace(gt, appearance=np.zeros((0, 0)),
+                                 masks=np.zeros((0, 6, 0, 0), dtype=np.uint8))
+    assert back.num_classes == gt.num_classes and back.frames == 6
+    for name in ROW_FIELDS:
+        a, b = getattr(back, name), getattr(gt, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
+    sw.save_ground_truth_jsonl(back, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_ground_truth_from_empty_file_has_no_rows(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    path.write_text("")
+    gt = sw.load_ground_truth_jsonl(path)
+    assert len(gt) == 0 and gt.frames == 0
+    assert [getattr(gt, name).shape for name in ROW_FIELDS] == [
+        (0,), (0,), (0, 0), (0, 0), (0, 0, 4), (0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("ids", [[0, 2, 1], [0, 1, 1]], ids=["unsorted", "repeated"])
+def test_ground_truth_rejects_ids_not_strictly_ascending(ids):
+    gt = sw.generate_sequence(sw.WorldConfig(seed=3, max_objects=3, frames=4))
+    with pytest.raises(sw.DataError, match="not strictly ascending"):
+        dataclasses.replace(gt, ids=np.array(ids))
 
 
 def _line(t, rows):
@@ -333,15 +369,15 @@ def test_load_malformed_line_reports_number(tmp_path):
 def test_crossing_preset_same_class_overlap():
     cfg = sw.WorldConfig(seed=31, max_objects=4, frames=10)
     seq = sw.crossing_sequence(cfg, num_pairs=1)
-    a, b = seq.objects[0], seq.objects[1]
-    assert a.class_id == b.class_id
-    overlaps = [ag.iou_matrix(a.boxes[t], b.boxes[t])[0, 0] for t in range(cfg.frames)]
+    assert seq.classes[0] == seq.classes[1]
+    overlaps = [ag.iou_matrix(seq.boxes[0, t], seq.boxes[1, t])[0, 0]
+                for t in range(cfg.frames)]
     mid = cfg.frames // 2
     assert max(overlaps[mid - 2 : mid + 3]) > 0.3
     assert overlaps[0] < 0.1
     # deterministic given the seed
     seq2 = sw.crossing_sequence(cfg, num_pairs=1)
-    np.testing.assert_array_equal(seq.objects[0].boxes, seq2.objects[0].boxes)
+    np.testing.assert_array_equal(seq.boxes[0], seq2.boxes[0])
 
 
 def test_invalid_configs_rejected():

@@ -288,9 +288,9 @@ def build_graph_batch(memory, frame: DetectionFrame, params: ParamStore,
     row0 = np.stack([np.zeros(n), frame.top], axis=1).reshape(1, n, EDGE_FEATURES)
 
     if config.use_appearance:
-        rows = ap.GaussianAppearance(mu=nc.reshape(memory.mu, (m, 1, a_dim)),
-                                     sigma=nc.reshape(memory.sigma, (m, 1, a_dim)))
-        ll = ap.log_likelihood(rows, frame.appearance.reshape(1, n, a_dim)) * (1.0 / a_dim)
+        ll = ap.log_likelihood(nc.reshape(memory.mu, (m, 1, a_dim)),
+                               nc.reshape(memory.sigma, (m, 1, a_dim)),
+                               frame.appearance.reshape(1, n, a_dim)) * (1.0 / a_dim)
     else:
         ll = Tensor(np.zeros((m, n)))
     ious = Tensor(iou_matrix(memory.boxes, frame.boxes))

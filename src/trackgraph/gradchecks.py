@@ -116,14 +116,14 @@ def check_gate(epsilon=1e-4) -> float:
     params = ParamStore()
     rec.init_gate_params(params, 6, rng)
     _generic_point(params, 4)
-    xs = [rng.normal(size=6) for _ in range(4)]
+    xs = [rng.normal(size=(1, 6)) for _ in range(4)]
     probe = Tensor(rng.normal(size=6))
 
     def fn(p):
-        state = rec.RecurrentState(y=Tensor(np.zeros(6)), c=Tensor(np.zeros(6)))
+        c = Tensor(np.zeros((1, 6)))
         for x in xs:
-            state = rec.gate_step(Tensor(x), state, p)
-        return nc.reshape(nc.tsum(state.y * probe), ())
+            y, c = rec.gate_step(Tensor(x), c, p)
+        return nc.reshape(nc.tsum(y * probe), ())
 
     return grad_check(fn, params, epsilon)
 
@@ -133,18 +133,16 @@ def check_appearance(epsilon=1e-4) -> float:
     params = ParamStore()
     ap.init_rate_params(params, 6, rng)
     _generic_point(params, 5)
-    emb = Tensor(rng.normal(size=6))
+    emb = Tensor(rng.normal(size=(1, 6)))
     x1 = rng.normal(size=3)
     x2 = rng.normal(size=3)
     query = rng.normal(size=3)
 
     def fn(p):
-        model = ap.init_model(np.array([0.2, -0.1, 0.4]), 0.05)
-        rates = ap.predict_rates(emb, p)
-        model = ap.update(model, x1, rates)
-        rates2 = ap.predict_rates(emb * 0.5, p)
-        model = ap.update(model, x2, rates2)
-        return ap.log_likelihood(model, query)
+        mu, sigma = ap.init_model(np.array([[0.2, -0.1, 0.4]]), 0.05)
+        mu, sigma = ap.update(mu, sigma, x1, *ap.predict_rates(emb, p))
+        mu, sigma = ap.update(mu, sigma, x2, *ap.predict_rates(emb * 0.5, p))
+        return nc.reshape(ap.log_likelihood(mu, sigma, query), ())
 
     return grad_check(fn, params, epsilon)
 

@@ -343,8 +343,10 @@ def save_detections_jsonl(seq: DetectionSequence, path):
 
 def load_detections_jsonl(path) -> DetectionSequence:
     """One DetectionFrame per line, stacked and checked once: every detection
-    has the row shapes of the stream's first one, a box 4 entries.  Frames
-    with no line or no detections get those shapes too."""
+    has the row shapes of the stream's first one, a box 4 entries; finite
+    values, w, h > 0, and scores in [0, 1] that sum to 1 within
+    SCORE_SUM_TOLERANCE.  Frames with no line or no detections get those
+    shapes too."""
     frames: dict[int, DetectionFrame] = {}
     shapes = {"box": ((4,), None)}  # JSON field -> (row shape, the line that set it)
     for lineno, line in enumerate(_read_lines(path), start=1):
@@ -362,6 +364,7 @@ def load_detections_jsonl(path) -> DetectionSequence:
 
 # JSON key of each row field, and its row shape in a stream without detections
 _JSON_FIELDS = {"box": (4,), "scores": (1,), "appearance": (0,), "mask": (0, 0)}
+SCORE_SUM_TOLERANCE = 1e-3
 
 
 def _stack_line(rows, shapes: dict, lineno: int) -> DetectionFrame:
@@ -376,9 +379,21 @@ def _stack_line(rows, shapes: dict, lineno: int) -> DetectionFrame:
         columns.append(values)
         wants.append(shapes.get(key, (default,))[0])
     frame = DetectionFrame.stack(columns + [[r.get("source") for r in rows]], wants)
-    if not (np.isfinite(frame.boxes).all() and (frame.boxes[:, 2:] > 0).all()):
-        raise DataError("a box is not finite with w, h > 0")
+    boxes, scores = frame.boxes, frame.scores
+    _reject(~(np.isfinite(boxes).all(1) & (boxes[:, 2:] > 0).all(1)),
+            "has a box that is not finite with w, h > 0")
+    _reject(~np.isfinite(scores).all(1), "has a non-finite score")
+    _reject(~np.isfinite(frame.appearance).all(1), "has a non-finite appearance entry")
+    _reject(((scores < 0) | (scores > 1)).any(1), "has a score outside [0, 1]")
+    _reject(np.abs(scores.sum(1) - 1) > SCORE_SUM_TOLERANCE,
+            f"has scores that do not sum to 1 within {SCORE_SUM_TOLERANCE:g}")
     return frame
+
+
+def _reject(bad: np.ndarray, what: str):
+    """A DataError naming the first detection flagged in `bad`, if any."""
+    if bad.any():
+        raise DataError(f"detection {int(np.argmax(bad))} {what}")
 
 
 def _check_row_shape(shapes: dict, key: str, value: np.ndarray, lineno: int, label: str):
@@ -403,9 +418,10 @@ def save_ground_truth_jsonl(gt: GroundTruth, path):
 def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth:
     """Ground-truth rows from per-frame object records.  The file's first
     mask sets the grid and its first appearance the appearance size; every
-    object must match them and have a 4-entry box.  An object keeps one
-    class on every line, in [0, num_classes) when that is given.  A file
-    without objects gives K = 0 rows."""
+    object must match them and have a 4-entry box.  An object appears at
+    most once per line and keeps one class on every line, in
+    [0, num_classes) when that is given.  A file without objects gives
+    K = 0 rows."""
     top = math.inf if num_classes is None else num_classes
     objects: dict[int, tuple] = {}  # id -> (class, appearance, the line that set them)
     cells = []                      # (id, frame, box, mask) per object and line
@@ -416,9 +432,13 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
             record = json.loads(line)
             t = _frame_index(record, seen)
             seen.add(t)
+            here: set[int] = set()
             for o in record["objects"]:
                 # both become int64 rows, so a value beyond int64 is malformed
                 oid, cls = np.array([o["id"], o["class"]], dtype=np.int64).tolist()
+                if oid in here:
+                    raise DataError(f"object {oid} is listed twice in frame {t}")
+                here.add(oid)
                 if not 0 <= cls < top:
                     raise DataError(f"object {oid} has class {cls}, outside [0, {top})")
                 row = {"box": np.asarray(o["box"], dtype=np.float64),

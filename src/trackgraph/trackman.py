@@ -71,10 +71,13 @@ class TrackState:
 
 @dataclass
 class TrackMemory:
-    """Every track as one row: recurrent state y, c (M, D) and appearance mean
-    and variance mu, sigma (M, A) as Tensors; as numpy rows, the last matched
-    box (M, 4), the counts of the matched detections' top classes (M, C) and
-    the sum of their top foreground scores (M,).  Row i belongs to tracks[i];
+    """Every track as one row, the only place track state lives.  As
+    Tensors: the recurrent state y, c (M, D), y in (-1, 1) elementwise and a
+    newborn's c 0, and the appearance Gaussian's mean and variance mu, sigma
+    (M, A), a newborn's sigma sigma0 and an updated one at least
+    appearance.VAR_FLOOR.  As numpy rows: the last matched box (M, 4), the
+    counts of the matched detections' top classes (M, C) and the sum of
+    their top foreground scores (M,).  Row i belongs to tracks[i];
     iterating, len() and indexing go over that TrackState table."""
 
     tracks: list[TrackState]
@@ -292,16 +295,6 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
 # the per-frame loop
 
 
-def _advance(memory: TrackMemory, tau_tilde: Tensor, params: ParamStore,
-             config: ModelConfig) -> rec.RecurrentState:
-    """Next (y, c) rows of the existing tracks from their graph outputs."""
-    if config.gate_mode == "lstm":
-        return rec.gate_step(tau_tilde, rec.RecurrentState(y=memory.y, c=memory.c),
-                             params)
-    return rec.RecurrentState(y=rec.simple_gate_step(tau_tilde, params),
-                              c=Tensor(np.zeros(tau_tilde.shape)))
-
-
 def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
          thresholds: Thresholds, mode: str, frame_index: int):
     """Process one frame; returns (memory, FrameOutput).  `memory` may be []
@@ -346,10 +339,13 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
 
     # -- advance existing tracks through the gate; births (refused once the
     # memory holds max_tracks) ----------------------------------------------
-    state = _advance(memory, nc.gather(out_batch.tracks, np.arange(1, m + 1)),
-                     params, config)
+    tau_tilde = nc.gather(out_batch.tracks, np.arange(1, m + 1))
+    if config.gate_mode == "lstm":
+        y, c = rec.gate_step(tau_tilde, memory.c, params)
+    else:
+        y, c = rec.simple_gate_step(tau_tilde, params), Tensor(np.zeros(tau_tilde.shape))
     born_js = np.flatnonzero(init_decisions)[: config.max_tracks - m]
-    born_state = rec.new_track_state(nc.gather(out_batch.dets, born_js))
+    born_y, born_c = rec.new_track_state(nc.gather(out_batch.dets, born_js))
     next_id = max((t.id for t in memory), default=-1) + 1
     born = [TrackState(id=next_id + k, birth_frame=frame_index)
             for k in range(len(born_js))]
@@ -362,12 +358,11 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
     seg_js = row_js[seg_rows]
     u = len(seg_rows) - len(born)
     upd_rows, upd_js = seg_rows[:u], seg_js[:u]
-    rates = ap.predict_rates(nc.gather(state.y, upd_rows), params)
-    updated = ap.update(
-        ap.GaussianAppearance(mu=nc.gather(memory.mu, upd_rows),
-                              sigma=nc.gather(memory.sigma, upd_rows)),
-        frame.appearance[upd_js], rates, freeze_sigma=config.const_variance)
-    newborn = ap.init_model(frame.appearance[born_js], config.sigma0)
+    kappa, nu = ap.predict_rates(nc.gather(y, upd_rows), params)
+    upd_mu, upd_sigma = ap.update(
+        nc.gather(memory.mu, upd_rows), nc.gather(memory.sigma, upd_rows),
+        frame.appearance[upd_js], kappa, nu, freeze_sigma=config.const_variance)
+    born_mu, born_sigma = ap.init_model(frame.appearance[born_js], config.sigma0)
 
     # -- the next memory: one concat (and gather) per stacked tensor; an
     # active row takes its detection's box, class vote and confidence --------
@@ -382,10 +377,10 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
     conf_sum[seg_rows] += frame.top[seg_js]
     nxt = TrackMemory(
         tracks=tracks,
-        y=nc.concat([state.y, born_state.y], axis=0),
-        c=nc.concat([state.c, born_state.c], axis=0),
-        mu=nc.gather(nc.concat([memory.mu, updated.mu, newborn.mu], axis=0), app_rows),
-        sigma=nc.gather(nc.concat([memory.sigma, updated.sigma, newborn.sigma], axis=0),
+        y=nc.concat([y, born_y], axis=0),
+        c=nc.concat([c, born_c], axis=0),
+        mu=nc.gather(nc.concat([memory.mu, upd_mu, born_mu], axis=0), app_rows),
+        sigma=nc.gather(nc.concat([memory.sigma, upd_sigma, born_sigma], axis=0),
                         app_rows),
         boxes=boxes, class_votes=class_votes, conf_sum=conf_sum)
 

@@ -232,8 +232,7 @@ def test_edge_features_perfect_pair():
     frame = make_frame(config, [([0.5, 0.5, 0.2, 0.2], [0.7, 0.2, 0.1], mu)])
     batch = ag.build_graph_batch(memory, frame, make_params(config), config)
     feats = batch.edge_feats.data[1, 0]
-    max_ll = ap.log_likelihood(ap.GaussianAppearance(mu=Tensor(mu), sigma=Tensor(np.ones(3))),
-                               mu).item()
+    max_ll = ap.log_likelihood(Tensor(mu), Tensor(np.ones(3)), mu).item()
     assert feats[0] == pytest.approx(max_ll / 3)
     assert feats[1] == 1.0
 

@@ -175,6 +175,13 @@ def _over_cap(lines):
     return [json.dumps({**record, "detections": dets})] + lines[1:]
 
 
+def _last_det(lines, **fields):
+    """The last detection of line 2 takes `fields`."""
+    record = json.loads(lines[1])
+    record["detections"][-1].update(fields)
+    return lines[:1] + [json.dumps(record)] + lines[2:]
+
+
 def _every_det(lines, **fields):
     """Every detection takes `fields`, and frame 0 has none."""
     out = []
@@ -215,16 +222,32 @@ _MASK_5X5 = base64.b64encode(bytes(25)).decode()
      "frame 1: detection field 'appearance' has rows of shape (2,), the model's are (3,)"),
     (lambda lines: _every_det(lines, mask=_MASK_5X5),
      "frame 1: detection field 'masks' has rows of shape (5, 5), the model's are (6, 6)"),
+    # values the loader rejects, naming the line and the detection
+    (lambda lines: _first_det(lines, scores=[float("nan"), 0.2, 0.2, 0.2]),
+     "malformed line 1: detection 0 has a non-finite score"),
+    (lambda lines: _first_det(lines, appearance=[0.1, float("nan"), 0.2]),
+     "malformed line 1: detection 0 has a non-finite appearance entry"),
+    (lambda lines: _first_det(lines, appearance=[float("inf"), 0.1, 0.2]),
+     "malformed line 1: detection 0 has a non-finite appearance entry"),
+    (lambda lines: _first_det(lines, scores=[2.0, -1.0, 0.0, 0.0]),
+     "malformed line 1: detection 0 has a score outside [0, 1]"),
+    (lambda lines: _first_det(lines, scores=[0.5, 0.2, 0.1, 0.1]),
+     "malformed line 1: detection 0 has scores that do not sum to 1 within 0.001"),
+    (lambda lines: _last_det(lines, scores=[0.25, 0.25, 0.25, 0.2485]),
+     "malformed line 2: detection {last} has scores that do not sum to 1 within 0.001"),
 ], ids=["repeated_frame", "negative_width", "zero_height", "nan_center",
         "negative_frame", "score_length", "appearance_length", "mask_grid",
         "over_cap_short_scores", "model_score_length", "model_appearance_length",
-        "model_mask_grid"])
+        "model_mask_grid", "nan_score", "nan_appearance", "inf_appearance",
+        "score_above_one", "score_sum", "score_sum_last_detection"])
 def test_bad_detection_stream_exits_two(tmp_path, capsys, mutate, message):
     det, _, ckpt = _tiny_stream(tmp_path)
-    det.write_text("\n".join(mutate(det.read_text().splitlines())) + "\n")
+    lines = det.read_text().splitlines()
+    last = len(json.loads(lines[1])["detections"]) - 1
+    det.write_text("\n".join(mutate(lines)) + "\n")
     assert run(["track", "--checkpoint", str(ckpt), "--detections", str(det),
                 "--out", str(tmp_path / "o.json")]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(last=last) in capsys.readouterr().err
 
 
 def test_track_stream_without_detections_writes_no_tracks(tmp_path):
@@ -246,6 +269,41 @@ def test_repeated_ground_truth_frame_exits_two(tmp_path, capsys):
     tracks.write_text(json.dumps({"tracks": []}))
     assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
     assert "repeats frame 0" in capsys.readouterr().err
+
+
+def test_ground_truth_object_twice_in_one_frame_exits_two(tmp_path, capsys):
+    _, gt, _ = _tiny_stream(tmp_path)
+    lines = gt.read_text().splitlines()
+    record = json.loads(lines[1])
+    twin = {**record["objects"][0], "box": [0.5, 0.5, 0.1, 0.1]}
+    record["objects"].append(twin)
+    gt.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert (f"malformed line 2: object {twin['id']} is listed twice in frame 1"
+            in capsys.readouterr().err)
+
+
+def test_ground_truth_class_beyond_the_tracks_classes_exits_two_in_eval(tmp_path, capsys):
+    det, gt, ckpt = _tiny_stream(tmp_path)
+    tracks = tmp_path / "tracks.json"
+    assert run(["track", "--checkpoint", str(ckpt), "--detections", str(det),
+                "--out", str(tracks)]) == 0
+    assert json.loads(tracks.read_text())["tracks"]
+    lines = [json.loads(line) for line in gt.read_text().splitlines()]
+    oid = lines[-1]["objects"][0]["id"]
+    for r in lines:
+        for o in r["objects"]:
+            if o["id"] == oid:
+                o["class"] = 9
+    gt.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert (f"{gt} has 10 classes (object {oid} has class 9), {tracks} has 3"
+            in capsys.readouterr().err)
+    # a tracks file without tracks sets no bound
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 0
 
 
 def test_negative_ground_truth_frame_exits_two(tmp_path, capsys):

@@ -28,20 +28,18 @@ def lstm_oracle(x, c, weights):
 
 def test_gate_step_zero_everything():
     params = zero_params(3)
-    state = rec.RecurrentState(y=Tensor(np.zeros(3)), c=Tensor(np.zeros(3)))
-    out = rec.gate_step(Tensor(np.zeros(3)), state, params)
-    np.testing.assert_array_equal(out.c.data, 0.0)
-    np.testing.assert_array_equal(out.y.data, 0.0)
+    y, c = rec.gate_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), params)
+    np.testing.assert_array_equal(c.data, 0.0)
+    np.testing.assert_array_equal(y.data, 0.0)
 
 
 def test_gate_step_zero_params_nonzero_cell():
     # Hand-evaluated: gates all 0.5, candidate 0; c+ = 0.5*2 = 1,
     # y+ = 0.5*tanh(1) = 0.3807970779778824.
     params = zero_params(2)
-    state = rec.RecurrentState(y=Tensor(np.zeros(2)), c=Tensor([2.0, 2.0]))
-    out = rec.gate_step(Tensor(np.zeros(2)), state, params)
-    np.testing.assert_allclose(out.c.data, 1.0, atol=1e-15)
-    np.testing.assert_allclose(out.y.data, 0.3807970779778824, atol=1e-15)
+    y, c = rec.gate_step(Tensor(np.zeros((1, 2))), Tensor([[2.0, 2.0]]), params)
+    np.testing.assert_allclose(c.data, 1.0, atol=1e-15)
+    np.testing.assert_allclose(y.data, 0.3807970779778824, atol=1e-15)
 
 
 def test_gate_step_matches_straight_line_oracle():
@@ -57,11 +55,10 @@ def test_gate_step_matches_straight_line_oracle():
         weights.extend([w, b])
     x = rng.normal(size=dim)
     c = rng.normal(size=dim)
-    state = rec.RecurrentState(y=Tensor(np.zeros(dim)), c=Tensor(c))
-    out = rec.gate_step(Tensor(x), state, params)
+    y_new, c_new = rec.gate_step(Tensor(x[None]), Tensor(c[None]), params)
     y_ref, c_ref = lstm_oracle(x, c, weights)
-    np.testing.assert_allclose(out.y.data, y_ref, atol=1e-12)
-    np.testing.assert_allclose(out.c.data, c_ref, atol=1e-12)
+    np.testing.assert_allclose(y_new.data[0], y_ref, atol=1e-12)
+    np.testing.assert_allclose(c_new.data[0], c_ref, atol=1e-12)
 
 
 def test_output_strictly_bounded():
@@ -71,10 +68,10 @@ def test_output_strictly_bounded():
     rec.init_gate_params(params, dim, rng)
     for t in params.tensors():
         t.data *= 20.0
-    state = rec.RecurrentState(y=Tensor(np.zeros(dim)), c=Tensor(np.zeros(dim)))
+    c = Tensor(np.zeros((1, dim)))
     for _ in range(200):
-        state = rec.gate_step(Tensor(rng.normal(size=dim) * 10), state, params)
-        assert np.all(np.abs(state.y.data) < 1.0)
+        y, c = rec.gate_step(Tensor(rng.normal(size=(1, dim)) * 10), c, params)
+        assert np.all(np.abs(y.data) < 1.0)
 
 
 def test_cell_growth_bounded_by_step_count():
@@ -82,11 +79,11 @@ def test_cell_growth_bounded_by_step_count():
     dim = 4
     params = ParamStore()
     rec.init_gate_params(params, dim, rng)
-    c0 = rng.normal(size=dim)
-    state = rec.RecurrentState(y=Tensor(np.zeros(dim)), c=Tensor(c0))
+    c0 = rng.normal(size=(1, dim))
+    c = Tensor(c0)
     for t in range(1, 50):
-        state = rec.gate_step(Tensor(rng.normal(size=dim)), state, params)
-        assert np.all(np.abs(state.c.data) <= np.abs(c0) + t + 1e-12)
+        _, c = rec.gate_step(Tensor(rng.normal(size=(1, dim))), c, params)
+        assert np.all(np.abs(c.data) <= np.abs(c0) + t + 1e-12)
 
 
 def test_long_fuzz_no_nan():
@@ -94,19 +91,19 @@ def test_long_fuzz_no_nan():
     dim = 5
     params = ParamStore()
     rec.init_gate_params(params, dim, rng)
-    state = rec.new_track_state(Tensor(rng.normal(size=dim)))
+    _, c = rec.new_track_state(Tensor(rng.normal(size=(1, dim))))
     for _ in range(10_000):
-        x = Tensor(rng.normal(size=dim) * rng.uniform(0, 30))
-        state = rec.gate_step(x, state, params)
-        assert np.all(np.isfinite(state.y.data))
-        assert np.all(np.isfinite(state.c.data))
-        assert np.all(np.abs(state.y.data) < 1.0)
+        x = Tensor(rng.normal(size=(1, dim)) * rng.uniform(0, 30))
+        y, c = rec.gate_step(x, c, params)
+        assert np.all(np.isfinite(y.data))
+        assert np.all(np.isfinite(c.data))
+        assert np.all(np.abs(y.data) < 1.0)
 
 
 def test_new_track_state_zero():
-    state = rec.new_track_state(Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(state.y.data, 0.0)
-    np.testing.assert_array_equal(state.c.data, 0.0)
+    y, c = rec.new_track_state(Tensor(np.zeros((1, 4))))
+    np.testing.assert_array_equal(y.data, 0.0)
+    np.testing.assert_array_equal(c.data, 0.0)
 
 
 def test_new_track_state_bounded():
@@ -114,8 +111,9 @@ def test_new_track_state_bounded():
     # embeddings are post-ReLU activations and live well inside that range.
     rng = np.random.default_rng(4)
     for _ in range(100):
-        state = rec.new_track_state(Tensor(rng.normal(size=8) * 3))
-        assert np.all(np.abs(state.y.data) < 1.0)
+        y, c = rec.new_track_state(Tensor(rng.normal(size=(2, 8)) * 3))
+        assert np.all(np.abs(y.data) < 1.0)
+        np.testing.assert_array_equal(c.data, 0.0)
 
 
 def test_simple_gate_zero_params():
@@ -153,13 +151,13 @@ def test_unrolled_gradients_match_finite_differences():
     dim = 3
     params = ParamStore()
     rec.init_gate_params(params, dim, rng)
-    inputs = [rng.normal(size=dim) for _ in range(10)]
-    probe = rng.normal(size=dim)
+    inputs = [rng.normal(size=(1, dim)) for _ in range(10)]
+    probe = rng.normal(size=(1, dim))
 
     def fn(p):
-        state = rec.RecurrentState(y=Tensor(np.zeros(dim)), c=Tensor(np.zeros(dim)))
+        c = Tensor(np.zeros((1, dim)))
         for x in inputs:
-            state = rec.gate_step(Tensor(x), state, p)
-        return nc.reshape(nc.tsum(state.y * Tensor(probe)), ())
+            y, c = rec.gate_step(Tensor(x), c, p)
+        return nc.reshape(nc.tsum(y * Tensor(probe)), ())
 
     assert grad_check(fn, params, epsilon=1e-4) < 1e-4

@@ -210,9 +210,7 @@ def cmd_eval(args) -> int:
     blob = json.loads(Path(args.tracks).read_text())
     preds = ek.tracks_from_json(blob)
     gt = sw.load_ground_truth_jsonl(args.gt)
-    # the tracks' scores cover their classes and the background
-    scored = next((len(tr["frames"][-1]["scores"]) - 1 for tr in blob["tracks"]
-                   if tr["frames"]), None)
+    scored = preds[0].num_classes if preds else None  # tracks_from_json checks it is one
     if scored is not None and (gt.classes >= scored).any():
         k = int(np.argmax(gt.classes >= scored))
         raise sw.DataError(f"{args.gt} has {gt.num_classes} classes (object {gt.ids[k]} "

@@ -39,6 +39,7 @@ class EvalTrack:
     confidence: float
     masks: dict[int, np.ndarray]
     sequence: int = 0
+    num_classes: int | None = None  # the classes its scores cover, if it has scores
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _predicted_track(track_id, final_scores, num_classes: int, masks,
     scores of a track's final record."""
     cls = int(np.argmax(final_scores[:num_classes]))
     return EvalTrack(id=track_id, class_id=cls, confidence=float(final_scores[cls]),
-                     masks=masks, sequence=sequence)
+                     masks=masks, sequence=sequence, num_classes=num_classes)
 
 
 def tracks_from_memory(memory, num_classes: int, sequence: int = 0) -> list[EvalTrack]:
@@ -260,13 +261,19 @@ def evaluate(predictions: list[EvalTrack], gts: list[EvalTrack],
 
 
 def tracks_from_json(blob: dict, sequence: int = 0) -> list[EvalTrack]:
-    """EvalTracks from the track-output JSON schema."""
+    """EvalTracks from the track-output JSON schema.  Every score row must
+    have the length of the first one; a row that does not raises DataError."""
     out = []
+    first = None  # (track id, length) of the first score row
     for tr in blob["tracks"]:
         masks = {}
         final_scores = None
         for frame in tr["frames"]:
             final_scores = np.asarray(frame["scores"], dtype=np.float64)
+            first = first or (tr["id"], final_scores.size)
+            if final_scores.size != first[1]:
+                raise sw.DataError(f"track {tr['id']} has {final_scores.size} scores, "
+                                   f"track {first[0]} has {first[1]}")
             if frame.get("active") and "mask" in frame:
                 masks[int(frame["t"])] = sw.decode_mask(frame["mask"])
         if final_scores is None:

@@ -84,7 +84,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self.data.item())
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

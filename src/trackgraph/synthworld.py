@@ -17,8 +17,10 @@ Sampling order (replayable, one generator seeded from the config):
     then per frame t = 1..T-1 a turn-noise value.
 Corruption draws, per frame, in detection order: miss flag per present
 object, duplicate flag, jitter (4), appearance noise (A) per emitted copy;
-then the false-positive count and per false positive box (4) and
-appearance (A).
+then the false-positive count and per false positive box (4), scores (C+1)
+and appearance (A).
+Masks are rasterized by render_masks, per object after its draws and per
+frame after its false positives' draws; rasterizing draws nothing.
 """
 
 from __future__ import annotations
@@ -153,20 +155,19 @@ class DetectionSequence:
 # generation
 
 
-def render_mask(box, grid: int) -> np.ndarray:
-    """Ellipse inscribed in the box, rasterized on the unit-square grid by
-    cell-center membership."""
-    cx, cy, w, h = (float(v) for v in box)
-    centers = (np.arange(grid) + 0.5) / grid
-    gx, gy = np.meshgrid(centers, centers)  # gy rows, gx cols
-    rx = max(w / 2, 1e-9)
-    ry = max(h / 2, 1e-9)
-    inside = ((gx - cx) / rx) ** 2 + ((gy - cy) / ry) ** 2 <= 1.0
+def render_masks(boxes, grid: int) -> np.ndarray:
+    """(N, G, G) uint8: the ellipse inscribed in each (cx, cy, w, h) box,
+    rasterized on the unit-square grid by cell-center membership."""
+    cx, cy, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T[:, :, None, None]
+    centers = (np.arange(grid) + 0.5) / grid  # rows are y, columns x
+    rx = np.maximum(w / 2, 1e-9)
+    ry = np.maximum(h / 2, 1e-9)
+    inside = ((centers - cx) / rx) ** 2 + ((centers[:, None] - cy) / ry) ** 2 <= 1.0
     return inside.astype(np.uint8)
 
 
 def _clamp_center(c, half, lo=0.0, hi=1.0):
-    return min(max(c, lo + half), hi - half)
+    return np.minimum(np.maximum(c, lo + half), hi - half)
 
 
 def _stack_rows(config: WorldConfig, rows) -> GroundTruth:
@@ -198,20 +199,19 @@ def _random_rows(config: WorldConfig):
         angle = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(*config.speed_range)
         w, h = rng.uniform(*config.size_range, size=2)
+        turns = rng.normal(0.0, config.turn_sigma, size=T - 1)
         boxes = np.zeros((T, 4))
-        masks = np.zeros((T, G, G), dtype=np.uint8)
         vx, vy = speed * np.cos(angle), speed * np.sin(angle)
         for t in range(T):
-            if t > 0:
-                turn = rng.normal(0.0, config.turn_sigma)
-                ca, sa = np.cos(turn), np.sin(turn)
+            if t > 0:  # the clamped center feeds the next frame
+                ca, sa = np.cos(turns[t - 1]), np.sin(turns[t - 1])
                 vx, vy = ca * vx - sa * vy, sa * vx + ca * vy
                 cx, cy = cx + vx, cy + vy
             cx = _clamp_center(cx, w / 2)
             cy = _clamp_center(cy, h / 2)
             boxes[t] = (cx, cy, w, h)
-            if present[t]:
-                masks[t] = render_mask(boxes[t], G)
+        masks = np.zeros((T, G, G), dtype=np.uint8)
+        masks[present] = render_masks(boxes[present], G)
         yield class_id, appearance, present, boxes, masks
 
 
@@ -226,6 +226,7 @@ def crossing_sequence(config: WorldConfig, num_pairs: int = 1) -> GroundTruth:
     max_objects.  Deterministic in the seed."""
     rng = np.random.default_rng(config.seed)
     T, G = config.frames, config.mask_grid
+    a = np.arange(T) / max(T - 1, 1)  # each frame's share of the crossing
     rows = []
     for _ in range(num_pairs):
         class_id = int(rng.integers(0, config.num_classes))
@@ -237,14 +238,11 @@ def crossing_sequence(config: WorldConfig, num_pairs: int = 1) -> GroundTruth:
             x0 = 0.2 if direction > 0 else 0.8
             x1 = 0.8 if direction > 0 else 0.2
             boxes = np.zeros((T, 4))
-            masks = np.zeros((T, G, G), dtype=np.uint8)
-            for t in range(T):
-                a = t / max(T - 1, 1)
-                cx = _clamp_center(x0 + (x1 - x0) * a, w / 2)
-                cy = _clamp_center(lane + direction * drift * (a - 0.5), h / 2)
-                boxes[t] = (cx, cy, w, h)
-                masks[t] = render_mask(boxes[t], G)
-            rows.append((class_id, appearance, np.ones(T, dtype=bool), boxes, masks))
+            boxes[:, 0] = _clamp_center(x0 + (x1 - x0) * a, w / 2)
+            boxes[:, 1] = _clamp_center(lane + direction * drift * (a - 0.5), h / 2)
+            boxes[:, 2:] = w, h
+            rows.append((class_id, appearance, np.ones(T, dtype=bool), boxes,
+                         render_masks(boxes, G)))
     extra_cfg = WorldConfig(**{**config.__dict__,
                                "max_objects": max(config.max_objects - len(rows), 0),
                                "seed": config.seed + 1})
@@ -255,15 +253,14 @@ def crossing_sequence(config: WorldConfig, num_pairs: int = 1) -> GroundTruth:
 # corruption
 
 
-def _class_scores(class_id: int, num_classes: int, temperature: float) -> np.ndarray:
-    scores = np.zeros(num_classes + 1)
+def _class_score_table(num_classes: int, temperature: float) -> np.ndarray:
+    """(C, C+1): row c is the scores of a detection of class c, background
+    last; exact one-hot at temperature 0."""
+    onehot = np.eye(num_classes, num_classes + 1)
     if temperature == 0.0:
-        scores[class_id] = 1.0
-        return scores
-    logits = np.zeros(num_classes + 1)
-    logits[class_id] = 1.0 / temperature
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+        return onehot
+    e = np.exp(onehot / temperature - 1.0 / temperature)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _diffuse_scores(rng, num_classes: int) -> np.ndarray:
@@ -277,6 +274,7 @@ def corrupt(gt: GroundTruth, noise: NoiseConfig, seed: int) -> DetectionSequence
     rng = np.random.default_rng(seed)
     C, A, G = gt.num_classes, gt.appearance.shape[1], gt.masks.shape[-1]
     shapes = ((4,), (C + 1,), (A,), (G, G))
+    class_scores = _class_score_table(C, noise.class_temperature)[gt.classes]
     out = DetectionSequence(num_classes=C)
     for t in range(gt.frames):
         rows = []  # (box, scores, appearance, mask, source)
@@ -292,14 +290,16 @@ def corrupt(gt: GroundTruth, noise: NoiseConfig, seed: int) -> DetectionSequence
                 app = gt.appearance[k]
                 if noise.appearance_noise > 0:
                     app = app + rng.normal(0, noise.appearance_noise, size=A)
-                rows.append((box, _class_scores(gt.classes[k], C, noise.class_temperature),
-                             app, gt.masks[k, t], int(gt.ids[k])))
+                rows.append((box, class_scores[k], app, gt.masks[k, t], int(gt.ids[k])))
+        fps = []  # (box, scores, appearance)
         if noise.false_positive_rate > 0:
             for _ in range(int(rng.poisson(noise.false_positive_rate))):
                 box = np.array([rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
                                 rng.uniform(0.08, 0.25), rng.uniform(0.08, 0.25)])
-                scores = _diffuse_scores(rng, C)
-                rows.append((box, scores, rng.normal(size=A), render_mask(box, G), "fp"))
+                fps.append((box, _diffuse_scores(rng, C), rng.normal(size=A)))
+        if fps:
+            boxes, scores, apps = zip(*fps)
+            rows += zip(boxes, scores, apps, render_masks(boxes, G), ["fp"] * len(fps))
         out.frames.append(truncate_detections(DetectionFrame.stack(zip(*rows), shapes), 16))
     return out
 

@@ -26,6 +26,18 @@ def iou(box_a, box_b) -> float:
     return inter / union
 
 
+def render_mask(box, grid: int) -> np.ndarray:
+    """Ellipse inscribed in one (cx, cy, w, h) box, rasterized on the
+    unit-square grid by cell-center membership; radii floored at 1e-9."""
+    cx, cy, w, h = (float(v) for v in box)
+    centers = (np.arange(grid) + 0.5) / grid
+    gx, gy = np.meshgrid(centers, centers)  # gy rows, gx cols
+    rx = max(w / 2, 1e-9)
+    ry = max(h / 2, 1e-9)
+    inside = ((gx - cx) / rx) ** 2 + ((gy - cy) / ry) ** 2 <= 1.0
+    return inside.astype(np.uint8)
+
+
 def st_iou_oracle(masks_a: dict, masks_b: dict) -> float:
     inter = union = 0
     for t in sorted(set(masks_a) | set(masks_b)):

@@ -394,6 +394,17 @@ def test_ground_truth_class_change_exits_two(tmp_path, capsys):
             f"not {seen['old']} as on line {seen['line']}" in capsys.readouterr().err)
 
 
+def test_tracks_whose_score_rows_differ_in_length_exit_two_in_eval(tmp_path, capsys):
+    _, gt, _ = _tiny_stream(tmp_path)
+    tracks = tmp_path / "tracks.json"
+    rows = {7: [0.1, 0.2, 0.3, 0.4], 8: [0.1, 0.2, 0.3, 0.2, 0.2], 9: [0.4, 0.3, 0.2, 0.1]}
+    tracks.write_text(json.dumps({"tracks": [
+        {"id": tid, "frames": [{"t": 0, "active": False, "scores": scores}]}
+        for tid, scores in rows.items()]}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert "track 8 has 5 scores, track 7 has 4" in capsys.readouterr().err
+
+
 def test_negative_ground_truth_class_exits_two_in_eval(tmp_path, capsys):
     _, gt, _ = _tiny_stream(tmp_path)
     lines = [json.loads(line) for line in gt.read_text().splitlines()]
@@ -513,8 +524,9 @@ def test_streams_that_disagree_on_model_shapes_exit_two(tmp_path, capsys, overri
 
 
 # sha256 of the files `trackgraph generate --frames 6` writes with a 8x8 grid
-# and appearance size 3 (numpy 2.4, x86-64); a change to the documented
-# sampling or corruption order, or to either JSON Lines format, changes them
+# and appearance size 3 (numpy 2.4, x86-64; CI's step summary prints its numpy
+# version and machine); a change to the documented sampling or corruption
+# order, or to either JSON Lines format, changes them
 GENERATED_SHA256 = {
     "plain": (["--seed", "4", "--objects", "3"], {
         "det": "9f0cd45c563448b64d1cd35379cdd9c88207eee0e617406d53043410d095e772",
@@ -522,19 +534,49 @@ GENERATED_SHA256 = {
     "crossing": (["--seed", "9", "--objects", "5", "--crossing"], {
         "det": "0581f99a28a1f9c0ff2d5999770cd6fc87166f5b32efcd163e9db34e952a33bd",
         "gt": "eb22c1451bbf8eaa7ec812466a6834d6c703654d77085af85c73120c32e0a56b"}),
+    "exits": (["--seed", "1", "--objects", "12", "--override", "world.exit_prob=0.3",
+               "--override", "world.entry_window=4"], {
+        "det": "1f7c516952b20a5d8ec1053786ad2fd31d75f1907c1e0575dadc746ca5949dd3",
+        "gt": "a871107b248e3d30f46674642b52277554f3386f14f2439bd228af9e377eb6dc"}),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GENERATED_SHA256))
-def test_generated_files_are_pinned(tmp_path, name):
+def generate_pinned(tmp_path, name) -> dict:
+    """The pinned world's written files, by kind."""
     args, digests = GENERATED_SHA256[name]
     out = tmp_path / "world.det.jsonl"
     assert run(["generate", "--frames", "6", "--out", str(out),
                 "--override", "world.mask_grid=8",
                 "--override", "world.appearance_dim=3"] + args) == 0
-    for kind, digest in digests.items():
-        path = tmp_path / f"world.{kind}.jsonl"
+    return {kind: tmp_path / f"world.{kind}.jsonl" for kind in digests}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_SHA256))
+def test_generated_files_are_pinned(tmp_path, name):
+    for kind, path in generate_pinned(tmp_path, name).items():
+        digest = GENERATED_SHA256[name][1][kind]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, kind
+
+
+def test_exits_pin_covers_exits_entries_and_every_corruption(tmp_path):
+    # so the "exits" pin keeps covering every generation and corruption branch
+    paths = generate_pinned(tmp_path, "exits")
+    gt = [json.loads(line) for line in paths["gt"].read_text().splitlines()]
+    det = [json.loads(line) for line in paths["det"].read_text().splitlines()]
+    frames = {}  # object id -> frames present
+    for t, record in enumerate(gt):
+        for obj in record["objects"]:
+            frames.setdefault(obj["id"], []).append(t)
+    assert sum(ts[-1] < len(gt) - 1 for ts in frames.values()) == 10   # exits
+    assert sum(ts[0] > 0 for ts in frames.values()) == 11              # late entries
+    misses = duplicates = false_positives = 0
+    for record, dets in zip(gt, det):
+        sources = [d.get("source") for d in dets["detections"]]
+        for obj in record["objects"]:
+            misses += obj["id"] not in sources
+            duplicates += sources.count(obj["id"]) > 1
+        false_positives += sources.count("fp")
+    assert (misses, duplicates, false_positives) == (1, 1, 1)
 
 
 def test_gradcheck_single_target():

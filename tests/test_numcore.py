@@ -98,6 +98,14 @@ def test_activations_fixed_points():
     np.testing.assert_allclose(sm.data, [0.25] * 4, atol=1e-15)
 
 
+def test_item_reads_any_size_one_tensor():
+    # a (1, 1) Tensor is the rate pair predict_rates returns for one row
+    assert Tensor(np.full((1, 1), 0.25)).item() == 0.25
+    assert Tensor(np.array([3.0])).item() == 3.0
+    with pytest.raises(ValueError):
+        Tensor(np.ones(2)).item()
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(50, 7)) * 30)

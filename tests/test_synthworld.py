@@ -8,6 +8,8 @@ import pytest
 from trackgraph import assocgraph as ag
 from trackgraph import synthworld as sw
 
+from oracles import render_mask
+
 
 def test_generate_determinism_bit_exact():
     cfg = sw.WorldConfig(seed=42, max_objects=4)
@@ -364,6 +366,38 @@ def test_load_malformed_line_reports_number(tmp_path):
     path.write_text('{"frame": 0, "detections": []}\n{"frame": "oops"}\n')
     with pytest.raises(sw.DataError, match="line 2"):
         sw.load_detections_jsonl(path)
+
+
+@pytest.mark.parametrize("grid", [1, 8, 24])
+def test_render_masks_match_per_box_oracle(grid):
+    rng = np.random.default_rng(grid)
+    cells = (np.arange(grid) + 0.5) / grid
+    boxes = np.concatenate([
+        np.column_stack([rng.uniform(0, 1, (20, 2)), rng.uniform(0.05, 0.6, (20, 2))]),
+        # centers near or beyond the edge of the unit square
+        np.column_stack([rng.uniform(-0.2, 1.2, (20, 2)), rng.uniform(0.1, 0.9, (20, 2))]),
+        # w or h below 2e-9, where the 1e-9 radius floor applies, on cell centers
+        np.column_stack([rng.choice(cells, (6, 2)), [0.0, 1e-12, 1.9e-9, 0.2, 1e-10, 0.0],
+                         [0.3, 1e-12, 0.0, 1.5e-9, 0.2, 0.0]]),
+    ])
+    masks = sw.render_masks(boxes, grid)
+    assert masks.shape == (len(boxes), grid, grid) and masks.dtype == np.uint8
+    for box, mask in zip(boxes, masks):
+        np.testing.assert_array_equal(mask, render_mask(box, grid))
+    assert 0 < masks.sum() < masks.size
+    assert sw.render_masks(np.zeros((0, 4)), grid).shape == (0, grid, grid)
+
+
+@pytest.mark.parametrize("make", [sw.generate_sequence, sw.crossing_sequence])
+def test_generated_masks_are_the_oracle_ellipse_of_each_present_box(make):
+    cfg = sw.WorldConfig(seed=6, max_objects=5, frames=8, mask_grid=10, exit_prob=0.3,
+                         entry_window=4)
+    gt = make(cfg)
+    assert gt.present.any() and not gt.present.all()
+    for k in range(len(gt)):
+        for t in range(gt.frames):
+            want = render_mask(gt.boxes[k, t], 10) if gt.present[k, t] else 0
+            np.testing.assert_array_equal(gt.masks[k, t], want)
 
 
 def test_crossing_preset_same_class_overlap():

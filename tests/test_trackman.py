@@ -30,7 +30,7 @@ SHAPES = ((4,), (4,), (3,), (6, 6))  # box, scores, appearance and mask rows
 
 def make_det(box, scores, appearance, mask=None):
     """A frame holding one detection."""
-    mask = sw.render_mask(box, 6) if mask is None else mask
+    mask = sw.render_masks([box], 6)[0] if mask is None else mask
     return sw.DetectionFrame.stack([[box], [scores], [appearance], [mask], [None]], SHAPES)
 
 

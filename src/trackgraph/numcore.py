@@ -7,8 +7,10 @@ replayed forward bit-exactly and swept backward.  The primitive set holds
 only what the model runs: affine maps on the last axis of any leading
 shape, a plain 2-D matrix product, elementwise arithmetic,
 relu/sigmoid/tanh/log/clip, a last-axis softmax, reshapes, broadcasts,
-concatenation, row gathers, an axis swap, reductions, and for the tiny mask
-head's 3x3 convolution a shifted sum of tap-major per-tap planes.
+concatenation, row gathers, an axis swap, reductions, and the tiny mask
+head's two 3x3 convolutions, `conv1` and `conv2`, each one node that keeps
+only its inputs and output, so a training tape holds none of their
+intermediates.
 Reductions delegate to numpy's summation, which is deterministic for a
 fixed shape; `slot_sum` additionally fixes the accumulation order to
 ascending slot index, so a graph node's aggregate is one sequential sum
@@ -327,13 +329,19 @@ def _():
 
 @_op("gather")
 def _():
-    # Row gather along axis 0; indices may repeat.
+    # Row gather along axis 0; indices may repeat.  Indices that are
+    # non-negative and strictly increasing (in flat order) cannot repeat, and
+    # then a plain scatter-add gives np.add.at's bits several times faster.
     def fwd(idx, a):
         return a[np.asarray(idx)]
 
     def bwd(idx, g, out, need, a):
         acc = np.zeros_like(a)
-        np.add.at(acc, np.asarray(idx), g)
+        flat = idx.reshape(-1)
+        if flat.size < 2 or (flat[0] >= 0 and (flat[1:] > flat[:-1]).all()):
+            acc[idx] += g
+        else:
+            np.add.at(acc, idx, g)
         return (acc,)
 
     return fwd, bwd
@@ -453,34 +461,67 @@ def _():
     return fwd, bwd
 
 
-@_op("tap_sum3x3")
-def _():
-    # (9, B, G, G) -> (B, G, G): a zero-padded 3x3 convolution run tap-first.
-    # Tap plane t = 3*di + dj holds each pixel's contribution through tap
-    # (di, dj), so out[i, j] = sum_t a[t, i + di - 1, j + dj - 1], zero
-    # outside the grid, accumulated in ascending tap order.  A tap adds only
-    # where its source lies inside the grid: adding the outside zeros would
-    # change no bit.
-    def fwd(aux, a):
-        g = a.shape[2]
-        out = np.zeros(a.shape[1:], dtype=a.dtype)
-        for di in range(3):
-            i0, i1 = max(0, 1 - di), min(g, g + 1 - di)
-            for dj in range(3):
-                j0, j1 = max(0, 1 - dj), min(g, g + 1 - dj)
-                out[:, i0:i1, j0:j1] += a[3 * di + dj, :, i0 + di - 1 : i1 + di - 1,
-                                          j0 + dj - 1 : j1 + dj - 1]
-        return out
+def _tap_sum3x3(a: Array) -> Array:
+    """(9, B, G, G) -> (B, G, G): a zero-padded 3x3 convolution run tap-first.
+    Tap plane t = 3*di + dj holds each pixel's contribution through tap
+    (di, dj), so out[i, j] = sum_t a[t, i + di - 1, j + dj - 1], zero outside
+    the grid, accumulated in ascending tap order.  A tap adds only where its
+    source lies inside the grid: adding the outside zeros would change no
+    bit."""
+    g = a.shape[2]
+    out = np.zeros(a.shape[1:], dtype=a.dtype)
+    for di in range(3):
+        i0, i1 = max(0, 1 - di), min(g, g + 1 - di)
+        for dj in range(3):
+            j0, j1 = max(0, 1 - dj), min(g, g + 1 - dj)
+            out[:, i0:i1, j0:j1] += a[3 * di + dj, :, i0 + di - 1 : i1 + di - 1,
+                                      j0 + dj - 1 : j1 + dj - 1]
+    return out
 
-    def bwd(aux, grad, out, need, a):
-        g = a.shape[2]
-        padded = np.zeros((grad.shape[0], g + 2, g + 2), dtype=grad.dtype)
-        padded[:, 1:-1, 1:-1] = grad
-        acc = np.empty_like(a)
+
+# The mask head's two convolutions, each one node that keeps only its inputs
+# and output.  The backward forms the same products in the same order as the
+# chain of matmul, reshape, add, relu and tap-sum nodes it replaces, so every
+# output and gradient has the chain's bits.
+
+
+@_op("conv1")
+def _():
+    # relu((w @ cols + b) + (p @ taps).reshape(O, -1)): w (O, C), cols (C, N),
+    # b (O, 1), p (O*K, T), taps (T, N/K).
+    def fwd(aux, w, cols, b, p, taps):
+        out = w @ cols
+        out += b
+        out += (p @ taps).reshape(w.shape[0], -1)
+        return np.maximum(out, 0.0, out=out)
+
+    def bwd(aux, g, out, need, w, cols, b, p, taps):
+        g = g * (out > 0.0)
+        gp = g.reshape(p.shape[0], -1)
+        return (g @ cols.T if need[0] else None,
+                w.T @ g if need[1] else None,
+                _unbroadcast(g, b.shape) if need[2] else None,
+                gp @ taps.T if need[3] else None,
+                p.T @ gp if need[4] else None)
+
+    return fwd, bwd
+
+
+@_op("conv2")
+def _():
+    # the tap sum of (w @ h).reshape(9, B, G, G): w (9, C), h (C, B*G*G)
+    def fwd(grid, w, h):
+        return _tap_sum3x3((w @ h).reshape(9, -1, grid, grid))
+
+    def bwd(grid, g, out, need, w, h):
+        padded = np.zeros((g.shape[0], grid + 2, grid + 2), dtype=g.dtype)
+        padded[:, 1:-1, 1:-1] = g
+        gz = np.empty((9,) + g.shape, dtype=g.dtype)  # the tap sum's transpose
         for di in range(3):
             for dj in range(3):
-                acc[3 * di + dj] = padded[:, 2 - di : 2 - di + g, 2 - dj : 2 - dj + g]
-        return (acc,)
+                gz[3 * di + dj] = padded[:, 2 - di : 2 - di + grid, 2 - dj : 2 - dj + grid]
+        gz = gz.reshape(9, -1)
+        return gz @ h.T if need[0] else None, w.T @ gz if need[1] else None
 
     return fwd, bwd
 
@@ -561,10 +602,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _run("matmul", (a, b))
 
 
-def tap_sum3x3(a: Tensor) -> Tensor:
-    if a.data.ndim != 4 or a.shape[0] != 9 or a.shape[2] != a.shape[3]:
-        raise NumericError(f"tap_sum3x3 expects (9, B, G, G), got {a.shape}")
-    return _run("tap_sum3x3", (a,))
+def conv1(w: Tensor, cols: Tensor, b: Tensor, p: Tensor, taps: Tensor) -> Tensor:
+    """relu((w @ cols + b) + (p @ taps).reshape(O, -1)) as one node: w (O, C),
+    cols (C, N), b (O, 1), p (O*K, T) and taps (T, N/K), so that p's row
+    o*K + k fills columns k*N/K ... (k+1)*N/K - 1 of output row o."""
+    shapes = (w.shape, cols.shape, b.shape, p.shape, taps.shape)
+    fits = all(len(s) == 2 for s in shapes)
+    if fits:
+        (o, c), (c_in, n), _, (rows, t), (t_in, m) = shapes
+        fits = (c_in == c and b.shape == (o, 1) and t_in == t and o > 0
+                and rows % o == 0 and rows * m == o * n)
+    if not fits:
+        raise NumericError(f"conv1 expects w (O, C), cols (C, N), b (O, 1), p (O*K, T) "
+                           f"and taps (T, N/K), got {w.shape}, {cols.shape}, {b.shape}, "
+                           f"{p.shape} and {taps.shape}")
+    return _run("conv1", (w, cols, b, p, taps))
+
+
+def conv2(w: Tensor, h: Tensor, grid: int) -> Tensor:
+    """(B, G, G): the 3x3 tap sum of (w @ h).reshape(9, B, G, G) as one node,
+    for w (9, C) and h (C, B*G*G)."""
+    if (w.data.ndim != 2 or w.shape[0] != 9 or h.data.ndim != 2 or h.shape[0] != w.shape[1]
+            or grid < 1 or h.shape[1] % (grid * grid)):
+        raise NumericError(f"conv2 expects w (9, C) and h (C, B*{grid}*{grid}), "
+                           f"got {w.shape} and {h.shape}")
+    return _run("conv2", (w, h), grid)
 
 
 def linear(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:

@@ -207,8 +207,9 @@ def _random_rows(config: WorldConfig):
                 ca, sa = np.cos(turns[t - 1]), np.sin(turns[t - 1])
                 vx, vy = ca * vx - sa * vy, sa * vx + ca * vy
                 cx, cy = cx + vx, cy + vy
-            cx = _clamp_center(cx, w / 2)
-            cy = _clamp_center(cy, h / 2)
+            # _clamp_center's bits, without numpy's per-call cost on scalars
+            cx = min(max(cx, w / 2), 1.0 - w / 2)
+            cy = min(max(cy, h / 2), 1.0 - h / 2)
             boxes[t] = (cx, cy, w, h)
         masks = np.zeros((T, G, G), dtype=np.uint8)
         masks[present] = render_masks(boxes[present], G)

@@ -18,6 +18,7 @@ frames can be reclaimed under its original identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -242,6 +243,22 @@ def _tap_columns(planes, grid: int) -> np.ndarray:
                      for dj in range(3)], axis=1).reshape(9 * len(planes), -1)
 
 
+@functools.cache
+def _conv1_constants(grid: int):
+    """conv1's per-grid constants, built once per grid and shared (so
+    read-only): the flat indices into conv1/w (16 out, 18 in * 9 taps; in <
+    16 projection, 16/17 data) of its projection taps as (16 in, 16 out * 9
+    taps) and of its data taps as (16 out, 18), and the (9, G*G) tap columns
+    of a plane of ones."""
+    c, o, t = np.ix_(range(16), range(16), range(9))
+    tables = ((o * 162 + c * 9 + t).reshape(16, 144),
+              np.arange(16)[:, None] * 162 + 144 + np.arange(18),
+              _tap_columns([np.ones((1, grid, grid))], grid))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
     """Resolve pixel ownership among overlapping track masks.
 
@@ -254,38 +271,33 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
 
     The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
     over the track projection (16 channels, broadcast to every pixel), the
-    detection mask and the box mask.  It runs channel-first: the hidden
-    activations are one (16, K*G*G) matmul output, and no layout op touches
-    a tensor larger than K*G*G.  A projection channel is constant over the
-    grid, so conv1's share of it is taken per tap: P = proj @ conv1's
-    projection taps gives each track's (16 out, 9 tap) contribution, and a
-    pixel's share is P (16*K, 9) @ the (9, G*G) tap columns of a plane of
-    ones, which mark the taps that read inside the grid.  The two data
-    channels are a constant (18, K*G*G) column matrix times conv1's data
-    weights.  Conv2 runs tap-first: its (9 tap, 16) weights @ h give
-    one (G, G) plane per tap and track, and tap_sum3x3 adds the shifted
-    planes.
+    detection mask and the box mask.  It runs channel-first, each
+    convolution one numcore node that keeps only its inputs and output.
+    nc.conv1 gives the hidden activations as one (16, K*G*G) array.  A
+    projection channel is constant over the grid, so conv1's share of it is
+    taken per tap: P = proj @ conv1's projection taps gives each track's
+    (16 out, 9 tap) contribution, and a pixel's share is P (16*K, 9) @ the
+    (9, G*G) tap columns of a plane of ones, which mark the taps that read
+    inside the grid.  The two data channels are a constant (18, K*G*G)
+    column matrix times conv1's data weights.  nc.conv2 runs tap-first: its
+    (9 tap, 16) weights @ h give one (G, G) plane per tap and track, and it
+    adds the shifted planes.
     """
     k = len(masks)
     if k == 0:
         return None, None
     proj = nc.relu(nc.apply_linear(params, "mask_head/proj", embeddings))  # (K,16)
-    # conv1/w is (16 out, 18 in * 9 taps): in < 16 projection, 16/17 data
+    proj_taps, data_taps, in_grid = _conv1_constants(grid)
     w1 = nc.reshape(params["mask_head/conv1/w"], (-1,))
-    c, o, t = np.ix_(range(16), range(16), range(9))
-    w1_proj = nc.gather(w1, (o * 162 + c * 9 + t).reshape(16, 144))   # (16c, 16o*9t)
-    w1_data = nc.gather(w1, np.arange(16)[:, None] * 162 + 144 + np.arange(18))  # (16,18)
+    w1_proj = nc.gather(w1, proj_taps)                               # (16c, 16o*9t)
+    w1_data = nc.gather(w1, data_taps)                               # (16o, 18)
     p = nc.reshape(nc.matmul(proj, w1_proj), (k, 16, 9))
     p = nc.reshape(nc.swapaxes01(p), (16 * k, 9))                    # (16o*K, 9t)
-    in_grid = _tap_columns([np.ones((1, grid, grid))], grid)
-    h_proj = nc.reshape(nc.matmul(p, Tensor(in_grid)), (16, -1))
     data = _tap_columns([masks, render_box_masks(boxes, grid)], grid)
-    h_data = nc.matmul(w1_data, Tensor(data))
     b1 = nc.reshape(params["mask_head/conv1/b"], (16, 1))
-    h = nc.relu(h_proj + (h_data + b1))                              # (16, K*GG)
+    h = nc.conv1(w1_data, Tensor(data), b1, p, Tensor(in_grid))      # (16, K*GG)
     w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))  # (9t, 16)
-    z = nc.reshape(nc.matmul(w2, h), (9, k, grid, grid))
-    logits = nc.tap_sum3x3(z) + params["mask_head/conv2/b"]       # (K,G,G)
+    logits = nc.conv2(w2, h, grid) + params["mask_head/conv2/b"]    # (K,G,G)
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)
     instance_map = np.argmax(stack.data, axis=0)
     return instance_map, stack

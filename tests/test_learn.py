@@ -414,6 +414,38 @@ def test_training_peak_memory_does_not_grow_with_batch_size():
     assert peaks[4] < 1.25 * peaks[1], peaks
 
 
+def tape_buffer_bytes(tape) -> int:
+    """Bytes of the distinct arrays a tape keeps alive: every node's inputs,
+    output and array aux, a view counted once through its base."""
+    held = {}
+    for node in tape.nodes:
+        arrays = [t.data for t in node.inputs] + [node.output.data]
+        if isinstance(node.aux, np.ndarray):
+            arrays.append(node.aux)
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            held[id(a)] = a.nbytes
+    return sum(held.values())
+
+
+# distinct-buffer bytes of the test's tape when the mask head's convolutions
+# became single nodes (the node chain before them held 2,589,256)
+SEQUENCE_TAPE_BYTES = 1_318_600
+
+
+def test_training_tape_holds_no_more_than_its_measured_buffers():
+    cfg = dataclasses.replace(small_world(seed=61), mask_grid=12)
+    gt = sw.generate_sequence(cfg)
+    det = sw.corrupt(gt, sw.NoiseConfig(miss_prob=0.05, class_temperature=0.25,
+                                        box_jitter=0.005, appearance_noise=0.05,
+                                        false_positive_rate=0.3), seed=5061)
+    model = tm.build_model(small_config(mask_grid=12), seed=7)
+    with nc.Tape() as tape:
+        learn.sequence_loss(model, det.frames, gt, learn.LossConfig(), tm.Thresholds())
+    assert tape_buffer_bytes(tape) <= 1.05 * SEQUENCE_TAPE_BYTES
+
+
 def test_divergence_detected_and_reported():
     # Saturated appearance rates: sigmoid(-1e3) is 0.0 for both kappa and nu,
     # so the first appearance update sees kappa + nu == 0.

@@ -296,6 +296,23 @@ def test_gather_rows_and_grads():
     np.testing.assert_array_equal(x.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
+@pytest.mark.parametrize("idx", [
+    [0, 2, 3], [3, 1, 1, 3], [[0, 1], [4, 6]], [[5, 0], [2, 1]], [], [-7, 0], [2]],
+    ids=["unique", "repeated", "2d-increasing", "2d-unique", "empty", "negative", "one"])
+def test_gather_backward_scatter_matches_add_at_bit_for_bit(idx):
+    # strictly increasing indices take a plain scatter-add; the rest np.add.at
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(7, 3, 2))
+    idx = np.asarray(idx, dtype=np.intp)
+    g = rng.normal(size=idx.shape + a.shape[1:])
+    g.reshape(-1)[::4] = -0.0
+    want = np.zeros_like(a)
+    np.add.at(want, idx, g)
+    (got,) = nc._BACKWARD["gather"](idx, g, a[idx], [True], a)
+    assert got.shape == a.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_matmul_matches_numpy_and_gradients():
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
@@ -330,37 +347,160 @@ def _shifted_sum_oracle(z):
     return want
 
 
-def test_tap_sum3x3_matches_direct_shifted_sum():
+def test_conv2_matches_direct_shifted_sum():
     rng = np.random.default_rng(17)
     for nb, g in ((2, 5), (1, 1), (3, 2)):
         z = rng.normal(size=(9, nb, g, g))
-        np.testing.assert_allclose(nc.tap_sum3x3(Tensor(z)).data, _shifted_sum_oracle(z),
+        # identity weights hand conv2 the planes themselves, bit for bit
+        out = nc.conv2(Tensor(np.eye(9)), Tensor(z.reshape(9, -1)), g)
+        np.testing.assert_allclose(out.data, _shifted_sum_oracle(z), atol=1e-12)
+        w, h = rng.normal(size=(9, 4)), rng.normal(size=(4, nb * g * g))
+        np.testing.assert_allclose(nc.conv2(Tensor(w), Tensor(h), g).data,
+                                   _shifted_sum_oracle((w @ h).reshape(9, nb, g, g)),
                                    atol=1e-12)
-    for shape in ((1, 4, 4, 9), (9, 2, 4, 5), (9, 4, 4)):
+    for w_shape, h_shape, g in (((1, 4), (4, 16), 4), ((9, 2), (2, 20), 4),
+                                ((9, 2), (3, 16), 4), ((9, 4, 4), (4, 16), 4)):
         with pytest.raises(NumericError):
-            nc.tap_sum3x3(Tensor(np.zeros(shape)))
+            nc.conv2(Tensor(np.zeros(w_shape)), Tensor(np.zeros(h_shape)), g)
 
 
-def test_tap_sum3x3_gradient_matches_finite_differences():
+def test_conv2_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     store = ParamStore()
-    store.add("planes", rng.normal(size=(9, 2, 4, 4)))
+    store.add("w", rng.normal(size=(9, 2)))
+    store.add("h", rng.normal(size=(2, 2 * 4 * 4)))
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def fn(p):
-        return nc.reshape(nc.tsum(nc.tap_sum3x3(p["planes"]) * probe), ())
+        return nc.reshape(nc.tsum(nc.conv2(p["w"], p["h"], 4) * probe), ())
 
     assert grad_check(fn, store) < 1e-8
     # the backward is the transpose of the oracle's linear map
     g = rng.normal(size=(2, 4, 4))
     z = rng.normal(size=(9, 2, 4, 4))
     with Tape() as tape:
-        x = Tensor(z)
-        out = nc.reshape(nc.tsum(nc.tap_sum3x3(x) * Tensor(g)), ())
+        x = Tensor(z.reshape(9, -1))
+        out = nc.reshape(nc.tsum(nc.conv2(Tensor(np.eye(9)), x, 4) * Tensor(g)), ())
     backward(tape, out)
     basis = np.eye(z.size).reshape((z.size,) + z.shape)
     want = np.array([np.sum(_shifted_sum_oracle(e) * g) for e in basis]).reshape(z.shape)
-    np.testing.assert_allclose(x.grad, want, atol=1e-12)
+    np.testing.assert_allclose(x.grad.reshape(z.shape), want, atol=1e-12)
+
+
+def _tap_sum_node(aux, a):
+    """The former `tap_sum3x3` primitive's forward, as it was."""
+    g = a.shape[2]
+    out = np.zeros(a.shape[1:], dtype=a.dtype)
+    for di in range(3):
+        i0, i1 = max(0, 1 - di), min(g, g + 1 - di)
+        for dj in range(3):
+            j0, j1 = max(0, 1 - dj), min(g, g + 1 - dj)
+            out[:, i0:i1, j0:j1] += a[3 * di + dj, :, i0 + di - 1 : i1 + di - 1,
+                                      j0 + dj - 1 : j1 + dj - 1]
+    return out
+
+
+def _tap_sum_node_backward(aux, grad, out, need, a):
+    g = a.shape[2]
+    padded = np.zeros((grad.shape[0], g + 2, g + 2), dtype=grad.dtype)
+    padded[:, 1:-1, 1:-1] = grad
+    acc = np.empty_like(a)
+    for di in range(3):
+        for dj in range(3):
+            acc[3 * di + dj] = padded[:, 2 - di : 2 - di + g, 2 - dj : 2 - dj + g]
+    return (acc,)
+
+
+def _mask_convs(fused: bool, t: dict, grid: int):
+    """(h, logits) of the mask head's convolutions: the conv1 and conv2 nodes,
+    or the chain of nodes they replace."""
+    if fused:
+        h = nc.conv1(t["w1"], t["cols"], t["b1"], t["p"], t["taps"])
+        return h, nc.conv2(t["w2"], h, grid)
+    h_proj = nc.reshape(nc.matmul(t["p"], t["taps"]), (16, -1))
+    h = nc.relu(h_proj + (nc.matmul(t["w1"], t["cols"]) + t["b1"]))
+    z = nc.reshape(nc.matmul(t["w2"], h), (9, -1, grid, grid))
+    return h, nc._run("tap_sum3x3", (z,))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("grid", [4, 6, 24])
+@pytest.mark.parametrize("k", [1, 3, 14])
+def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
+    monkeypatch.setitem(nc._FORWARD, "tap_sum3x3", _tap_sum_node)
+    monkeypatch.setitem(nc._BACKWARD, "tap_sum3x3", _tap_sum_node_backward)
+    rng = np.random.default_rng(100 * k + grid)
+    n = k * grid * grid
+    shapes = dict(w1=(16, 18), cols=(18, n), b1=(16, 1), p=(16 * k, 9),
+                  taps=(9, grid * grid), w2=(9, 16))
+    values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    values["cols"] = (values["cols"] > 0).astype(np.float64)  # 0/1 as in the head
+    probe = rng.normal(size=(k, grid, grid))
+    runs = []
+    for fused in (True, False):
+        store = ParamStore()  # the constant columns stay out of it
+        t = {name: store.add(name, v.copy()) if name not in ("cols", "taps")
+             else Tensor(v.copy()) for name, v in values.items()}
+        with Tape() as tape:
+            h, logits = _mask_convs(fused, t, grid)
+            out = nc.reshape(nc.tsum(logits * Tensor(probe)), ())
+        backward(tape, out)  # every input's gradient
+        swept = [h.data, logits.data, h.grad] + [t[name].grad for name in shapes]
+        grads = backward(tape, out, store)  # only what a parameter reaches
+        runs.append(swept + [grads[name] for name in store.names()])
+    assert 0.0 < np.mean(runs[0][0] > 0.0) < 1.0  # the relu mask has both sides
+    for i, (a, b) in enumerate(zip(*runs)):
+        assert _same_bits(a, b), i
+
+
+def test_conv1_gradient_matches_finite_differences():
+    rng = np.random.default_rng(23)
+    store = ParamStore()
+    for name, shape in dict(w=(2, 3), cols=(3, 18), b=(2, 1), p=(4, 9), taps=(9, 9)).items():
+        store.add(name, rng.normal(size=shape))
+    probe = Tensor(rng.normal(size=(2, 18)))
+
+    def fn(p):
+        h = nc.conv1(p["w"], p["cols"], p["b"], p["p"], p["taps"])
+        return nc.reshape(nc.tsum(h * probe), ())
+
+    assert grad_check(fn, store) < 1e-8
+    for shapes in (((2, 3), (4, 18), (2, 1), (4, 9), (9, 9)),   # cols rows
+                   ((2, 3), (3, 18), (2,), (4, 9), (9, 9)),     # bias shape
+                   ((2, 3), (3, 18), (2, 1), (3, 9), (9, 9)),   # p rows
+                   ((2, 3), (3, 18), (2, 1), (4, 9), (9, 8)),   # columns
+                   ((2, 3), (3, 18), (2, 1), (4, 9), (8, 9)),   # taps rows
+                   ((2, 3, 1), (3, 18), (2, 1), (4, 9), (9, 9))):
+        with pytest.raises(NumericError):
+            nc.conv1(*(Tensor(np.zeros(s)) for s in shapes))
+
+
+def test_conv1_forms_no_product_for_constant_columns(monkeypatch):
+    rng = np.random.default_rng(29)
+    store = ParamStore()
+    for name, shape in dict(w=(2, 3), b=(2, 1), p=(4, 9)).items():
+        store.add(name, rng.normal(size=shape))
+    cols, taps = Tensor(rng.normal(size=(3, 18))), Tensor(rng.normal(size=(9, 9)))
+    formed = []
+
+    def record(*args, real=nc._BACKWARD["conv1"]):
+        formed.append(real(*args))
+        return formed[-1]
+
+    monkeypatch.setitem(nc._BACKWARD, "conv1", record)
+    with Tape() as tape:
+        h = nc.conv1(store["w"], cols, store["b"], store["p"], taps)
+        out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
+    backward(tape, out, store)
+    assert [g is None for g in formed[0]] == [False, True, False, False, True]
+    assert cols.grad is None and taps.grad is None
+    backward(tape, out)  # no store: the columns take gradients too
+    assert all(g is not None for g in formed[1])
+    assert cols.grad.shape == cols.shape and taps.grad.shape == taps.shape
 
 
 def test_param_store_flat_roundtrip():
@@ -483,13 +623,13 @@ def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
     store = ParamStore()
     store.add("w", rng.normal(size=(3, 2)))
     store.add("b", rng.normal(size=(3, 1)))
-    data = Tensor(rng.normal(size=(9, 2, 4, 4)))
+    data = Tensor(rng.normal(size=(9, 2 * 4 * 4)))
     calls = []
-    real = nc._BACKWARD["tap_sum3x3"]
-    monkeypatch.setitem(nc._BACKWARD, "tap_sum3x3",
+    real = nc._BACKWARD["conv2"]
+    monkeypatch.setitem(nc._BACKWARD, "conv2",
                         lambda *args: calls.append(1) or real(*args))
     with Tape() as tape:
-        planes = nc.reshape(nc.tap_sum3x3(data), (2, 16))
+        planes = nc.reshape(nc.conv2(Tensor(np.eye(9)), data, 4), (2, 16))
         h = nc.tanh(nc.matmul(store["w"], planes) + store["b"])
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
     pruned = backward(tape, out, store)

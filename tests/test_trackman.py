@@ -223,7 +223,7 @@ def test_run_sequence_under_tape_replays_bit_exactly():
         memory, outputs = tm.run_sequence(det.frames, model, mode="train")
     assert len(memory) > 0 and outputs[-1].num_tracks > 0
     ops = {node.op for node in tape.nodes}
-    assert {"affine", "gather", "slot_sum", "matmul", "tap_sum3x3"} <= ops
+    assert {"affine", "gather", "slot_sum", "matmul", "conv1", "conv2"} <= ops
     tape.replay()
 
 

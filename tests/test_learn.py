@@ -32,9 +32,9 @@ def small_config(**kw):
     return ag.ModelConfig(**base)
 
 
-def small_world(seed=0, frames=6, objects=2):
+def small_world(seed=0, frames=6, objects=2, grid=6):
     return sw.WorldConfig(seed=seed, frames=frames, max_objects=objects,
-                          num_classes=3, appearance_dim=3, mask_grid=6,
+                          num_classes=3, appearance_dim=3, mask_grid=grid,
                           exit_prob=0.0, entry_window=1)
 
 
@@ -262,13 +262,13 @@ def test_loss_config_rejects_negative_lambda():
 # unrolled sequences and training
 
 
-def build_dataset(world_seeds, noise=None, crossing=False):
+def build_dataset(world_seeds, noise=None, crossing=False, grid=6):
     data = []
     noise = noise or sw.NoiseConfig(miss_prob=0.05, class_temperature=0.25,
                                     box_jitter=0.005, appearance_noise=0.05,
                                     false_positive_rate=0.3)
     for s in world_seeds:
-        cfg = small_world(seed=s)
+        cfg = small_world(seed=s, grid=grid)
         gt = (sw.crossing_sequence(cfg) if crossing else sw.generate_sequence(cfg))
         det = sw.corrupt(gt, noise, seed=s + 5000)
         data.append((det.frames, gt))
@@ -435,14 +435,10 @@ SEQUENCE_TAPE_BYTES = 1_318_600
 
 
 def test_training_tape_holds_no_more_than_its_measured_buffers():
-    cfg = dataclasses.replace(small_world(seed=61), mask_grid=12)
-    gt = sw.generate_sequence(cfg)
-    det = sw.corrupt(gt, sw.NoiseConfig(miss_prob=0.05, class_temperature=0.25,
-                                        box_jitter=0.005, appearance_noise=0.05,
-                                        false_positive_rate=0.3), seed=5061)
+    [(frames, gt)] = build_dataset([61], grid=12)
     model = tm.build_model(small_config(mask_grid=12), seed=7)
     with nc.Tape() as tape:
-        learn.sequence_loss(model, det.frames, gt, learn.LossConfig(), tm.Thresholds())
+        learn.sequence_loss(model, frames, gt, learn.LossConfig(), tm.Thresholds())
     assert tape_buffer_bytes(tape) <= 1.05 * SEQUENCE_TAPE_BYTES
 
 

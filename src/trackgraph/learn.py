@@ -167,7 +167,7 @@ def lovasz_softmax_frame(logits: Tensor, labels: np.ndarray) -> Tensor:
     fg = (np.asarray(labels).reshape(1, -1)
           == np.arange(1, k + 1)[:, None]).astype(np.float64)      # (K, n_pix)
     p = nc.gather(probs, np.arange(1, k + 1))
-    errors = Tensor(fg) * (1.0 - p) + Tensor(1.0 - fg) * p
+    errors = p * Tensor(1.0 - 2.0 * fg) + Tensor(fg)  # fg*(1-p) + (1-fg)*p, bit for bit
     order = np.argsort(-errors.data, axis=1, kind="stable")
     flat_order = order + (np.arange(k) * n_pix)[:, None]
     errors_sorted = nc.gather(nc.reshape(errors, (-1,)), flat_order)

@@ -6,11 +6,11 @@ active, records (op name, inputs, output, aux) so that the tape can be
 replayed forward bit-exactly and swept backward.  The primitive set holds
 only what the model runs: affine maps on the last axis of any leading
 shape, a plain 2-D matrix product, elementwise arithmetic,
-relu/sigmoid/tanh/log/clip, a last-axis softmax, reshapes, broadcasts,
-concatenation, row gathers, an axis swap, reductions, and the tiny mask
-head's two 3x3 convolutions, `conv1` and `conv2`, each one node that keeps
-only its inputs and output, so a training tape holds none of their
-intermediates.
+relu/sigmoid/tanh/log/clip, a last-axis softmax, reshapes, broadcasts (as
+views), concatenation, row gathers, an axis swap, reductions, and the tiny
+mask head's two 3x3 convolutions, `conv1` and `conv2`, each one node that
+keeps only its inputs and output; `conv1` holds its data channels as uint8
+planes in its aux and builds their float64 tap columns when it needs them.
 Reductions delegate to numpy's summation, which is deterministic for a
 fixed shape; `slot_sum` additionally fixes the accumulation order to
 ascending slot index, so a graph node's aggregate is one sequential sum
@@ -35,6 +35,7 @@ that for trimming); where libc has no `mallopt` nothing changes.
 from __future__ import annotations
 
 import ctypes
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -299,8 +300,9 @@ def _():
 
 @_op("broadcast_to")
 def _():
+    # numpy's read-only view; its one consumer, concat, copies it anyway
     def fwd(shape, a):
-        return np.broadcast_to(a, shape).copy()
+        return np.broadcast_to(a, shape)
 
     def bwd(shape, g, out, need, a):
         return (_unbroadcast(g, a.shape),)
@@ -479,6 +481,27 @@ def _tap_sum3x3(a: Array) -> Array:
     return out
 
 
+def _tap_columns(planes: Array) -> Array:
+    """(C*9, K*G*G) float64 3x3 tap columns of (C, K, G, G) planes: row c*9 + t,
+    t = 3*di + dj, holds plane c read at (i + di - 1, j + dj - 1), 0 outside."""
+    c, k, g, _ = planes.shape
+    padded = np.zeros((c, k, g + 2, g + 2), dtype=planes.dtype)
+    padded[:, :, 1:-1, 1:-1] = planes
+    cols = np.empty((c, 9, k, g, g))
+    for t in range(9):
+        cols[:, t] = padded[:, :, t // 3 : t // 3 + g, t % 3 : t % 3 + g]
+    return cols.reshape(9 * c, -1)
+
+
+@functools.cache
+def _in_grid_taps(grid: int) -> Array:
+    """(9, G*G): the tap columns of a plane of ones, 1 where a tap reads inside
+    the grid.  Built once per grid and shared, so read-only."""
+    taps = _tap_columns(np.ones((1, 1, grid, grid), dtype=np.uint8))
+    taps.setflags(write=False)
+    return taps
+
+
 # The mask head's two convolutions, each one node that keeps only its inputs
 # and output.  The backward forms the same products in the same order as the
 # chain of matmul, reshape, add, relu and tap-sum nodes it replaces, so every
@@ -487,22 +510,20 @@ def _tap_sum3x3(a: Array) -> Array:
 
 @_op("conv1")
 def _():
-    # relu((w @ cols + b) + (p @ taps).reshape(O, -1)): w (O, C), cols (C, N),
-    # b (O, 1), p (O*K, T), taps (T, N/K).
-    def fwd(aux, w, cols, b, p, taps):
-        out = w @ cols
+    # The aux holds the uint8 planes; their float64 columns are built in the
+    # forward and again in the backward, so the tape keeps only the planes.
+    def fwd(planes, w, b, p):
+        out = w @ _tap_columns(planes)
         out += b
-        out += (p @ taps).reshape(w.shape[0], -1)
+        out += (p @ _in_grid_taps(planes.shape[-1])).reshape(w.shape[0], -1)
         return np.maximum(out, 0.0, out=out)
 
-    def bwd(aux, g, out, need, w, cols, b, p, taps):
+    def bwd(planes, g, out, need, w, b, p):
         g = g * (out > 0.0)
-        gp = g.reshape(p.shape[0], -1)
-        return (g @ cols.T if need[0] else None,
-                w.T @ g if need[1] else None,
-                _unbroadcast(g, b.shape) if need[2] else None,
-                gp @ taps.T if need[3] else None,
-                p.T @ gp if need[4] else None)
+        return (g @ _tap_columns(planes).T if need[0] else None,
+                _unbroadcast(g, b.shape) if need[1] else None,
+                (g.reshape(p.shape[0], -1) @ _in_grid_taps(planes.shape[-1]).T
+                 if need[2] else None))
 
     return fwd, bwd
 
@@ -602,21 +623,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _run("matmul", (a, b))
 
 
-def conv1(w: Tensor, cols: Tensor, b: Tensor, p: Tensor, taps: Tensor) -> Tensor:
-    """relu((w @ cols + b) + (p @ taps).reshape(O, -1)) as one node: w (O, C),
-    cols (C, N), b (O, 1), p (O*K, T) and taps (T, N/K), so that p's row
-    o*K + k fills columns k*N/K ... (k+1)*N/K - 1 of output row o."""
-    shapes = (w.shape, cols.shape, b.shape, p.shape, taps.shape)
-    fits = all(len(s) == 2 for s in shapes)
-    if fits:
-        (o, c), (c_in, n), _, (rows, t), (t_in, m) = shapes
-        fits = (c_in == c and b.shape == (o, 1) and t_in == t and o > 0
-                and rows % o == 0 and rows * m == o * n)
+def conv1(w: Tensor, planes, b: Tensor, p: Tensor) -> Tensor:
+    """relu((w @ cols + b) + (p @ taps).reshape(O, -1)) as one node, for w
+    (O, 9C), b (O, 1), p (O*K, 9) and (C, K, G, G) uint8 planes, which are
+    the node's aux and take no gradient: cols (9C, K*G*G) are their 3x3 tap
+    columns and taps (9, G*G) those of a plane of ones, so p's row o*K + k
+    fills track k's columns of output row o."""
+    planes = np.asarray(planes)
+    fits = (planes.dtype == np.uint8 and planes.ndim == 4 and w.data.ndim == 2
+            and planes.shape[2] == planes.shape[3] and w.shape[1] == 9 * planes.shape[0]
+            and b.shape == (w.shape[0], 1) and p.shape == (w.shape[0] * planes.shape[1], 9))
     if not fits:
-        raise NumericError(f"conv1 expects w (O, C), cols (C, N), b (O, 1), p (O*K, T) "
-                           f"and taps (T, N/K), got {w.shape}, {cols.shape}, {b.shape}, "
-                           f"{p.shape} and {taps.shape}")
-    return _run("conv1", (w, cols, b, p, taps))
+        raise NumericError(f"conv1 expects w (O, 9C), b (O, 1), p (O*K, 9) and uint8 "
+                           f"planes (C, K, G, G), got {w.shape}, {b.shape}, {p.shape} "
+                           f"and {planes.dtype} {planes.shape}")
+    return _run("conv1", (w, b, p), planes)
 
 
 def conv2(w: Tensor, h: Tensor, grid: int) -> Tensor:

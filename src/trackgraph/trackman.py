@@ -223,37 +223,24 @@ def heuristic_scores(memory: TrackMemory, frame: DetectionFrame) -> np.ndarray:
 
 
 def render_box_masks(boxes, grid: int) -> np.ndarray:
-    """(K, G, G) 0/1 rasters: a pixel is inside a box when its center is."""
+    """(K, G, G) uint8 0/1 rasters: a pixel is inside a box when its center is."""
     cx, cy, w, h = (v[:, None, None] for v in
                     np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T)
     centers = (np.arange(grid) + 0.5) / grid
     inside = ((np.abs(centers[None, None, :] - cx) <= w / 2)
               & (np.abs(centers[None, :, None] - cy) <= h / 2))
-    return inside.astype(np.float64)
-
-
-def _tap_columns(planes, grid: int) -> np.ndarray:
-    """(C*9, K*G*G) 3x3-convolution input columns of C stacks of K (G, G)
-    planes: row c*9 + 3*di + dj holds stack c read at (i + di - 1,
-    j + dj - 1), zero outside the grid."""
-    padded = np.zeros((len(planes), len(planes[0]), grid + 2, grid + 2))
-    for c, plane in enumerate(planes):
-        padded[c, :, 1:-1, 1:-1] = plane
-    return np.stack([padded[:, :, di : di + grid, dj : dj + grid] for di in range(3)
-                     for dj in range(3)], axis=1).reshape(9 * len(planes), -1)
+    return inside.astype(np.uint8)
 
 
 @functools.cache
-def _conv1_constants(grid: int):
-    """conv1's per-grid constants, built once per grid and shared (so
-    read-only): the flat indices into conv1/w (16 out, 18 in * 9 taps; in <
-    16 projection, 16/17 data) of its projection taps as (16 in, 16 out * 9
-    taps) and of its data taps as (16 out, 18), and the (9, G*G) tap columns
-    of a plane of ones."""
+def _conv1_constants():
+    """The flat indices into conv1/w (16 out, 18 in * 9 taps; in < 16
+    projection, 16/17 data) of its projection taps as (16 in, 16 out * 9
+    taps) and of its data taps as (16 out, 18), built once and shared (so
+    read-only)."""
     c, o, t = np.ix_(range(16), range(16), range(9))
     tables = ((o * 162 + c * 9 + t).reshape(16, 144),
-              np.arange(16)[:, None] * 162 + 144 + np.arange(18),
-              _tap_columns([np.ones((1, grid, grid))], grid))
+              np.arange(16)[:, None] * 162 + 144 + np.arange(18))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -262,12 +249,12 @@ def _conv1_constants(grid: int):
 def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
     """Resolve pixel ownership among overlapping track masks.
 
-    embeddings: (K, D) track embeddings; masks: (K, G, G) detection masks;
-    boxes: (K, 4) detection boxes.  Returns (instance_map, logits): the map holds
-    a row index per pixel (0 = background, i+1 = entry i); logits is the
-    (K+1, G, G) stack with the fixed background row of zeros first.
-    Equal-logit ties go to the background because argmax keeps the first
-    maximal row.
+    embeddings: (K, D) track embeddings; masks: (K, G, G) detection masks,
+    read as uint8; boxes: (K, 4) detection boxes.  Returns (instance_map,
+    logits): the map holds a row index per pixel (0 = background, i+1 =
+    entry i); logits is the (K+1, G, G) stack with the fixed background row
+    of zeros first.  Equal-logit ties go to the background because argmax
+    keeps the first maximal row.
 
     The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
     over the track projection (16 channels, broadcast to every pixel), the
@@ -276,26 +263,26 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     nc.conv1 gives the hidden activations as one (16, K*G*G) array.  A
     projection channel is constant over the grid, so conv1's share of it is
     taken per tap: P = proj @ conv1's projection taps gives each track's
-    (16 out, 9 tap) contribution, and a pixel's share is P (16*K, 9) @ the
-    (9, G*G) tap columns of a plane of ones, which mark the taps that read
-    inside the grid.  The two data channels are a constant (18, K*G*G)
-    column matrix times conv1's data weights.  nc.conv2 runs tap-first: its
-    (9 tap, 16) weights @ h give one (G, G) plane per tap and track, and it
-    adds the shifted planes.
+    (16 out, 9 tap) contribution, which conv1 spreads over the pixels whose
+    tap reads inside the grid.  The two data channels go to conv1 as one
+    (2, K, G, G) uint8 stack of mask and box planes, which it turns into
+    3x3 tap columns for conv1's data weights, so the tape holds the planes,
+    not the columns.  nc.conv2 runs tap-first: its (9 tap, 16) weights @ h
+    give one (G, G) plane per tap and track, and it adds the shifted planes.
     """
     k = len(masks)
     if k == 0:
         return None, None
     proj = nc.relu(nc.apply_linear(params, "mask_head/proj", embeddings))  # (K,16)
-    proj_taps, data_taps, in_grid = _conv1_constants(grid)
+    proj_taps, data_taps = _conv1_constants()
     w1 = nc.reshape(params["mask_head/conv1/w"], (-1,))
     w1_proj = nc.gather(w1, proj_taps)                               # (16c, 16o*9t)
     w1_data = nc.gather(w1, data_taps)                               # (16o, 18)
     p = nc.reshape(nc.matmul(proj, w1_proj), (k, 16, 9))
     p = nc.reshape(nc.swapaxes01(p), (16 * k, 9))                    # (16o*K, 9t)
-    data = _tap_columns([masks, render_box_masks(boxes, grid)], grid)
+    planes = np.array([masks, render_box_masks(boxes, grid)], dtype=np.uint8)
     b1 = nc.reshape(params["mask_head/conv1/b"], (16, 1))
-    h = nc.conv1(w1_data, Tensor(data), b1, p, Tensor(in_grid))      # (16, K*GG)
+    h = nc.conv1(w1_data, planes, b1, p)                             # (16, K*GG)
     w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))  # (9t, 16)
     logits = nc.conv2(w2, h, grid) + params["mask_head/conv2/b"]    # (K,G,G)
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)

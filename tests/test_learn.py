@@ -236,6 +236,28 @@ def test_lovasz_rows_in_one_pass_match_class_loop_bit_for_bit(k):
     np.testing.assert_array_equal(g_vec, g_loop)
 
 
+def test_lovasz_error_map_is_the_two_term_form_bit_for_bit():
+    # lovasz_softmax_frame writes fg*(1-p) + (1-fg)*p, the form the class-loop
+    # oracle keeps, as p * (1 - 2fg) + fg: one mul and one add.
+    rng = np.random.default_rng(8)
+    p_data = rng.random((4, 50))
+    p_data[:, :4] = [0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53]
+    fg = (rng.random((4, 50)) < 0.5).astype(np.float64)
+    fg[:, :4] = [[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0]]
+    probe = Tensor(rng.normal(size=(4, 50)))
+    runs = []
+    for form in (lambda p: p * Tensor(1.0 - 2.0 * fg) + Tensor(fg),
+                 lambda p: Tensor(fg) * (1.0 - p) + Tensor(1.0 - fg) * p):
+        p = Tensor(p_data.copy())
+        with nc.Tape() as tape:
+            errors = form(p)
+            out = nc.tsum(errors * probe)
+        nc.backward(tape, out)
+        runs.append([errors.data, p.grad])
+    for a, b in zip(*runs):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # total loss
 
@@ -416,12 +438,13 @@ def test_training_peak_memory_does_not_grow_with_batch_size():
 
 def tape_buffer_bytes(tape) -> int:
     """Bytes of the distinct arrays a tape keeps alive: every node's inputs,
-    output and array aux, a view counted once through its base."""
+    output and array aux (also the arrays in a tuple or list aux), a view
+    counted once through its base."""
     held = {}
     for node in tape.nodes:
-        arrays = [t.data for t in node.inputs] + [node.output.data]
-        if isinstance(node.aux, np.ndarray):
-            arrays.append(node.aux)
+        aux = node.aux if isinstance(node.aux, (tuple, list)) else (node.aux,)
+        arrays = ([t.data for t in node.inputs] + [node.output.data]
+                  + [a for a in aux if isinstance(a, np.ndarray)])
         for a in arrays:
             while isinstance(a.base, np.ndarray):
                 a = a.base
@@ -429,9 +452,10 @@ def tape_buffer_bytes(tape) -> int:
     return sum(held.values())
 
 
-# distinct-buffer bytes of the test's tape when the mask head's convolutions
-# became single nodes (the node chain before them held 2,589,256)
-SEQUENCE_TAPE_BYTES = 1_318_600
+# distinct-buffer bytes of the test's tape once conv1 took uint8 planes in
+# place of float64 tap columns (1,318,600 before; the node chain before the
+# single-node convolutions held 2,589,256)
+SEQUENCE_TAPE_BYTES = 973_032
 
 
 def test_training_tape_holds_no_more_than_its_measured_buffers():

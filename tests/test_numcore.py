@@ -411,14 +411,28 @@ def _tap_sum_node_backward(aux, grad, out, need, a):
     return (acc,)
 
 
-def _mask_convs(fused: bool, t: dict, grid: int):
+def _tap_columns(planes, grid):
+    """The float64 tap columns the head built before conv1 took planes:
+    row c*9 + 3*di + dj holds plane stack c read at (i + di - 1, j + dj - 1),
+    zero outside the grid."""
+    padded = np.zeros((len(planes), len(planes[0]), grid + 2, grid + 2))
+    for c, plane in enumerate(planes):
+        padded[c, :, 1:-1, 1:-1] = plane
+    return np.stack([padded[:, :, di : di + grid, dj : dj + grid] for di in range(3)
+                     for dj in range(3)], axis=1).reshape(9 * len(planes), -1)
+
+
+def _mask_convs(fused: bool, t: dict, planes, grid: int):
     """(h, logits) of the mask head's convolutions: the conv1 and conv2 nodes,
-    or the chain of nodes they replace."""
+    or the chain of nodes they replace, fed the planes' float columns and the
+    in-grid tap columns as constant tensors."""
     if fused:
-        h = nc.conv1(t["w1"], t["cols"], t["b1"], t["p"], t["taps"])
+        h = nc.conv1(t["w1"], planes, t["b1"], t["p"])
         return h, nc.conv2(t["w2"], h, grid)
-    h_proj = nc.reshape(nc.matmul(t["p"], t["taps"]), (16, -1))
-    h = nc.relu(h_proj + (nc.matmul(t["w1"], t["cols"]) + t["b1"]))
+    cols = Tensor(_tap_columns(planes, grid))
+    taps = Tensor(_tap_columns(np.ones((1, 1, grid, grid)), grid))
+    h_proj = nc.reshape(nc.matmul(t["p"], taps), (16, -1))
+    h = nc.relu(h_proj + (nc.matmul(t["w1"], cols) + t["b1"]))
     z = nc.reshape(nc.matmul(t["w2"], h), (9, -1, grid, grid))
     return h, nc._run("tap_sum3x3", (z,))
 
@@ -434,24 +448,22 @@ def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
     monkeypatch.setitem(nc._FORWARD, "tap_sum3x3", _tap_sum_node)
     monkeypatch.setitem(nc._BACKWARD, "tap_sum3x3", _tap_sum_node_backward)
     rng = np.random.default_rng(100 * k + grid)
-    n = k * grid * grid
-    shapes = dict(w1=(16, 18), cols=(18, n), b1=(16, 1), p=(16 * k, 9),
-                  taps=(9, grid * grid), w2=(9, 16))
+    shapes = dict(w1=(16, 18), b1=(16, 1), p=(16 * k, 9), w2=(9, 16))
     values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    values["cols"] = (values["cols"] > 0).astype(np.float64)  # 0/1 as in the head
+    planes = (rng.random((2, k, grid, grid)) < 0.4).astype(np.uint8)  # 0/1 as in the head
     probe = rng.normal(size=(k, grid, grid))
     runs = []
     for fused in (True, False):
-        store = ParamStore()  # the constant columns stay out of it
-        t = {name: store.add(name, v.copy()) if name not in ("cols", "taps")
-             else Tensor(v.copy()) for name, v in values.items()}
+        store = ParamStore()
+        t = {name: store.add(name, v.copy()) for name, v in values.items()}
         with Tape() as tape:
-            h, logits = _mask_convs(fused, t, grid)
+            h, logits = _mask_convs(fused, t, planes, grid)
             out = nc.reshape(nc.tsum(logits * Tensor(probe)), ())
         backward(tape, out)  # every input's gradient
         swept = [h.data, logits.data, h.grad] + [t[name].grad for name in shapes]
         grads = backward(tape, out, store)  # only what a parameter reaches
         runs.append(swept + [grads[name] for name in store.names()])
+        tape.replay()
     assert 0.0 < np.mean(runs[0][0] > 0.0) < 1.0  # the relu mask has both sides
     for i, (a, b) in enumerate(zip(*runs)):
         assert _same_bits(a, b), i
@@ -460,47 +472,53 @@ def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
 def test_conv1_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     store = ParamStore()
-    for name, shape in dict(w=(2, 3), cols=(3, 18), b=(2, 1), p=(4, 9), taps=(9, 9)).items():
+    for name, shape in dict(w=(2, 18), b=(2, 1), p=(6, 9)).items():
         store.add(name, rng.normal(size=shape))
-    probe = Tensor(rng.normal(size=(2, 18)))
+    planes = rng.integers(0, 2, size=(2, 3, 4, 4), dtype=np.uint8)
+    probe = Tensor(rng.normal(size=(2, 48)))
 
     def fn(p):
-        h = nc.conv1(p["w"], p["cols"], p["b"], p["p"], p["taps"])
+        h = nc.conv1(p["w"], planes, p["b"], p["p"])
         return nc.reshape(nc.tsum(h * probe), ())
 
     assert grad_check(fn, store) < 1e-8
-    for shapes in (((2, 3), (4, 18), (2, 1), (4, 9), (9, 9)),   # cols rows
-                   ((2, 3), (3, 18), (2,), (4, 9), (9, 9)),     # bias shape
-                   ((2, 3), (3, 18), (2, 1), (3, 9), (9, 9)),   # p rows
-                   ((2, 3), (3, 18), (2, 1), (4, 9), (9, 8)),   # columns
-                   ((2, 3), (3, 18), (2, 1), (4, 9), (8, 9)),   # taps rows
-                   ((2, 3, 1), (3, 18), (2, 1), (4, 9), (9, 9))):
+    for shapes in (((2, 18, 1), (2, 1), (6, 9)),   # w not 2-D
+                   ((2, 18), (2,), (6, 9)),        # bias shape
+                   ((2, 18), (2, 1), (4, 9)),      # p rows
+                   ((2, 18), (2, 1), (6, 8))):     # p taps
         with pytest.raises(NumericError):
-            nc.conv1(*(Tensor(np.zeros(s)) for s in shapes))
+            nc.conv1(*(Tensor(np.zeros(s)) for s in shapes[:1]), planes,
+                     *(Tensor(np.zeros(s)) for s in shapes[1:]))
 
 
-def test_conv1_forms_no_product_for_constant_columns(monkeypatch):
+def test_conv1_keeps_its_planes_off_the_inputs():
     rng = np.random.default_rng(29)
     store = ParamStore()
-    for name, shape in dict(w=(2, 3), b=(2, 1), p=(4, 9)).items():
+    for name, shape in dict(w=(2, 18), b=(2, 1), p=(6, 9)).items():
         store.add(name, rng.normal(size=shape))
-    cols, taps = Tensor(rng.normal(size=(3, 18))), Tensor(rng.normal(size=(9, 9)))
-    formed = []
-
-    def record(*args, real=nc._BACKWARD["conv1"]):
-        formed.append(real(*args))
-        return formed[-1]
-
-    monkeypatch.setitem(nc._BACKWARD, "conv1", record)
+    planes = rng.integers(0, 2, size=(2, 3, 3, 3), dtype=np.uint8)
     with Tape() as tape:
-        h = nc.conv1(store["w"], cols, store["b"], store["p"], taps)
+        h = nc.conv1(store["w"], planes, store["b"], store["p"])
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
-    backward(tape, out, store)
-    assert [g is None for g in formed[0]] == [False, True, False, False, True]
-    assert cols.grad is None and taps.grad is None
-    backward(tape, out)  # no store: the columns take gradients too
-    assert all(g is not None for g in formed[1])
-    assert cols.grad.shape == cols.shape and taps.grad.shape == taps.shape
+    [node] = [node for node in tape.nodes if node.op == "conv1"]
+    assert node.aux is planes
+    assert node.inputs == (store["w"], store["b"], store["p"])
+    assert not any(np.shares_memory(t.data, planes) for t in node.inputs)
+    backward(tape, out)  # no store: every input takes a gradient, the planes none
+    assert all(t.grad.shape == t.shape for t in node.inputs)
+    tape.replay()
+
+
+def test_conv1_rejects_planes_that_do_not_fit():
+    w, b, p = Tensor(np.zeros((2, 18))), Tensor(np.zeros((2, 1))), Tensor(np.zeros((6, 9)))
+    nc.conv1(w, np.zeros((2, 3, 4, 4), dtype=np.uint8), b, p)
+    for planes in (np.zeros((1, 3, 4, 4), dtype=np.uint8),    # channels against w
+                   np.zeros((2, 2, 4, 4), dtype=np.uint8),    # tracks against p
+                   np.zeros((2, 3, 4, 5), dtype=np.uint8),    # not square
+                   np.zeros((2, 3, 16), dtype=np.uint8),      # not 4-D
+                   np.zeros((2, 3, 4, 4))):                   # float64, not uint8
+        with pytest.raises(NumericError):
+            nc.conv1(w, planes, b, p)
 
 
 def test_param_store_flat_roundtrip():
@@ -670,6 +688,28 @@ def test_backward_forms_no_product_for_inputs_no_parameter_reaches(monkeypatch):
     assert right.grad is not None and x.grad is not None
     for name, t in store.items():
         np.testing.assert_array_equal(pruned[name], t.grad)
+
+
+def test_broadcast_to_is_a_read_only_view_with_unchanged_gradients(monkeypatch):
+    rng = np.random.default_rng(31)
+    a_data, other = rng.normal(size=(3, 1, 4)), Tensor(rng.normal(size=(3, 2, 4)))
+    probe = Tensor(rng.normal(size=(3, 7, 4)))
+    runs = []
+    for copy in (False, True):
+        if copy:  # the former forward, which returned a copy
+            monkeypatch.setitem(nc._FORWARD, "broadcast_to",
+                                lambda shape, a: np.broadcast_to(a, shape).copy())
+        a = Tensor(a_data.copy())
+        with Tape() as tape:
+            b = nc.broadcast_to(a, (3, 5, 4))
+            out = nc.tsum(nc.tanh(nc.concat([b, other], axis=1)) * probe)
+        tape.replay()
+        backward(tape, out)
+        runs.append((a, b, out.data, a.grad, b.grad))
+    (a, view, *swept), (_, _, *copied) = runs
+    assert not view.data.flags.writeable and np.shares_memory(view.data, a.data)
+    for x, y in zip(swept, copied):
+        assert _same_bits(x, y)
 
 
 def test_heap_policy_is_quiet_without_mallopt(monkeypatch):

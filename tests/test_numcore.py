@@ -486,9 +486,9 @@ def test_conv1_gradient_matches_finite_differences():
                    ((2, 18), (2,), (6, 9)),        # bias shape
                    ((2, 18), (2, 1), (4, 9)),      # p rows
                    ((2, 18), (2, 1), (6, 8))):     # p taps
+        w, b, p = (Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(NumericError):
-            nc.conv1(*(Tensor(np.zeros(s)) for s in shapes[:1]), planes,
-                     *(Tensor(np.zeros(s)) for s in shapes[1:]))
+            nc.conv1(w, planes, b, p)
 
 
 def test_conv1_keeps_its_planes_off_the_inputs():

@@ -67,7 +67,6 @@ class TrainConfig:
     batch_size: int = 2
     lr: float = 2e-4
     weight_decay: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -291,7 +290,7 @@ def train(dataset, model: tm.TrackModel, config: TrainConfig,
                 breakdowns[i], grads = _sweep_sequence(dataset[batch_idx[i]], model,
                                                        config, thresholds, it)
             nc.adam_step(model.params, grads, state, lr=config.lr,
-                         weight_decay=config.weight_decay, betas=config.betas)
+                         weight_decay=config.weight_decay)
         except nc.NumericOverflowError as exc:
             # forward/optimizer numeric-state checks are divergence, not crashes
             raise DivergenceError(it) from exc

@@ -5,11 +5,12 @@ Every primitive runs eagerly on numpy float64 arrays and, when a tape is
 active, records (op name, inputs, output, aux) so that the tape can be
 replayed forward bit-exactly and swept backward.  The primitive set holds
 only what the model runs: affine maps on the last axis of any leading
-shape, a plain 2-D matrix product, elementwise arithmetic,
-relu/sigmoid/tanh/log/clip, a last-axis softmax, reshapes, broadcasts (as
-views), concatenation, row gathers, an axis swap, reductions, and the tiny
-mask head's two 3x3 convolutions, `conv1` and `conv2`, each one node that
-keeps only its inputs and output; `conv1` holds its data channels as uint8
+shape, elementwise arithmetic, relu/sigmoid/tanh/log/clip, a last-axis
+softmax, reshapes, broadcasts (as views), concatenation, row gathers, an
+axis swap, reductions, and the tiny mask head's two zero-padded 3x3
+convolutions, `conv1` and `conv2`, each one node that keeps only its inputs
+and output and reads its weight as stored, (out, in * 9), tap t = 3*di + dj
+of input c at column 9c + t.  `conv1` holds its data channels as uint8
 planes in its aux and builds their float64 tap columns when it needs them.
 Reductions delegate to numpy's summation, which is deterministic for a
 fixed shape; `slot_sum` additionally fixes the accumulation order to
@@ -276,17 +277,6 @@ def _():
     return fwd, bwd
 
 
-@_op("matmul")
-def _():
-    def fwd(aux, a, b):
-        return a @ b
-
-    def bwd(aux, g, out, need, a, b):
-        return g @ b.T if need[0] else None, a.T @ g if need[1] else None
-
-    return fwd, bwd
-
-
 @_op("reshape")
 def _():
     def fwd(shape, a):
@@ -502,47 +492,65 @@ def _in_grid_taps(grid: int) -> Array:
     return taps
 
 
-# The mask head's two convolutions, each one node that keeps only its inputs
-# and output.  The backward forms the same products in the same order as the
-# chain of matmul, reshape, add, relu and tap-sum nodes it replaces, so every
-# output and gradient has the chain's bits.
+# The mask head's two convolutions.  Every product is formed from the
+# operands, and in the order, of the node chain the two replace (weight
+# gathers and swaps, matrix products, tap sums, bias adds), each operand
+# handed to BLAS C-contiguous as the chain's were (a reshape that cannot be
+# a view copies in C order), so every output and gradient has its bits.
+
+
+def _proj_taps(w: Array, p: int) -> Array:
+    """(P, O*9): conv1's weights on its P projection channels, row c holding
+    w[o, 9c + t] at column 9o + t."""
+    return w[:, : 9 * p].reshape(len(w), p, 9).swapaxes(0, 1).reshape(p, -1)
 
 
 @_op("conv1")
 def _():
     # The aux holds the uint8 planes; their float64 columns are built in the
     # forward and again in the backward, so the tape keeps only the planes.
-    def fwd(planes, w, b, p):
-        out = w @ _tap_columns(planes)
-        out += b
-        out += (p @ _in_grid_taps(planes.shape[-1])).reshape(w.shape[0], -1)
+    # A projection channel is constant over the grid, so its share is taken
+    # per tap: (O*K, 9) rows, spread over the pixels whose tap reads inside it.
+    def fwd(planes, w, b, proj):
+        (k, p), o = proj.shape, w.shape[0]
+        per_tap = (proj @ _proj_taps(w, p)).reshape(k, o, 9).swapaxes(0, 1).reshape(o * k, 9)
+        out = w[:, 9 * p :].copy() @ _tap_columns(planes)
+        out += b[:, None]
+        out += (per_tap @ _in_grid_taps(planes.shape[-1])).reshape(o, -1)
         return np.maximum(out, 0.0, out=out)
 
-    def bwd(planes, g, out, need, w, b, p):
+    def bwd(planes, g, out, need, w, b, proj):
+        (k, p), o = proj.shape, w.shape[0]
         g = g * (out > 0.0)
-        return (g @ _tap_columns(planes).T if need[0] else None,
-                _unbroadcast(g, b.shape) if need[1] else None,
-                (g.reshape(p.shape[0], -1) @ _in_grid_taps(planes.shape[-1]).T
-                 if need[2] else None))
+        g_tap = (g.reshape(o * k, -1) @ _in_grid_taps(planes.shape[-1]).T
+                 ).reshape(o, k, 9).swapaxes(0, 1).reshape(k, o * 9)
+        gw = None
+        if need[0]:  # both blocks added onto zeros, as the chain's scatter did
+            gw = np.zeros_like(w)
+            blocks = gw.reshape(o, -1, 9)
+            blocks[:, :p] += (proj.T @ g_tap).reshape(p, o, 9).swapaxes(0, 1)
+            blocks[:, p:] += (g @ _tap_columns(planes).T).reshape(o, -1, 9)
+        return (gw, g.sum(axis=1) if need[1] else None,
+                g_tap @ _proj_taps(w, p).T if need[2] else None)
 
     return fwd, bwd
 
 
 @_op("conv2")
 def _():
-    # the tap sum of (w @ h).reshape(9, B, G, G): w (9, C), h (C, B*G*G)
-    def fwd(grid, w, h):
-        return _tap_sum3x3((w @ h).reshape(9, -1, grid, grid))
+    # the tap sum of (taps @ h).reshape(9, B, G, G) + b, taps w's (9, C) copy;
+    # the tap sum's transpose reads g's tap columns in reverse tap order
+    def fwd(grid, w, b, h):
+        out = _tap_sum3x3((w.reshape(-1, 9).T.copy() @ h).reshape(9, -1, grid, grid))
+        out += b
+        return out
 
-    def bwd(grid, g, out, need, w, h):
-        padded = np.zeros((g.shape[0], grid + 2, grid + 2), dtype=g.dtype)
-        padded[:, 1:-1, 1:-1] = g
-        gz = np.empty((9,) + g.shape, dtype=g.dtype)  # the tap sum's transpose
-        for di in range(3):
-            for dj in range(3):
-                gz[3 * di + dj] = padded[:, 2 - di : 2 - di + grid, 2 - dj : 2 - dj + grid]
-        gz = gz.reshape(9, -1)
-        return gz @ h.T if need[0] else None, w.T @ gz if need[1] else None
+    def bwd(grid, g, out, need, w, b, h):
+        gz = _tap_columns(g[None])[::-1].copy()
+        taps = w.reshape(-1, 9).T.copy()
+        return ((gz @ h.T).T.reshape(w.shape) if need[0] else None,
+                _unbroadcast(g, b.shape) if need[1] else None,
+                taps.T @ gz if need[2] else None)
 
     return fwd, bwd
 
@@ -616,38 +624,34 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _run("clip", (a,), (lo, hi))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 2-D a (m, k) and b (k, n)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise NumericError(f"matmul expects (m, k) @ (k, n), got {a.shape} @ {b.shape}")
-    return _run("matmul", (a, b))
-
-
-def conv1(w: Tensor, planes, b: Tensor, p: Tensor) -> Tensor:
-    """relu((w @ cols + b) + (p @ taps).reshape(O, -1)) as one node, for w
-    (O, 9C), b (O, 1), p (O*K, 9) and (C, K, G, G) uint8 planes, which are
-    the node's aux and take no gradient: cols (9C, K*G*G) are their 3x3 tap
-    columns and taps (9, G*G) those of a plane of ones, so p's row o*K + k
-    fills track k's columns of output row o."""
+def conv1(w: Tensor, b: Tensor, proj: Tensor, planes) -> Tensor:
+    """(O, K*G*G): relu of a zero-padded 3x3 convolution over P projection
+    channels, constant over each track's grid, and C data planes, as one
+    node.  w (O, 9(P+C)) holds each output's taps channel by channel, the
+    projection channels first; b (O,); proj (K, P); the (C, K, G, G) uint8
+    planes are the node's aux and take no gradient."""
     planes = np.asarray(planes)
-    fits = (planes.dtype == np.uint8 and planes.ndim == 4 and w.data.ndim == 2
-            and planes.shape[2] == planes.shape[3] and w.shape[1] == 9 * planes.shape[0]
-            and b.shape == (w.shape[0], 1) and p.shape == (w.shape[0] * planes.shape[1], 9))
+    fits = (planes.dtype == np.uint8 and planes.ndim == 4
+            and planes.shape[2] == planes.shape[3] and proj.data.ndim == 2
+            and proj.shape[0] == planes.shape[1] and w.data.ndim == 2
+            and w.shape[1] == 9 * (proj.shape[1] + planes.shape[0])
+            and b.shape == (w.shape[0],))
     if not fits:
-        raise NumericError(f"conv1 expects w (O, 9C), b (O, 1), p (O*K, 9) and uint8 "
-                           f"planes (C, K, G, G), got {w.shape}, {b.shape}, {p.shape} "
+        raise NumericError(f"conv1 expects w (O, 9(P+C)), b (O,), proj (K, P) and uint8 "
+                           f"planes (C, K, G, G), got {w.shape}, {b.shape}, {proj.shape} "
                            f"and {planes.dtype} {planes.shape}")
-    return _run("conv1", (w, b, p), planes)
+    return _run("conv1", (w, b, proj), planes)
 
 
-def conv2(w: Tensor, h: Tensor, grid: int) -> Tensor:
-    """(B, G, G): the 3x3 tap sum of (w @ h).reshape(9, B, G, G) as one node,
-    for w (9, C) and h (C, B*G*G)."""
-    if (w.data.ndim != 2 or w.shape[0] != 9 or h.data.ndim != 2 or h.shape[0] != w.shape[1]
-            or grid < 1 or h.shape[1] % (grid * grid)):
-        raise NumericError(f"conv2 expects w (9, C) and h (C, B*{grid}*{grid}), "
-                           f"got {w.shape} and {h.shape}")
-    return _run("conv2", (w, h), grid)
+def conv2(w: Tensor, b: Tensor, h: Tensor, grid: int) -> Tensor:
+    """(B, G, G): the zero-padded 3x3 convolution of h (C, B*G*G), read as
+    C channels of B grids, to one channel, as one node; w (1, 9C) holds the
+    taps channel by channel, b (1,)."""
+    if (w.data.ndim != 2 or w.shape[0] != 1 or b.shape != (1,) or h.data.ndim != 2
+            or w.shape[1] != 9 * h.shape[0] or grid < 1 or h.shape[1] % (grid * grid)):
+        raise NumericError(f"conv2 expects w (1, 9C), b (1,) and h (C, B*{grid}*{grid}), "
+                           f"got {w.shape}, {b.shape} and {h.shape}")
+    return _run("conv2", (w, b, h), grid)
 
 
 def linear(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:

@@ -38,6 +38,9 @@ class DataError(ValueError):
     """Malformed stream files or inconsistent sequence data."""
 
 
+MAX_FRAMES = 100_000  # frame indices lie in [0, MAX_FRAMES), in a world and in a stream
+
+
 @dataclass
 class WorldConfig:
     num_classes: int = 5
@@ -55,6 +58,8 @@ class WorldConfig:
     def __post_init__(self):
         if self.frames < 1 or self.num_classes < 1 or self.appearance_dim < 1:
             raise DataError("frames, num_classes, and appearance_dim must be >= 1")
+        if self.frames > MAX_FRAMES:
+            raise DataError(f"frames must be at most MAX_FRAMES = {MAX_FRAMES}")
 
 
 @dataclass
@@ -347,7 +352,7 @@ def load_detections_jsonl(path) -> DetectionSequence:
     has the row shapes of the stream's first one, a box 4 entries; finite
     values, w, h > 0, and scores in [0, 1] that sum to 1 within
     SCORE_SUM_TOLERANCE.  Frames with no line or no detections get those
-    shapes too."""
+    shapes too.  A line's "frame" is a new JSON integer in [0, MAX_FRAMES)."""
     frames: dict[int, DetectionFrame] = {}
     shapes = {"box": ((4,), None)}  # JSON field -> (row shape, the line that set it)
     for lineno, line in enumerate(_read_lines(path), start=1):
@@ -421,8 +426,8 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
     mask sets the grid and its first appearance the appearance size; every
     object must match them and have a 4-entry box.  An object appears at
     most once per line and keeps one class on every line, in
-    [0, num_classes) when that is given.  A file without objects gives
-    K = 0 rows."""
+    [0, num_classes) when that is given.  A line's "frame" is a new JSON
+    integer in [0, MAX_FRAMES).  A file without objects gives K = 0 rows."""
     top = math.inf if num_classes is None else num_classes
     objects: dict[int, tuple] = {}  # id -> (class, appearance, the line that set them)
     cells = []                      # (id, frame, box, mask) per object and line
@@ -472,10 +477,15 @@ def load_ground_truth_jsonl(path, num_classes: int | None = None) -> GroundTruth
 
 
 def _frame_index(record, seen) -> int:
-    """A line's frame index, which must be new and nonnegative."""
-    t = int(record["frame"])
+    """A line's frame index: a JSON integer (not a bool, float or string) in
+    [0, MAX_FRAMES), new in the stream."""
+    t = record["frame"]
+    if type(t) is not int:
+        raise DataError(f"frame {json.dumps(t)} is not an integer")
     if t < 0:
         raise DataError(f"negative frame {t}")
+    if t >= MAX_FRAMES:
+        raise DataError(f"frame {t} is not below MAX_FRAMES = {MAX_FRAMES}")
     if t in seen:
         raise DataError(f"repeats frame {t}")
     return t

@@ -18,7 +18,6 @@ frames can be reclaimed under its original identity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -157,7 +156,9 @@ def init_head_params(params: ParamStore, config: ModelConfig, rng):
     d = config.embed_dim
     nc.add_linear(params, "score_head", d, config.num_classes + 1, rng)
     nc.add_linear(params, "mask_head/proj", d, 16, rng)
-    # the two 3x3 convolutions as (out, in * 9 taps) weights
+    # the two 3x3 convolutions as (out, in * 9 taps) weights, each input
+    # channel's 9 taps together; conv1's inputs are the 16 projection
+    # channels, then the detection mask and the box mask
     nc.add_linear(params, "mask_head/conv1", 18 * 9, 16, rng)
     nc.add_linear(params, "mask_head/conv2", 16 * 9, 1, rng)
 
@@ -232,20 +233,6 @@ def render_box_masks(boxes, grid: int) -> np.ndarray:
     return inside.astype(np.uint8)
 
 
-@functools.cache
-def _conv1_constants():
-    """The flat indices into conv1/w (16 out, 18 in * 9 taps; in < 16
-    projection, 16/17 data) of its projection taps as (16 in, 16 out * 9
-    taps) and of its data taps as (16 out, 18), built once and shared (so
-    read-only)."""
-    c, o, t = np.ix_(range(16), range(16), range(9))
-    tables = ((o * 162 + c * 9 + t).reshape(16, 144),
-              np.arange(16)[:, None] * 162 + 144 + np.arange(18))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: int):
     """Resolve pixel ownership among overlapping track masks.
 
@@ -253,38 +240,27 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
     read as uint8; boxes: (K, 4) detection boxes.  Returns (instance_map,
     logits): the map holds a row index per pixel (0 = background, i+1 =
     entry i); logits is the (K+1, G, G) stack with the fixed background row
-    of zeros first.  Equal-logit ties go to the background because argmax
-    keeps the first maximal row.
+    of zeros first.  argmax keeps the first maximal row, so a pixel whose
+    logits tie goes to the background when 0 is among the tied maxima, and
+    otherwise to the earliest tied entry.
 
     The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
-    over the track projection (16 channels, broadcast to every pixel), the
-    detection mask and the box mask.  It runs channel-first, each
-    convolution one numcore node that keeps only its inputs and output.
-    nc.conv1 gives the hidden activations as one (16, K*G*G) array.  A
-    projection channel is constant over the grid, so conv1's share of it is
-    taken per tap: P = proj @ conv1's projection taps gives each track's
-    (16 out, 9 tap) contribution, which conv1 spreads over the pixels whose
-    tap reads inside the grid.  The two data channels go to conv1 as one
-    (2, K, G, G) uint8 stack of mask and box planes, which it turns into
-    3x3 tap columns for conv1's data weights, so the tape holds the planes,
-    not the columns.  nc.conv2 runs tap-first: its (9 tap, 16) weights @ h
-    give one (G, G) plane per tap and track, and it adds the shifted planes.
+    over the track projection (16 channels, constant over each track's
+    grid), the detection mask and the box mask, each convolution one
+    numcore node that reads its weights as stored.  nc.conv1 takes the
+    projection as (K, 16) rows and the two data channels as one
+    (2, K, G, G) uint8 stack of mask and box planes, so the tape holds the
+    planes, not their tap columns; it gives the hidden activations as one
+    (16, K*G*G) array, which nc.conv2 turns into the (K, G, G) logits.
     """
-    k = len(masks)
-    if k == 0:
+    if len(masks) == 0:
         return None, None
-    proj = nc.relu(nc.apply_linear(params, "mask_head/proj", embeddings))  # (K,16)
-    proj_taps, data_taps = _conv1_constants()
-    w1 = nc.reshape(params["mask_head/conv1/w"], (-1,))
-    w1_proj = nc.gather(w1, proj_taps)                               # (16c, 16o*9t)
-    w1_data = nc.gather(w1, data_taps)                               # (16o, 18)
-    p = nc.reshape(nc.matmul(proj, w1_proj), (k, 16, 9))
-    p = nc.reshape(nc.swapaxes01(p), (16 * k, 9))                    # (16o*K, 9t)
+    proj = nc.relu(nc.apply_linear(params, "mask_head/proj", embeddings))  # (K, 16)
     planes = np.array([masks, render_box_masks(boxes, grid)], dtype=np.uint8)
-    b1 = nc.reshape(params["mask_head/conv1/b"], (16, 1))
-    h = nc.conv1(w1_data, planes, b1, p)                             # (16, K*GG)
-    w2 = nc.swapaxes01(nc.reshape(params["mask_head/conv2/w"], (16, 9)))  # (9t, 16)
-    logits = nc.conv2(w2, h, grid) + params["mask_head/conv2/b"]    # (K,G,G)
+    h = nc.conv1(params["mask_head/conv1/w"], params["mask_head/conv1/b"], proj,
+                 planes)                                             # (16, K*G*G)
+    logits = nc.conv2(params["mask_head/conv2/w"], params["mask_head/conv2/b"], h,
+                      grid)                                          # (K, G, G)
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)
     instance_map = np.argmax(stack.data, axis=0)
     return instance_map, stack

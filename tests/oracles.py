@@ -335,7 +335,7 @@ def joint_tape_train(dataset, model, config, thresholds=None):
             total = total * (1.0 / config.batch_size)
         grads = nc.backward(tape, total, model.params)
         nc.adam_step(model.params, grads, state, lr=config.lr,
-                     weight_decay=config.weight_decay, betas=config.betas)
+                     weight_decay=config.weight_decay)
         acc /= config.batch_size
         curve.append(learn.LossBreakdown(score=acc[0], seg=acc[1], match=acc[2],
                                          init=acc[3], total=total.item()))

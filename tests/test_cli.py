@@ -202,6 +202,18 @@ _MASK_5X5 = base64.b64encode(bytes(25)).decode()
     (lambda lines: _first_det(lines, box=[0.5, 0.5, 0.1, 0.0]), "w, h > 0"),
     (lambda lines: _first_det(lines, box=[0.5, float("nan"), 0.1, 0.2]), "not finite"),
     (lambda lines: lines + ['{"frame": -1, "detections": []}'], "negative frame -1"),
+    # a frame index is a JSON integer below MAX_FRAMES; int() would have read
+    # these as frames 1, 1 and 2, and 1e9 as a billion-frame stream
+    (lambda lines: lines + ['{"frame": 1.5, "detections": []}'],
+     "malformed line 4: frame 1.5 is not an integer"),
+    (lambda lines: lines + ['{"frame": true, "detections": []}'],
+     "malformed line 4: frame true is not an integer"),
+    (lambda lines: lines + ['{"frame": "2", "detections": []}'],
+     'malformed line 4: frame "2" is not an integer'),
+    (lambda lines: lines + ['{"frame": 1e9, "detections": []}'],
+     "malformed line 4: frame 1000000000.0 is not an integer"),
+    (lambda lines: lines + [f'{{"frame": {sw.MAX_FRAMES}, "detections": []}}'],
+     f"malformed line 4: frame {sw.MAX_FRAMES} is not below MAX_FRAMES = {sw.MAX_FRAMES}"),
     # the mutated first detection sets the stream's shapes, so the next line
     # that has detections disagrees with it
     (lambda lines: _first_det(lines, scores=[0.5, 0.5]),
@@ -236,7 +248,8 @@ _MASK_5X5 = base64.b64encode(bytes(25)).decode()
     (lambda lines: _last_det(lines, scores=[0.25, 0.25, 0.25, 0.2485]),
      "malformed line 2: detection {last} has scores that do not sum to 1 within 0.001"),
 ], ids=["repeated_frame", "negative_width", "zero_height", "nan_center",
-        "negative_frame", "score_length", "appearance_length", "mask_grid",
+        "negative_frame", "float_frame", "bool_frame", "string_frame", "exponent_frame",
+        "frame_past_bound", "score_length", "appearance_length", "mask_grid",
         "over_cap_short_scores", "model_score_length", "model_appearance_length",
         "model_mask_grid", "nan_score", "nan_appearance", "inf_appearance",
         "score_above_one", "score_sum", "score_sum_last_detection"])
@@ -315,6 +328,25 @@ def test_negative_ground_truth_frame_exits_two(tmp_path, capsys):
     tracks.write_text(json.dumps({"tracks": []}))
     assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
     assert "negative frame -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frame, message", [
+    ("1.5", "frame 1.5 is not an integer"),
+    ("true", "frame true is not an integer"),
+    ('"2"', 'frame "2" is not an integer'),
+    ("2e12", "frame 2000000000000.0 is not an integer"),
+    ("1e308", "frame 1e+308 is not an integer"),
+    (str(10 ** 12), f"frame {10 ** 12} is not below MAX_FRAMES = {sw.MAX_FRAMES}"),
+], ids=["float", "bool", "string", "exponent", "huge_exponent", "past_bound"])
+def test_bad_ground_truth_frame_exits_two(tmp_path, capsys, frame, message):
+    # a frame index is a JSON integer below MAX_FRAMES: int() would have read
+    # 2e12 as a frame count, and 1e308 failed outside the loader's checks
+    _, gt, _ = _tiny_stream(tmp_path)
+    gt.write_text(gt.read_text() + f'{{"frame": {frame}, "objects": []}}\n')
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps({"tracks": []}))
+    assert run(["eval", "--tracks", str(tracks), "--gt", str(gt)]) == 2
+    assert f"{gt}: malformed line 4: {message}" in capsys.readouterr().err
 
 
 def test_ground_truth_mask_grid_mismatch_exits_two(tmp_path, capsys):

@@ -452,10 +452,12 @@ def tape_buffer_bytes(tape) -> int:
     return sum(held.values())
 
 
-# distinct-buffer bytes of the test's tape once conv1 took uint8 planes in
-# place of float64 tap columns (1,318,600 before; the node chain before the
-# single-node convolutions held 2,589,256)
-SEQUENCE_TAPE_BYTES = 973_032
+# distinct-buffer bytes of the test's tape once the mask head's convolutions
+# read their weights as stored (973,032 while the head gathered and swapped
+# them each frame; 1,318,600 before conv1 took uint8 planes in place of
+# float64 tap columns; the node chain before the single-node convolutions
+# held 2,589,256)
+SEQUENCE_TAPE_BYTES = 816_360
 
 
 def test_training_tape_holds_no_more_than_its_measured_buffers():

@@ -313,24 +313,6 @@ def test_gather_backward_scatter_matches_add_at_bit_for_bit(idx):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_matmul_matches_numpy_and_gradients():
-    rng = np.random.default_rng(9)
-    a, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
-    np.testing.assert_array_equal(nc.matmul(Tensor(a), Tensor(b)).data, a @ b)
-    store = ParamStore()
-    store.add("a", a)
-    store.add("b", b)
-    probe = Tensor(rng.normal(size=(4, 5)))
-
-    def fn(p):
-        return nc.reshape(nc.tsum(nc.matmul(p["a"], p["b"]) * probe), ())
-
-    assert grad_check(fn, store) < 1e-8
-    for shapes in (((4, 3), (4, 5)), ((2, 4, 3), (3, 5)), ((3,), (3, 5))):
-        with pytest.raises(NumericError):
-            nc.matmul(*(Tensor(np.zeros(s)) for s in shapes))
-
-
 def _shifted_sum_oracle(z):
     """out[b, i, j] = sum over taps (di, dj) of plane 3*di + dj read at
     (i + di - 1, j + dj - 1), zero outside the grid."""
@@ -351,28 +333,35 @@ def test_conv2_matches_direct_shifted_sum():
     rng = np.random.default_rng(17)
     for nb, g in ((2, 5), (1, 1), (3, 2)):
         z = rng.normal(size=(9, nb, g, g))
-        # identity weights hand conv2 the planes themselves, bit for bit
-        out = nc.conv2(Tensor(np.eye(9)), Tensor(z.reshape(9, -1)), g)
+        # channel c read through tap c alone hands the oracle the planes themselves
+        out = nc.conv2(Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)),
+                       Tensor(z.reshape(9, -1)), g)
         np.testing.assert_allclose(out.data, _shifted_sum_oracle(z), atol=1e-12)
-        w, h = rng.normal(size=(9, 4)), rng.normal(size=(4, nb * g * g))
-        np.testing.assert_allclose(nc.conv2(Tensor(w), Tensor(h), g).data,
-                                   _shifted_sum_oracle((w @ h).reshape(9, nb, g, g)),
+        # w[0, 9c + t] weighs channel c through tap t
+        w, b = rng.normal(size=(1, 36)), rng.normal(size=1)
+        h = rng.normal(size=(4, nb * g * g))
+        want = _shifted_sum_oracle((w.reshape(4, 9).T @ h).reshape(9, nb, g, g)) + b
+        np.testing.assert_allclose(nc.conv2(Tensor(w), Tensor(b), Tensor(h), g).data, want,
                                    atol=1e-12)
-    for w_shape, h_shape, g in (((1, 4), (4, 16), 4), ((9, 2), (2, 20), 4),
-                                ((9, 2), (3, 16), 4), ((9, 4, 4), (4, 16), 4)):
+    for w_shape, b_shape, h_shape in (((2, 36), (1,), (4, 16)),   # more than one output
+                                      ((1, 18), (1,), (2, 20)),   # columns not grids
+                                      ((1, 18), (1,), (3, 16)),   # channels against w
+                                      ((1, 2, 18), (1,), (2, 16)),  # w not 2-D
+                                      ((1, 18), (1, 1), (2, 16))):  # bias shape
         with pytest.raises(NumericError):
-            nc.conv2(Tensor(np.zeros(w_shape)), Tensor(np.zeros(h_shape)), g)
+            nc.conv2(*(Tensor(np.zeros(s)) for s in (w_shape, b_shape, h_shape)), 4)
 
 
 def test_conv2_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     store = ParamStore()
-    store.add("w", rng.normal(size=(9, 2)))
+    store.add("w", rng.normal(size=(1, 18)))
+    store.add("b", rng.normal(size=1))
     store.add("h", rng.normal(size=(2, 2 * 4 * 4)))
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def fn(p):
-        return nc.reshape(nc.tsum(nc.conv2(p["w"], p["h"], 4) * probe), ())
+        return nc.reshape(nc.tsum(nc.conv2(p["w"], p["b"], p["h"], 4) * probe), ())
 
     assert grad_check(fn, store) < 1e-8
     # the backward is the transpose of the oracle's linear map
@@ -380,7 +369,8 @@ def test_conv2_gradient_matches_finite_differences():
     z = rng.normal(size=(9, 2, 4, 4))
     with Tape() as tape:
         x = Tensor(z.reshape(9, -1))
-        out = nc.reshape(nc.tsum(nc.conv2(Tensor(np.eye(9)), x, 4) * Tensor(g)), ())
+        conv = nc.conv2(Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)), x, 4)
+        out = nc.reshape(nc.tsum(conv * Tensor(g)), ())
     backward(tape, out)
     basis = np.eye(z.size).reshape((z.size,) + z.shape)
     want = np.array([np.sum(_shifted_sum_oracle(e) * g) for e in basis]).reshape(z.shape)
@@ -411,6 +401,15 @@ def _tap_sum_node_backward(aux, grad, out, need, a):
     return (acc,)
 
 
+def _matmul_node(aux, a, b):
+    """The former `matmul` primitive, a @ b for 2-D operands, as it was."""
+    return a @ b
+
+
+def _matmul_node_backward(aux, g, out, need, a, b):
+    return g @ b.T if need[0] else None, a.T @ g if need[1] else None
+
+
 def _tap_columns(planes, grid):
     """The float64 tap columns the head built before conv1 took planes:
     row c*9 + 3*di + dj holds plane stack c read at (i + di - 1, j + dj - 1),
@@ -422,19 +421,36 @@ def _tap_columns(planes, grid):
                      for dj in range(3)], axis=1).reshape(9 * len(planes), -1)
 
 
+def _conv1_index_tables():
+    """The flat indices into a (16 out, 18 in * 9 taps) conv1 weight of its
+    projection taps as (16 in, 16 out * 9 taps) and of its data taps as
+    (16 out, 18), as the head gathered them before conv1 read the weight."""
+    c, o, t = np.ix_(range(16), range(16), range(9))
+    return ((o * 162 + c * 9 + t).reshape(16, 144),
+            np.arange(16)[:, None] * 162 + 144 + np.arange(18))
+
+
 def _mask_convs(fused: bool, t: dict, planes, grid: int):
     """(h, logits) of the mask head's convolutions: the conv1 and conv2 nodes,
-    or the chain of nodes they replace, fed the planes' float columns and the
-    in-grid tap columns as constant tensors."""
+    or the chain of nodes they replace, which gathers and swaps the stored
+    weights into place and is fed the planes' float columns and the in-grid
+    tap columns as constant tensors."""
     if fused:
-        h = nc.conv1(t["w1"], planes, t["b1"], t["p"])
-        return h, nc.conv2(t["w2"], h, grid)
+        h = nc.conv1(t["w1"], t["b1"], t["proj"], planes)
+        return h, nc.conv2(t["w2"], t["b2"], h, grid)
+    k = t["proj"].shape[0]
+    proj_taps, data_taps = _conv1_index_tables()
+    w1 = nc.reshape(t["w1"], (-1,))
+    p = nc.reshape(nc._run("matmul", (t["proj"], nc.gather(w1, proj_taps))), (k, 16, 9))
+    p = nc.reshape(nc.swapaxes01(p), (16 * k, 9))
     cols = Tensor(_tap_columns(planes, grid))
     taps = Tensor(_tap_columns(np.ones((1, 1, grid, grid)), grid))
-    h_proj = nc.reshape(nc.matmul(t["p"], taps), (16, -1))
-    h = nc.relu(h_proj + (nc.matmul(t["w1"], cols) + t["b1"]))
-    z = nc.reshape(nc.matmul(t["w2"], h), (9, -1, grid, grid))
-    return h, nc._run("tap_sum3x3", (z,))
+    h_proj = nc.reshape(nc._run("matmul", (p, taps)), (16, -1))
+    h_data = nc._run("matmul", (nc.gather(w1, data_taps), cols))
+    h = nc.relu(h_proj + (h_data + nc.reshape(t["b1"], (16, 1))))
+    w2 = nc.swapaxes01(nc.reshape(t["w2"], (16, 9)))
+    z = nc.reshape(nc._run("matmul", (w2, h)), (9, -1, grid, grid))
+    return h, nc._run("tap_sum3x3", (z,)) + t["b2"]
 
 
 def _same_bits(a, b):
@@ -445,11 +461,14 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("grid", [4, 6, 24])
 @pytest.mark.parametrize("k", [1, 3, 14])
 def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
-    monkeypatch.setitem(nc._FORWARD, "tap_sum3x3", _tap_sum_node)
-    monkeypatch.setitem(nc._BACKWARD, "tap_sum3x3", _tap_sum_node_backward)
+    for op, fwd, bwd in (("tap_sum3x3", _tap_sum_node, _tap_sum_node_backward),
+                         ("matmul", _matmul_node, _matmul_node_backward)):
+        monkeypatch.setitem(nc._FORWARD, op, fwd)
+        monkeypatch.setitem(nc._BACKWARD, op, bwd)
     rng = np.random.default_rng(100 * k + grid)
-    shapes = dict(w1=(16, 18), b1=(16, 1), p=(16 * k, 9), w2=(9, 16))
+    shapes = dict(w1=(16, 162), b1=(16,), proj=(k, 16), w2=(1, 144), b2=(1,))
     values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    values["proj"][:, :4] = 0.0  # projection channels a relu closed, as in the head
     planes = (rng.random((2, k, grid, grid)) < 0.4).astype(np.uint8)  # 0/1 as in the head
     probe = rng.normal(size=(k, grid, grid))
     runs = []
@@ -469,40 +488,46 @@ def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
         assert _same_bits(a, b), i
 
 
+# conv1 test shapes: O = 2 outputs, P = 3 projection channels, C = 2 planes
+# of K = 3 tracks
+_CONV1_SHAPES = dict(w=(2, 45), b=(2,), proj=(3, 3))
+
+
 def test_conv1_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     store = ParamStore()
-    for name, shape in dict(w=(2, 18), b=(2, 1), p=(6, 9)).items():
+    for name, shape in _CONV1_SHAPES.items():
         store.add(name, rng.normal(size=shape))
     planes = rng.integers(0, 2, size=(2, 3, 4, 4), dtype=np.uint8)
     probe = Tensor(rng.normal(size=(2, 48)))
 
     def fn(p):
-        h = nc.conv1(p["w"], planes, p["b"], p["p"])
+        h = nc.conv1(p["w"], p["b"], p["proj"], planes)
         return nc.reshape(nc.tsum(h * probe), ())
 
     assert grad_check(fn, store) < 1e-8
-    for shapes in (((2, 18, 1), (2, 1), (6, 9)),   # w not 2-D
-                   ((2, 18), (2,), (6, 9)),        # bias shape
-                   ((2, 18), (2, 1), (4, 9)),      # p rows
-                   ((2, 18), (2, 1), (6, 8))):     # p taps
-        w, b, p = (Tensor(np.zeros(s)) for s in shapes)
+    for shapes in (((2, 45, 1), (2,), (3, 3)),    # w not 2-D
+                   ((2, 45), (2, 1), (3, 3)),     # bias shape
+                   ((2, 45), (2,), (4, 3)),       # proj rows against the tracks
+                   ((2, 45), (2,), (3, 4)),       # proj channels against w
+                   ((2, 45), (2,), (9,))):        # proj not 2-D
+        w, b, proj = (Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(NumericError):
-            nc.conv1(w, planes, b, p)
+            nc.conv1(w, b, proj, planes)
 
 
 def test_conv1_keeps_its_planes_off_the_inputs():
     rng = np.random.default_rng(29)
     store = ParamStore()
-    for name, shape in dict(w=(2, 18), b=(2, 1), p=(6, 9)).items():
+    for name, shape in _CONV1_SHAPES.items():
         store.add(name, rng.normal(size=shape))
     planes = rng.integers(0, 2, size=(2, 3, 3, 3), dtype=np.uint8)
     with Tape() as tape:
-        h = nc.conv1(store["w"], planes, store["b"], store["p"])
+        h = nc.conv1(store["w"], store["b"], store["proj"], planes)
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
     [node] = [node for node in tape.nodes if node.op == "conv1"]
     assert node.aux is planes
-    assert node.inputs == (store["w"], store["b"], store["p"])
+    assert node.inputs == (store["w"], store["b"], store["proj"])
     assert not any(np.shares_memory(t.data, planes) for t in node.inputs)
     backward(tape, out)  # no store: every input takes a gradient, the planes none
     assert all(t.grad.shape == t.shape for t in node.inputs)
@@ -510,15 +535,15 @@ def test_conv1_keeps_its_planes_off_the_inputs():
 
 
 def test_conv1_rejects_planes_that_do_not_fit():
-    w, b, p = Tensor(np.zeros((2, 18))), Tensor(np.zeros((2, 1))), Tensor(np.zeros((6, 9)))
-    nc.conv1(w, np.zeros((2, 3, 4, 4), dtype=np.uint8), b, p)
+    w, b, proj = (Tensor(np.zeros(s)) for s in _CONV1_SHAPES.values())
+    nc.conv1(w, b, proj, np.zeros((2, 3, 4, 4), dtype=np.uint8))
     for planes in (np.zeros((1, 3, 4, 4), dtype=np.uint8),    # channels against w
-                   np.zeros((2, 2, 4, 4), dtype=np.uint8),    # tracks against p
+                   np.zeros((2, 2, 4, 4), dtype=np.uint8),    # tracks against proj
                    np.zeros((2, 3, 4, 5), dtype=np.uint8),    # not square
                    np.zeros((2, 3, 16), dtype=np.uint8),      # not 4-D
                    np.zeros((2, 3, 4, 4))):                   # float64, not uint8
         with pytest.raises(NumericError):
-            nc.conv1(w, planes, b, p)
+            nc.conv1(w, b, proj, planes)
 
 
 def test_param_store_flat_roundtrip():
@@ -639,16 +664,16 @@ def test_backward_with_store_adds_onto_parameter_grads_and_keeps_no_other():
 def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
     rng = np.random.default_rng(7)
     store = ParamStore()
-    store.add("w", rng.normal(size=(3, 2)))
-    store.add("b", rng.normal(size=(3, 1)))
+    store.add("w", rng.normal(size=(3, 16)))
+    store.add("b", rng.normal(size=3))
     data = Tensor(rng.normal(size=(9, 2 * 4 * 4)))
     calls = []
     real = nc._BACKWARD["conv2"]
     monkeypatch.setitem(nc._BACKWARD, "conv2",
                         lambda *args: calls.append(1) or real(*args))
     with Tape() as tape:
-        planes = nc.reshape(nc.conv2(Tensor(np.eye(9)), data, 4), (2, 16))
-        h = nc.tanh(nc.matmul(store["w"], planes) + store["b"])
+        conv = nc.conv2(Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)), data, 4)
+        h = nc.tanh(linear(store["w"], store["b"], nc.reshape(conv, (2, 16))))
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
     pruned = backward(tape, out, store)
     assert calls == [] and data.grad is None
@@ -662,30 +687,31 @@ def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
 def test_backward_forms_no_product_for_inputs_no_parameter_reaches(monkeypatch):
     rng = np.random.default_rng(8)
     store = ParamStore()
-    store.add("a", rng.normal(size=(3, 4)))
     store.add("w", rng.normal(size=(2, 4)))
     store.add("bias", rng.normal(size=2))
-    right = Tensor(rng.normal(size=(4, 5)))
+    store.add("w2", rng.normal(size=(1, 18)))
+    store.add("b2", rng.normal(size=1))
     x = Tensor(rng.normal(size=(6, 4)))
+    h = Tensor(rng.normal(size=(2, 3 * 4 * 4)))
     formed = {}
-    for op in ("matmul", "affine"):
+    for op in ("conv2", "affine"):
         def record(*args, real=nc._BACKWARD[op], op=op):
             formed[op] = real(*args)
             return formed[op]
 
         monkeypatch.setitem(nc._BACKWARD, op, record)
     with Tape() as tape:
-        m = nc.tsum(nc.tanh(nc.matmul(store["a"], right)))
+        m = nc.tsum(nc.tanh(nc.conv2(store["w2"], store["b2"], h, 4)))
         out = m * nc.tsum(nc.tanh(linear(store["w"], store["bias"], x)))
     pruned = backward(tape, out, store)
-    assert formed["matmul"][0] is not None and formed["matmul"][1] is None
+    assert formed["conv2"][0] is not None and formed["conv2"][2] is None
     assert formed["affine"][0] is None
-    assert right.grad is None and x.grad is None
+    assert h.grad is None and x.grad is None
     formed.clear()
     store.zero_grads()
     backward(tape, out)  # no store: every participating tensor gets a gradient
     assert len(formed) == 2 and all(g is not None for op in formed for g in formed[op])
-    assert right.grad is not None and x.grad is not None
+    assert h.grad is not None and x.grad is not None
     for name, t in store.items():
         np.testing.assert_array_equal(pruned[name], t.grad)
 

@@ -417,6 +417,9 @@ def test_crossing_preset_same_class_overlap():
 def test_invalid_configs_rejected():
     with pytest.raises(sw.DataError):
         sw.WorldConfig(frames=0)
+    with pytest.raises(sw.DataError):  # its last frame index would not load
+        sw.WorldConfig(frames=sw.MAX_FRAMES + 1)
+    sw.WorldConfig(frames=sw.MAX_FRAMES)
     with pytest.raises(sw.DataError):
         sw.NoiseConfig(miss_prob=1.5)
     with pytest.raises(sw.DataError):

@@ -223,7 +223,7 @@ def test_run_sequence_under_tape_replays_bit_exactly():
         memory, outputs = tm.run_sequence(det.frames, model, mode="train")
     assert len(memory) > 0 and outputs[-1].num_tracks > 0
     ops = {node.op for node in tape.nodes}
-    assert {"affine", "gather", "slot_sum", "matmul", "conv1", "conv2"} <= ops
+    assert {"affine", "gather", "slot_sum", "conv1", "conv2"} <= ops
     tape.replay()
 
 
@@ -547,16 +547,15 @@ def test_mask_head_builds_no_grid_constant_on_the_tape():
         tm.reweight_masks(Tensor(rng.normal(size=(k, config.embed_dim))), masks,
                           boxes, model.params, grid)
     for node in tape.nodes:
-        if node.op == "matmul":
-            assert not any(np.all(t.data == 1.0) for t in node.inputs)
+        assert not any(t.size > 1 and np.all(t.data == 1.0) for t in node.inputs)
         for t in node.inputs + (node.output,):
             assert t.size <= k * grid * grid * 18, (node.op, t.shape)
 
 
 def test_mask_head_moves_no_channel_expanded_tensor():
-    # Layout ops inside the head stay at one entry per track pixel; the
-    # 16-channel activations exist only as matmul outputs.  The one concat
-    # that prepends the background row builds the returned (K+1, G, G) stack.
+    # The head records its two layers and the two convolution nodes, which
+    # read the stored weights, and no layout node but the concat that
+    # prepends the background row to build the returned (K+1, G, G) stack.
     k, grid = 5, 24
     config = small_config(mask_grid=grid)
     model = tm.build_model(config, seed=44)
@@ -564,11 +563,28 @@ def test_mask_head_moves_no_channel_expanded_tensor():
     with nc.Tape() as tape:
         _, stack = tm.reweight_masks(Tensor(rng.normal(size=(k, config.embed_dim))),
                                      masks, boxes, model.params, grid)
-    layout = [node for node in tape.nodes if node.output is not stack
-              and node.op in ("swapaxes01", "broadcast_to", "concat", "gather")]
-    assert layout
-    for node in layout:
-        assert node.output.size <= k * grid * grid, (node.op, node.output.shape)
+    assert [node.op for node in tape.nodes] == ["affine", "relu", "conv1", "conv2", "concat"]
+    assert tape.nodes[-1].output is stack
+    params = model.params
+    assert tape.nodes[2].inputs[:2] == (params["mask_head/conv1/w"],
+                                        params["mask_head/conv1/b"])
+    assert tape.nodes[3].inputs[:2] == (params["mask_head/conv2/w"],
+                                        params["mask_head/conv2/b"])
+
+
+def test_reweight_tie_between_track_rows_goes_to_the_earlier_row():
+    # two rows with the same embedding, mask and box tie on every pixel; argmax
+    # keeps the first maximal row, so the later one owns nothing
+    grid = 6
+    config = small_config(mask_grid=grid)
+    model = tm.build_model(config, seed=46)
+    model.params["mask_head/conv2/b"].data[...] = 10.0  # every row above the background
+    rng, masks, boxes = _mask_head_inputs(1, grid, seed=47)
+    emb = np.repeat(rng.normal(size=(1, config.embed_dim)), 2, axis=0)
+    inst, stack = tm.reweight_masks(Tensor(emb), masks * 2, boxes * 2, model.params, grid)
+    assert stack.data[1].tobytes() == stack.data[2].tobytes()
+    assert np.all(stack.data[1] > 0.0)
+    np.testing.assert_array_equal(inst, 1)
 
 
 def test_pixel_ownership_unique():

@@ -80,12 +80,14 @@ class ModelConfig:
 class GraphBatch:
     """Graph state for m live tracks and n detections.  tracks: (m+1, D) with
     row 0 the empty-track node; dets: (n, *); edges: (m+1, n, *); edge_feats
-    keeps the initial two-feature edges for the limited-mode heads."""
+    keeps the initial two-feature edges for the limited-mode heads;
+    block_edges is set by gnn_forward."""
 
     tracks: Tensor
     dets: Tensor
     edges: Tensor
     edge_feats: Tensor
+    block_edges: Tensor | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +198,26 @@ def _check_finite(tensors, label: str):
 
 
 def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> GraphBatch:
-    """Run the block stack and return the batch with updated embeddings."""
+    """Run the block stack and return the batch with updated track and edge
+    embeddings.  The last block's detection update feeds only newborn rows,
+    and no edge depends on it, so the stack stops before it: dets are the
+    rows that enter it and block_edges the block's edges before their
+    residual, from which detection_embeddings runs it."""
     tr, de, ed = batch.tracks, batch.dets, batch.edges
     ma, na = ed.shape[0], ed.shape[1]
     gated = config.gated_aggregation
+    last = 0 if config.limited_gnn else config.num_blocks - 1
 
     # limited_gnn is one block in which each real track gathers only from
     # the detection its raw-feature match probability ranks first; row 0 and
     # the detections gather nothing.
-    w_row0 = w_rest = w_dets = None
+    w_row0 = w_rest = None
     if config.limited_gnn:
-        w_row0, w_rest, w_dets = (np.zeros((rows, na, 1)) for rows in (1, ma - 1, ma))
+        w_row0, w_rest = (np.zeros((rows, na, 1)) for rows in (1, ma - 1))
         if ma > 1 and na > 0:
             probs = _head_probs(params, "match_feat_head", batch.edge_feats).data[1:]
             w_rest[np.arange(ma - 1), np.argmax(probs, axis=1)] = 1.0
-    for k in range(1 if config.limited_gnn else config.num_blocks):
+    for k in range(last + 1):
         ed = _edge_update(params, k, ed, tr, de, gated)
         # each track-side gate runs only on the edge rows it aggregates
         agg_t0 = _aggregate(params, f"block{k}/g_tau0", nc.gather(ed, [0]), 1, gated,
@@ -218,16 +225,43 @@ def gnn_forward(batch: GraphBatch, params: ParamStore, config: ModelConfig) -> G
         agg_t = _aggregate(params, f"block{k}/g_tau", nc.gather(ed, np.arange(1, ma)),
                            1, gated, w_rest)
         tr = _split_track_update(params, k, tr, agg_t0, agg_t, gated)
-        agg_d = _aggregate(params, f"block{k}/g_delta", ed, 0, gated, w_dets)
-        de = _node_update(params, f"block{k}", "delta", de, agg_d, gated)
-        _check_finite((ed, tr, de), f"GNN block {k}")
-        if config.interleave_residuals:
-            ed = _residual(params, f"res{k}/edges", ed)
-            tr = _residual(params, f"res{k}/tracks", tr)
-            de = _residual(params, f"res{k}/dets", de)
-            _check_finite((ed, tr, de), f"residual block {k}")
+        if k == last:
+            break
+        ed, tr, de = _finish_block(params, config, k, edges=ed, tracks=tr,
+                                   dets=_detection_update(params, config, k, ed, de))
+    block_edges = ed
+    ed, tr = _finish_block(params, config, last, edges=ed, tracks=tr)
+    return GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats,
+                      block_edges=block_edges)
 
-    return GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats)
+
+def detection_embeddings(batch: GraphBatch, params: ParamStore,
+                         config: ModelConfig) -> Tensor:
+    """(n, D) detection embeddings after the last block: that block's
+    detection update and residual, run on a gnn_forward result."""
+    last = 0 if config.limited_gnn else config.num_blocks - 1
+    (de,) = _finish_block(params, config, last, dets=_detection_update(
+        params, config, last, batch.block_edges, batch.dets))
+    return de
+
+
+def _detection_update(params, config, k, ed, de):
+    """Block k's detection update from its updated edges (limited_gnn weighs
+    every edge message 0)."""
+    gated = config.gated_aggregation
+    weight = np.zeros(ed.shape[:2] + (1,)) if config.limited_gnn else None
+    agg_d = _aggregate(params, f"block{k}/g_delta", ed, 0, gated, weight)
+    return _node_update(params, f"block{k}", "delta", de, agg_d, gated)
+
+
+def _finish_block(params, config, k, **rows):
+    """Check block k's updated rows, given by name (edges, tracks, dets), and
+    run each through its residual when they are interleaved."""
+    _check_finite(rows.values(), f"GNN block {k}")
+    if config.interleave_residuals:
+        rows = {name: _residual(params, f"res{k}/{name}", x) for name, x in rows.items()}
+        _check_finite(rows.values(), f"residual block {k}")
+    return tuple(rows.values())
 
 
 def _edge_update(params, k, ed, tr, de, gated):

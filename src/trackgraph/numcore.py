@@ -8,14 +8,16 @@ only what the model runs: affine maps on the last axis of any leading
 shape, elementwise arithmetic, relu/sigmoid/tanh/log/clip, a last-axis
 softmax, reshapes, broadcasts (as views), concatenation, row gathers, an
 axis swap, reductions, and the tiny mask head's two zero-padded 3x3
-convolutions, `conv1` and `conv2`, each one node that keeps only its inputs
-and output and reads its weight as stored, (out, in * 9), tap t = 3*di + dj
-of input c at column 9c + t.  `conv1` holds its data channels as uint8
-planes in its aux and builds their float64 tap columns when it needs them.
-Reductions delegate to numpy's summation, which is deterministic for a
-fixed shape; `slot_sum` additionally fixes the accumulation order to
-ascending slot index, so a graph node's aggregate is one sequential sum
-however large the graph is.
+convolutions as one node, `mask_convs`, that reads its weights as stored,
+(out, in * 9), tap t = 3*di + dj of input c at column 9c + t.  It holds its
+data channels as uint8 planes in its aux and builds their float64 tap
+columns when it needs them, and it keeps its inputs and the logits but not
+the first convolution's hidden activations h: its backward recomputes h
+with the forward's code, one more first-convolution pass per frame for the
+largest array a training tape held.  Reductions delegate to numpy's
+summation, which is deterministic for a fixed shape; `slot_sum` additionally
+fixes the accumulation order to ascending slot index, so a graph node's
+aggregate is one sequential sum however large the graph is.
 
 `backward` with a `ParamStore` accumulates: each parameter's gradient is
 added onto the `.grad` it holds until `ParamStore.zero_grads()`, so a batch
@@ -171,7 +173,17 @@ class Tape:
 
 
 def _run(op: str, inputs: tuple[Tensor, ...], aux=None) -> Tensor:
-    out = Tensor(_FORWARD[op](aux, *[t.data for t in inputs]))
+    # A forward returns float64, so its result is wrapped as it is, without
+    # Tensor()'s conversion; only a ufunc on 0-d operands hands back a numpy
+    # scalar, which becomes the 0-d array Tensor() would make of it.
+    fwd, n = _FORWARD[op], len(inputs)
+    data = (fwd(aux, inputs[0].data) if n == 1 else
+            fwd(aux, inputs[0].data, inputs[1].data) if n == 2 else
+            fwd(aux, *[t.data for t in inputs]))
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    out = object.__new__(Tensor)
+    out.data, out.grad, out.name = data, None, None
     if _ACTIVE is not None:
         _ACTIVE.nodes.append(Node(op, inputs, out, aux))
     return out
@@ -325,7 +337,7 @@ def _():
     # non-negative and strictly increasing (in flat order) cannot repeat, and
     # then a plain scatter-add gives np.add.at's bits several times faster.
     def fwd(idx, a):
-        return a[np.asarray(idx)]
+        return a[idx]
 
     def bwd(idx, g, out, need, a):
         acc = np.zeros_like(a)
@@ -493,7 +505,7 @@ def _in_grid_taps(grid: int) -> Array:
 
 
 # The mask head's two convolutions.  Every product is formed from the
-# operands, and in the order, of the node chain the two replace (weight
+# operands, and in the order, of the node chain the two replaced (weight
 # gathers and swaps, matrix products, tap sums, bias adds), each operand
 # handed to BLAS C-contiguous as the chain's were (a reshape that cannot be
 # a view copies in C order), so every output and gradient has its bits.
@@ -505,52 +517,72 @@ def _proj_taps(w: Array, p: int) -> Array:
     return w[:, : 9 * p].reshape(len(w), p, 9).swapaxes(0, 1).reshape(p, -1)
 
 
-@_op("conv1")
-def _():
-    # The aux holds the uint8 planes; their float64 columns are built in the
-    # forward and again in the backward, so the tape keeps only the planes.
-    # A projection channel is constant over the grid, so its share is taken
-    # per tap: (O*K, 9) rows, spread over the pixels whose tap reads inside it.
-    def fwd(planes, w, b, proj):
-        (k, p), o = proj.shape, w.shape[0]
-        per_tap = (proj @ _proj_taps(w, p)).reshape(k, o, 9).swapaxes(0, 1).reshape(o * k, 9)
-        out = w[:, 9 * p :].copy() @ _tap_columns(planes)
-        out += b[:, None]
-        out += (per_tap @ _in_grid_taps(planes.shape[-1])).reshape(o, -1)
-        return np.maximum(out, 0.0, out=out)
-
-    def bwd(planes, g, out, need, w, b, proj):
-        (k, p), o = proj.shape, w.shape[0]
-        g = g * (out > 0.0)
-        g_tap = (g.reshape(o * k, -1) @ _in_grid_taps(planes.shape[-1]).T
-                 ).reshape(o, k, 9).swapaxes(0, 1).reshape(k, o * 9)
-        gw = None
-        if need[0]:  # both blocks added onto zeros, as the chain's scatter did
-            gw = np.zeros_like(w)
-            blocks = gw.reshape(o, -1, 9)
-            blocks[:, :p] += (proj.T @ g_tap).reshape(p, o, 9).swapaxes(0, 1)
-            blocks[:, p:] += (g @ _tap_columns(planes).T).reshape(o, -1, 9)
-        return (gw, g.sum(axis=1) if need[1] else None,
-                g_tap @ _proj_taps(w, p).T if need[2] else None)
-
-    return fwd, bwd
+def _conv1(w: Array, b: Array, proj: Array, planes: Array,
+           cols: Array | None = None) -> Array:
+    """(O, K*G*G) hidden activations from the planes, or from their tap
+    columns `cols` when the caller keeps them; columns built here are freed
+    before the projection's share is spread.  A projection channel is
+    constant over the grid, so its share is taken per tap: (O*K, 9) rows,
+    spread over the pixels whose tap reads inside the grid."""
+    (k, p), o = proj.shape, w.shape[0]
+    per_tap = (proj @ _proj_taps(w, p)).reshape(k, o, 9).swapaxes(0, 1).reshape(o * k, 9)
+    out = w[:, 9 * p :].copy() @ (_tap_columns(planes) if cols is None else cols)
+    out += b[:, None]
+    out += (per_tap @ _in_grid_taps(planes.shape[-1])).reshape(o, -1)
+    return np.maximum(out, 0.0, out=out)
 
 
-@_op("conv2")
-def _():
-    # the tap sum of (taps @ h).reshape(9, B, G, G) + b, taps w's (9, C) copy;
+def _conv1_backward(g: Array, h: Array, need, w: Array, proj: Array, cols: Array,
+                    taps: Array):
+    (k, p), o = proj.shape, w.shape[0]
+    g = g * (h > 0.0)
+    g_tap = (g.reshape(o * k, -1) @ taps.T
+             ).reshape(o, k, 9).swapaxes(0, 1).reshape(k, o * 9)
+    gw = None
+    if need[0]:  # both blocks added onto zeros, as the chain's scatter did
+        gw = np.zeros_like(w)
+        blocks = gw.reshape(o, -1, 9)
+        blocks[:, :p] += (proj.T @ g_tap).reshape(p, o, 9).swapaxes(0, 1)
+        blocks[:, p:] += (g @ cols.T).reshape(o, -1, 9)
+    return (gw, g.sum(axis=1) if need[1] else None,
+            g_tap @ _proj_taps(w, p).T if need[2] else None)
+
+
+def _conv2(w: Array, b: Array, h: Array, grid: int) -> Array:
+    """(B, G, G): the tap sum of (taps @ h).reshape(9, B, G, G) + b, taps
+    w's (9, C) copy."""
+    out = _tap_sum3x3((w.reshape(-1, 9).T.copy() @ h).reshape(9, -1, grid, grid))
+    out += b
+    return out
+
+
+def _conv2_backward(g: Array, need, w: Array, b: Array, h: Array):
     # the tap sum's transpose reads g's tap columns in reverse tap order
-    def fwd(grid, w, b, h):
-        out = _tap_sum3x3((w.reshape(-1, 9).T.copy() @ h).reshape(9, -1, grid, grid))
-        out += b
-        return out
+    gz = _tap_columns(g[None])[::-1].copy()
+    taps = w.reshape(-1, 9).T.copy()
+    return ((gz @ h.T).T.reshape(w.shape) if need[0] else None,
+            _unbroadcast(g, b.shape) if need[1] else None,
+            taps.T @ gz if need[2] else None)
 
-    def bwd(grid, g, out, need, w, b, h):
-        gz = _tap_columns(g[None])[::-1].copy()
-        taps = w.reshape(-1, 9).T.copy()
-        return ((gz @ h.T).T.reshape(w.shape) if need[0] else None,
-                _unbroadcast(g, b.shape) if need[1] else None,
-                taps.T @ gz if need[2] else None)
+
+@_op("mask_convs")
+def _():
+    # The aux holds the uint8 planes, and the node keeps its five inputs and
+    # the logits but not conv1's (O, K*G*G) output h.  The backward rebuilds
+    # h with the forward's own code, so h has its bits, from tap columns it
+    # builds once for that and for conv1's weight gradient.
+    def fwd(planes, w1, b1, proj, w2, b2):
+        return _conv2(w2, b2, _conv1(w1, b1, proj, planes), planes.shape[-1])
+
+    def bwd(planes, g, out, need, w1, b1, proj, w2, b2):
+        cols = _tap_columns(planes)
+        h = _conv1(w1, b1, proj, planes, cols)
+        need1 = need[:3]
+        gw2, gb2, gh = _conv2_backward(g, (need[3], need[4], True in need1), w2, b2, h)
+        if True in need1:
+            return _conv1_backward(gh, h, need1, w1, proj, cols,
+                                   _in_grid_taps(planes.shape[-1])) + (gw2, gb2)
+        return None, None, None, gw2, gb2
 
     return fwd, bwd
 
@@ -624,39 +656,38 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _run("clip", (a,), (lo, hi))
 
 
-def conv1(w: Tensor, b: Tensor, proj: Tensor, planes) -> Tensor:
-    """(O, K*G*G): relu of a zero-padded 3x3 convolution over P projection
-    channels, constant over each track's grid, and C data planes, as one
-    node.  w (O, 9(P+C)) holds each output's taps channel by channel, the
-    projection channels first; b (O,); proj (K, P); the (C, K, G, G) uint8
-    planes are the node's aux and take no gradient."""
+def mask_convs(w1: Tensor, b1: Tensor, proj: Tensor, w2: Tensor, b2: Tensor,
+               planes) -> Tensor:
+    """(K, G, G) logits of two zero-padded 3x3 convolutions as one node.
+    conv1 maps P projection channels, constant over each track's grid, and
+    C data planes to O hidden channels under a relu; conv2 maps those to one
+    channel.  Each weight holds each output's taps channel by channel (tap
+    t = 3*di + dj of input c at column 9c + t): w1 (O, 9(P+C)), the
+    projection channels first, b1 (O,), w2 (1, 9O), b2 (1,); proj is (K, P),
+    and the (C, K, G, G) uint8 planes are the node's aux and take no
+    gradient."""
     planes = np.asarray(planes)
     fits = (planes.dtype == np.uint8 and planes.ndim == 4
             and planes.shape[2] == planes.shape[3] and proj.data.ndim == 2
-            and proj.shape[0] == planes.shape[1] and w.data.ndim == 2
-            and w.shape[1] == 9 * (proj.shape[1] + planes.shape[0])
-            and b.shape == (w.shape[0],))
+            and proj.shape[0] == planes.shape[1] and w1.data.ndim == 2
+            and w1.shape[1] == 9 * (proj.shape[1] + planes.shape[0])
+            and b1.shape == (w1.shape[0],))
     if not fits:
         raise NumericError(f"conv1 expects w (O, 9(P+C)), b (O,), proj (K, P) and uint8 "
-                           f"planes (C, K, G, G), got {w.shape}, {b.shape}, {proj.shape} "
+                           f"planes (C, K, G, G), got {w1.shape}, {b1.shape}, {proj.shape} "
                            f"and {planes.dtype} {planes.shape}")
-    return _run("conv1", (w, b, proj), planes)
-
-
-def conv2(w: Tensor, b: Tensor, h: Tensor, grid: int) -> Tensor:
-    """(B, G, G): the zero-padded 3x3 convolution of h (C, B*G*G), read as
-    C channels of B grids, to one channel, as one node; w (1, 9C) holds the
-    taps channel by channel, b (1,)."""
-    if (w.data.ndim != 2 or w.shape[0] != 1 or b.shape != (1,) or h.data.ndim != 2
-            or w.shape[1] != 9 * h.shape[0] or grid < 1 or h.shape[1] % (grid * grid)):
+    grid = planes.shape[-1]
+    if (w2.data.ndim != 2 or w2.shape[0] != 1 or b2.shape != (1,)
+            or w2.shape[1] != 9 * w1.shape[0] or grid < 1):
         raise NumericError(f"conv2 expects w (1, 9C), b (1,) and h (C, B*{grid}*{grid}), "
-                           f"got {w.shape}, {b.shape} and {h.shape}")
-    return _run("conv2", (w, b, h), grid)
+                           f"got {w2.shape}, {b2.shape} and "
+                           f"{(w1.shape[0], proj.shape[0] * grid * grid)}")
+    return _run("mask_convs", (w1, b1, proj, w2, b2), planes)
 
 
 def linear(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:
     """Affine map on the last axis: x @ W^T + b for W of shape (out, in)."""
-    if x.shape[-1] != weight.shape[1]:
+    if x.data.shape[-1] != weight.data.shape[1]:
         raise NumericError(
             f"linear: input shape {x.shape} does not match weight shape {weight.shape}"
         )
@@ -749,6 +780,10 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        # layer name -> its (w, b) Tensors, for apply_linear.  Nothing
+        # replaces a parameter Tensor once added (set_flat and the optimizer
+        # write .data), so an entry stays valid.
+        self._layers: dict[str, tuple[Tensor, Tensor]] = {}
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
@@ -832,7 +867,10 @@ def add_linear(params: ParamStore, name: str, in_dim: int, out_dim: int,
 
 def apply_linear(params: ParamStore, name: str, x: Tensor) -> Tensor:
     """The named layer `name` of `add_linear` applied to x's last axis."""
-    return linear(params[f"{name}/w"], params[f"{name}/b"], x)
+    layer = params._layers.get(name)
+    if layer is None:
+        layer = params._layers[name] = (params[f"{name}/w"], params[f"{name}/b"])
+    return linear(*layer, x)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,16 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frames < 1 or self.num_classes < 1 or self.appearance_dim < 1:
-            raise DataError("frames, num_classes, and appearance_dim must be >= 1")
+        # every int field is an integer (not a bool); the sizes are >= 1
+        for name, f in self.__dataclass_fields__.items():
+            v = getattr(self, name)
+            if type(f.default) is not int:
+                continue
+            low = {"max_objects": 0, "seed": None}.get(name, 1)
+            if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+                    or (low is not None and v < low)):
+                bound = "" if low is None else f" >= {low}"
+                raise DataError(f"world {name} must be an integer{bound}, got {v!r}")
         if self.frames > MAX_FRAMES:
             raise DataError(f"frames must be at most MAX_FRAMES = {MAX_FRAMES}")
 

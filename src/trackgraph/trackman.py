@@ -246,21 +246,21 @@ def reweight_masks(embeddings: Tensor, masks, boxes, params: ParamStore, grid: i
 
     The head is two zero-padded 3x3 convolutions, 18 -> 16 -> 1 channels,
     over the track projection (16 channels, constant over each track's
-    grid), the detection mask and the box mask, each convolution one
-    numcore node that reads its weights as stored.  nc.conv1 takes the
-    projection as (K, 16) rows and the two data channels as one
-    (2, K, G, G) uint8 stack of mask and box planes, so the tape holds the
-    planes, not their tap columns; it gives the hidden activations as one
-    (16, K*G*G) array, which nc.conv2 turns into the (K, G, G) logits.
+    grid), the detection mask and the box mask, run as one numcore node,
+    nc.mask_convs, that reads the stored weights.  It takes the projection
+    as (K, 16) rows and the two data channels as one (2, K, G, G) uint8
+    stack of mask and box planes, so the tape holds the planes, not their
+    tap columns, and the (K, G, G) logits, not the (16, K*G*G) hidden
+    activations, which its backward recomputes.  The head records affine,
+    relu, mask_convs and the concat of the background row.
     """
     if len(masks) == 0:
         return None, None
     proj = nc.relu(nc.apply_linear(params, "mask_head/proj", embeddings))  # (K, 16)
     planes = np.array([masks, render_box_masks(boxes, grid)], dtype=np.uint8)
-    h = nc.conv1(params["mask_head/conv1/w"], params["mask_head/conv1/b"], proj,
-                 planes)                                             # (16, K*G*G)
-    logits = nc.conv2(params["mask_head/conv2/w"], params["mask_head/conv2/b"], h,
-                      grid)                                          # (K, G, G)
+    logits = nc.mask_convs(params["mask_head/conv1/w"], params["mask_head/conv1/b"], proj,
+                           params["mask_head/conv2/w"], params["mask_head/conv2/b"],
+                           planes)                                   # (K, G, G)
     stack = nc.concat([Tensor(np.zeros((1, grid, grid))), logits], axis=0)
     instance_map = np.argmax(stack.data, axis=0)
     return instance_map, stack
@@ -320,7 +320,10 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
     else:
         y, c = rec.simple_gate_step(tau_tilde, params), Tensor(np.zeros(tau_tilde.shape))
     born_js = np.flatnonzero(init_decisions)[: config.max_tracks - m]
-    born_y, born_c = rec.new_track_state(nc.gather(out_batch.dets, born_js))
+    # the last block's detection embeddings feed only the newborn rows
+    born_rows = (nc.gather(ag.detection_embeddings(out_batch, params, config), born_js)
+                 if len(born_js) else Tensor(np.zeros((0, config.embed_dim))))
+    born_y, born_c = rec.new_track_state(born_rows)
     next_id = max((t.id for t in memory), default=-1) + 1
     born = [TrackState(id=next_id + k, birth_frame=frame_index)
             for k in range(len(born_js))]

@@ -275,6 +275,34 @@ def gnn_forward_all_rows(batch, params, config):
     return ag.GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats)
 
 
+def gnn_forward_eager(batch, params, config):
+    """`assocgraph.gnn_forward` as it ran before the last block's detection
+    update was deferred: every block updates edges, tracks and detections
+    in turn, so the returned dets are the final detection embeddings.  Built
+    from assocgraph's own pieces, so every forward value has the deferred
+    path's bits; only the order in which gradients reach the last block's
+    edges differs."""
+    tr, de, ed = batch.tracks, batch.dets, batch.edges
+    ma = ed.shape[0]
+    gated = config.gated_aggregation
+    w_row0 = w_rest = None
+    if config.limited_gnn:
+        w_row0, w_rest = (np.zeros((rows, ed.shape[1], 1)) for rows in (1, ma - 1))
+        if ma > 1 and ed.shape[1] > 0:
+            probs = ag._head_probs(params, "match_feat_head", batch.edge_feats).data[1:]
+            w_rest[np.arange(ma - 1), np.argmax(probs, axis=1)] = 1.0
+    for k in range(1 if config.limited_gnn else config.num_blocks):
+        ed = ag._edge_update(params, k, ed, tr, de, gated)
+        agg_t0 = ag._aggregate(params, f"block{k}/g_tau0", nc.gather(ed, [0]), 1, gated,
+                               w_row0)
+        agg_t = ag._aggregate(params, f"block{k}/g_tau", nc.gather(ed, np.arange(1, ma)),
+                              1, gated, w_rest)
+        tr = ag._split_track_update(params, k, tr, agg_t0, agg_t, gated)
+        ed, tr, de = ag._finish_block(params, config, k, edges=ed, tracks=tr,
+                                      dets=ag._detection_update(params, config, k, ed, de))
+    return ag.GraphBatch(tracks=tr, dets=de, edges=ed, edge_feats=batch.edge_feats)
+
+
 def lovasz_softmax_frame_loop(logits, labels):
     """`learn.lovasz_softmax_frame` one class at a time: per track row c, the
     errors against the class-c foreground, their stable descending sort, the

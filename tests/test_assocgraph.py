@@ -11,6 +11,14 @@ from trackgraph.numcore import NumericError, ParamStore, Tape, Tensor, backward,
 from oracles import gnn_forward_all_rows, iou
 
 
+def gnn_forward_full(batch, params, config):
+    """gnn_forward with dets the detection embeddings after the last block,
+    which detection_embeddings computes from its result."""
+    out = ag.gnn_forward(batch, params, config)
+    out.dets = ag.detection_embeddings(out, params, config)
+    return out
+
+
 def make_frame(config, rows):
     """Frame from per-detection (box, scores, appearance) rows, with empty
     masks; with no rows, the config's shapes."""
@@ -273,7 +281,7 @@ def test_zero_params_give_zero_embeddings():
     rng = np.random.default_rng(0)
     tracks, dets = random_inputs(rng, config, 2, 3)
     batch = ag.build_graph_batch(tracks, dets, params, config)
-    out = ag.gnn_forward(batch, params, config)
+    out = gnn_forward_full(batch, params, config)
     np.testing.assert_array_equal(out.tracks.data, 0.0)
     np.testing.assert_array_equal(out.dets.data, 0.0)
     np.testing.assert_array_equal(out.edges.data, 0.0)
@@ -305,7 +313,7 @@ def test_forward_matches_straight_line_oracle():
     rng = np.random.default_rng(2)
     tracks, dets = random_inputs(rng, config, 2, 3)
     batch = ag.build_graph_batch(tracks, dets, params, config)
-    out = ag.gnn_forward(batch, params, config)
+    out = gnn_forward_full(batch, params, config)
 
     tr0 = [params["tau0"].data] + list(tracks.y.data)
     de0 = det_inputs(dets)
@@ -339,7 +347,7 @@ def test_gate_rows_match_all_rows_aggregation(flags, m, n):
             total = nc.tsum(out.tracks) + nc.tsum(out.dets) + nc.tsum(out.edges)
         return out, backward(tape, nc.reshape(total, ()), params)
 
-    got, grads = run(ag.gnn_forward)
+    got, grads = run(gnn_forward_full)
     want, want_grads = run(gnn_forward_all_rows)
     for name in ("tracks", "dets", "edges"):
         np.testing.assert_allclose(getattr(got, name).data, getattr(want, name).data,
@@ -387,13 +395,13 @@ def test_permutation_equivariance_randomized():
         n = int(rng.integers(1, 6))
         tracks, dets = random_inputs(rng, config, m, n)
         batch = ag.build_graph_batch(tracks, dets, params, config)
-        out = ag.gnn_forward(batch, params, config)
+        out = gnn_forward_full(batch, params, config)
 
         perm_d = rng.permutation(n)
         perm_t = rng.permutation(m)
         batch_p = ag.build_graph_batch(permute(tracks, perm_t), dets.rows(perm_d),
                                        params, config)
-        out_p = ag.gnn_forward(batch_p, params, config)
+        out_p = gnn_forward_full(batch_p, params, config)
 
         for new_pos, old_pos in enumerate(perm_d):
             np.testing.assert_allclose(out_p.dets.data[new_pos],
@@ -421,11 +429,11 @@ def test_padding_independence_bit_exact():
         n = int(rng.integers(0, 6))
         state = rng.bit_generator.state
         tracks, dets = random_inputs(rng, small, m, n)
-        out_s = ag.gnn_forward(ag.build_graph_batch(tracks, dets, params, small),
+        out_s = gnn_forward_full(ag.build_graph_batch(tracks, dets, params, small),
                                params, small)
         rng.bit_generator.state = state
         tracks2, dets2 = random_inputs(rng, big, m, n)
-        out_b = ag.gnn_forward(ag.build_graph_batch(tracks2, dets2, params, big),
+        out_b = gnn_forward_full(ag.build_graph_batch(tracks2, dets2, params, big),
                                params, big)
         np.testing.assert_array_equal(out_s.tracks.data[: m + 1],
                                       out_b.tracks.data[: m + 1])
@@ -484,7 +492,7 @@ def test_limited_gnn_outputs_well_formed():
         n = int(rng.integers(0, 5))
         tracks, dets = random_inputs(rng, config, m, n)
         batch = ag.build_graph_batch(tracks, dets, params, config)
-        out = ag.gnn_forward(batch, params, config)
+        out = gnn_forward_full(batch, params, config)
         assert np.all(np.isfinite(out.tracks.data))
         assert out.tracks.shape == (m + 1, config.embed_dim)
         assert out.dets.shape == (n, config.embed_dim)
@@ -500,10 +508,10 @@ def test_limited_gnn_permutation_equivariance():
     params = make_params(config, seed=8)
     rng = np.random.default_rng(9)
     tracks, dets = random_inputs(rng, config, 3, 4)
-    out = ag.gnn_forward(ag.build_graph_batch(tracks, dets, params, config),
+    out = gnn_forward_full(ag.build_graph_batch(tracks, dets, params, config),
                          params, config)
     perm = rng.permutation(4)
-    out_p = ag.gnn_forward(
+    out_p = gnn_forward_full(
         ag.build_graph_batch(tracks, dets.rows(perm), params, config),
         params, config)
     for new_pos, old_pos in enumerate(perm):
@@ -539,3 +547,15 @@ def test_nonfinite_detection_raises_with_block_name():
     batch = ag.build_graph_batch(tracks, dets, params, config)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="block"):
         ag.gnn_forward(batch, params, config)
+
+
+@pytest.mark.parametrize("residuals", [True, False])
+def test_nonfinite_last_detection_update_names_its_block(residuals):
+    # the deferred detection update keeps the label of the block it belongs to
+    config = small_config(interleave_residuals=residuals)
+    params = make_params(config, seed=1)
+    params["block1/f_delta/b"].data[0] = np.inf
+    tracks, dets = random_inputs(np.random.default_rng(12), config, 1, 2)
+    out = ag.gnn_forward(ag.build_graph_batch(tracks, dets, params, config), params, config)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="GNN block 1$"):
+        ag.detection_embeddings(out, params, config)

@@ -51,6 +51,24 @@ def test_generate_reproducible(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("override,message", [
+    ("world.mask_grid=0", "world mask_grid must be an integer >= 1, got 0"),
+    ('world.frames="x"', "world frames must be an integer >= 1, got 'x'"),
+    ("world.frames=2.5", "world frames must be an integer >= 1, got 2.5"),
+    ("world.num_classes=true", "world num_classes must be an integer >= 1, got True"),
+    ("world.appearance_dim=0", "world appearance_dim must be an integer >= 1, got 0"),
+    ("world.entry_window=0", "world entry_window must be an integer >= 1, got 0"),
+    ("world.max_objects=-1", "world max_objects must be an integer >= 0, got -1"),
+])
+def test_generate_rejects_a_broken_world_config(tmp_path, capsys, override, message):
+    # the parent wrote empty masks for a zero grid and ended in a TypeError
+    # traceback for a string frame count
+    out = tmp_path / "world.det.jsonl"
+    assert run(["generate", "--seed", "1", "--out", str(out), "--override", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def train_argv(tmp_path):
     """Generate a tiny suite; return (data dir, checkpoint path, train argv)."""
     data = tmp_path / "data"

@@ -13,7 +13,7 @@ from trackgraph import synthworld as sw
 from trackgraph import trackman as tm
 from trackgraph.numcore import Tensor
 
-from oracles import (iou, joint_tape_train, lovasz_softmax_frame_loop,
+from oracles import (gnn_forward_eager, iou, joint_tape_train, lovasz_softmax_frame_loop,
                      unroll_targets_oracle)
 
 
@@ -452,12 +452,13 @@ def tape_buffer_bytes(tape) -> int:
     return sum(held.values())
 
 
-# distinct-buffer bytes of the test's tape once the mask head's convolutions
-# read their weights as stored (973,032 while the head gathered and swapped
-# them each frame; 1,318,600 before conv1 took uint8 planes in place of
-# float64 tap columns; the node chain before the single-node convolutions
-# held 2,589,256)
-SEQUENCE_TAPE_BYTES = 816_360
+# distinct-buffer bytes of the test's tape once the mask head's two
+# convolutions are one node that recomputes its hidden activations in the
+# backward (816,360 while conv1 and conv2 were two nodes that kept them;
+# 973,032 while the head gathered and swapped the weights each frame;
+# 1,318,600 before conv1 took uint8 planes in place of float64 tap columns;
+# the node chain before the single-node convolutions held 2,589,256)
+SEQUENCE_TAPE_BYTES = 545_448
 
 
 def test_training_tape_holds_no_more_than_its_measured_buffers():
@@ -491,14 +492,14 @@ def test_non_finite_loss_is_divergence():
     assert info.value.__cause__ is None
 
 
-def test_training_records_every_primitive(monkeypatch):
-    """Every numcore primitive is used: one tiny training iteration per
-    named ablation puts each op of the registry on the tape."""
-    seen = set()
+def _train_each_ablation(monkeypatch, visit):
+    """One tiny training iteration per named ablation; every node of each
+    tape goes to `visit` before the tape is swept."""
     real_backward = nc.backward
 
     def spy(tape, output, params=None):
-        seen.update(node.op for node in tape.nodes)
+        for node in tape.nodes:
+            visit(node)
         return real_backward(tape, output, params)
 
     monkeypatch.setattr(nc, "backward", spy)
@@ -506,7 +507,65 @@ def test_training_records_every_primitive(monkeypatch):
     for flags in cli.ABLATIONS.values():
         model = tm.build_model(small_config(**flags), seed=1)
         learn.train(data, model, learn.TrainConfig(iterations=1, batch_size=1, seed=0))
+
+
+def test_training_records_every_primitive(monkeypatch):
+    """Every numcore primitive is used: one tiny training iteration per
+    named ablation puts each op of the registry on the tape."""
+    seen = set()
+    _train_each_ablation(monkeypatch, lambda node: seen.add(node.op))
     assert sorted(set(nc._FORWARD) - seen) == []
+
+
+def test_every_training_node_output_is_a_float64_ndarray(monkeypatch):
+    # numcore wraps a forward's result without converting it, so every op
+    # must hand back a float64 ndarray, 0-d results (the losses) included
+    wrong, zero_d = set(), []
+    def visit(node):
+        data = node.output.data
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            wrong.add((node.op, type(data).__name__, str(getattr(data, "dtype", ""))))
+        zero_d.append(data.ndim == 0)
+
+    _train_each_ablation(monkeypatch, visit)
+    assert wrong == set()
+    assert any(zero_d)
+
+
+@pytest.mark.parametrize("flags", [{}, {"num_blocks": 1}, {"limited_gnn": True},
+                                   {"interleave_residuals": False},
+                                   {"gated_aggregation": False}])
+def test_deferred_detection_update_keeps_losses_and_bounds_gradients(monkeypatch, flags):
+    # step() runs the last block's detection update only on frames with a
+    # birth, after the heads, so the gradients reaching that block's edges
+    # are summed in another order than when gnn_forward ran it in place:
+    # the losses keep every bit, the gradients stay within 1e-11 relative
+    data = build_dataset([21, 22])
+    config = small_config(**flags)
+
+    def run():
+        model = tm.build_model(config, seed=4)
+        model.params["init_head/b"].data[...] = 0.5  # births on most frames
+        model.params["init_feat_head/b"].data[...] = 0.5
+        losses, grads = [], []
+        for frames, gt in data:
+            model.params.zero_grads()
+            with nc.Tape() as tape:
+                total, bd = learn.sequence_loss(model, frames, gt, learn.LossConfig(),
+                                                tm.Thresholds())
+            losses.append(bd)
+            grads.append(nc.backward(tape, total, model.params))
+        return losses, grads
+
+    losses, grads = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(ag, "gnn_forward", gnn_forward_eager)
+        patch.setattr(ag, "detection_embeddings", lambda batch, params, config: batch.dets)
+        eager_losses, eager_grads = run()
+    assert losses == eager_losses
+    for got, want in zip(grads, eager_grads):
+        for name, g in got.items():
+            np.testing.assert_allclose(g, want[name], rtol=1e-11, atol=0, err_msg=name)
 
 
 def test_checkpoint_roundtrip(tmp_path):

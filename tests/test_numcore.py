@@ -329,55 +329,77 @@ def _shifted_sum_oracle(z):
     return want
 
 
+# mask_convs test shapes: O = 2 hidden channels, P = 3 projection channels,
+# C = 2 planes of K = 3 tracks
+_CONV_SHAPES = dict(w1=(2, 45), b1=(2,), proj=(3, 3), w2=(1, 18), b2=(1,))
+
+
+def _pass_through(planes, p=1):
+    """mask_convs inputs whose conv1 hands conv2 the C planes themselves as h:
+    hidden channel c reads plane c through its center tap alone, and the P
+    projection channels and the bias are zero."""
+    c, k = planes.shape[:2]
+    w1 = np.zeros((c, 9 * (p + c)))
+    w1[np.arange(c), 9 * (p + np.arange(c)) + 4] = 1.0
+    return Tensor(w1), Tensor(np.zeros(c)), Tensor(np.zeros((k, p)))
+
+
 def test_conv2_matches_direct_shifted_sum():
     rng = np.random.default_rng(17)
     for nb, g in ((2, 5), (1, 1), (3, 2)):
-        z = rng.normal(size=(9, nb, g, g))
+        z = rng.integers(0, 3, size=(9, nb, g, g), dtype=np.uint8)
+        conv1 = _pass_through(z)
         # channel c read through tap c alone hands the oracle the planes themselves
-        out = nc.conv2(Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)),
-                       Tensor(z.reshape(9, -1)), g)
-        np.testing.assert_allclose(out.data, _shifted_sum_oracle(z), atol=1e-12)
-        # w[0, 9c + t] weighs channel c through tap t
-        w, b = rng.normal(size=(1, 36)), rng.normal(size=1)
-        h = rng.normal(size=(4, nb * g * g))
-        want = _shifted_sum_oracle((w.reshape(4, 9).T @ h).reshape(9, nb, g, g)) + b
-        np.testing.assert_allclose(nc.conv2(Tensor(w), Tensor(b), Tensor(h), g).data, want,
+        out = nc.mask_convs(*conv1, Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)),
+                            z)
+        np.testing.assert_allclose(out.data, _shifted_sum_oracle(z.astype(float)),
                                    atol=1e-12)
-    for w_shape, b_shape, h_shape in (((2, 36), (1,), (4, 16)),   # more than one output
-                                      ((1, 18), (1,), (2, 20)),   # columns not grids
-                                      ((1, 18), (1,), (3, 16)),   # channels against w
-                                      ((1, 2, 18), (1,), (2, 16)),  # w not 2-D
-                                      ((1, 18), (1, 1), (2, 16))):  # bias shape
-        with pytest.raises(NumericError):
-            nc.conv2(*(Tensor(np.zeros(s)) for s in (w_shape, b_shape, h_shape)), 4)
+        # w2[0, 9c + t] weighs channel c through tap t
+        w, b = rng.normal(size=(1, 81)), rng.normal(size=1)
+        z_w = (w.reshape(9, 9).T @ z.reshape(9, -1)).reshape(9, nb, g, g)
+        want = _shifted_sum_oracle(z_w)
+        np.testing.assert_allclose(nc.mask_convs(*conv1, Tensor(w), Tensor(b), z).data,
+                                   want + b, atol=1e-12)
+    w1, b1, proj = (Tensor(np.zeros(s)) for s in list(_CONV_SHAPES.values())[:3])
+    planes = np.zeros((2, 3, 4, 4), dtype=np.uint8)
+    for w_shape, b_shape in (((2, 18), (1,)),       # more than one output
+                             ((1, 27), (1,)),       # channels against w1's outputs
+                             ((1, 2, 9), (1,)),     # w not 2-D
+                             ((1, 18), (1, 1))):    # bias shape
+        with pytest.raises(NumericError, match="conv2 expects"):
+            nc.mask_convs(w1, b1, proj, Tensor(np.zeros(w_shape)),
+                          Tensor(np.zeros(b_shape)), planes)
 
 
 def test_conv2_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     store = ParamStore()
-    store.add("w", rng.normal(size=(1, 18)))
-    store.add("b", rng.normal(size=1))
-    store.add("h", rng.normal(size=(2, 2 * 4 * 4)))
+    for name in ("w2", "b2"):
+        store.add(name, rng.normal(size=_CONV_SHAPES[name]))
+    planes = rng.integers(0, 3, size=(2, 2, 4, 4), dtype=np.uint8)
+    conv1 = _pass_through(planes)
     probe = Tensor(rng.normal(size=(2, 4, 4)))
 
     def fn(p):
-        return nc.reshape(nc.tsum(nc.conv2(p["w"], p["b"], p["h"], 4) * probe), ())
+        logits = nc.mask_convs(*conv1, p["w2"], p["b2"], planes)
+        return nc.reshape(nc.tsum(logits * probe), ())
 
     assert grad_check(fn, store) < 1e-8
-    # the backward is the transpose of the oracle's linear map
-    g = rng.normal(size=(2, 4, 4))
-    z = rng.normal(size=(9, 2, 4, 4))
+    # with h the planes, w2's gradient is the transpose of the oracle's
+    # linear map: entry 9c + t sums plane c shifted through tap t times g
     with Tape() as tape:
-        x = Tensor(z.reshape(9, -1))
-        conv = nc.conv2(Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)), x, 4)
-        out = nc.reshape(nc.tsum(conv * Tensor(g)), ())
+        out = fn(store)
     backward(tape, out)
-    basis = np.eye(z.size).reshape((z.size,) + z.shape)
-    want = np.array([np.sum(_shifted_sum_oracle(e) * g) for e in basis]).reshape(z.shape)
-    np.testing.assert_allclose(x.grad.reshape(z.shape), want, atol=1e-12)
+    want = np.zeros((2, 9))
+    for c in range(2):
+        for t in range(9):
+            z = np.zeros((9,) + planes.shape[1:])
+            z[t] = planes[c]
+            want[c, t] = np.sum(_shifted_sum_oracle(z) * probe.data)
+    np.testing.assert_allclose(store["w2"].grad, want.reshape(1, 18), atol=1e-12)
 
 
-def _tap_sum_node(aux, a):
+def _tap_sum_node(a):
     """The former `tap_sum3x3` primitive's forward, as it was."""
     g = a.shape[2]
     out = np.zeros(a.shape[1:], dtype=a.dtype)
@@ -388,26 +410,6 @@ def _tap_sum_node(aux, a):
             out[:, i0:i1, j0:j1] += a[3 * di + dj, :, i0 + di - 1 : i1 + di - 1,
                                       j0 + dj - 1 : j1 + dj - 1]
     return out
-
-
-def _tap_sum_node_backward(aux, grad, out, need, a):
-    g = a.shape[2]
-    padded = np.zeros((grad.shape[0], g + 2, g + 2), dtype=grad.dtype)
-    padded[:, 1:-1, 1:-1] = grad
-    acc = np.empty_like(a)
-    for di in range(3):
-        for dj in range(3):
-            acc[3 * di + dj] = padded[:, 2 - di : 2 - di + g, 2 - dj : 2 - dj + g]
-    return (acc,)
-
-
-def _matmul_node(aux, a, b):
-    """The former `matmul` primitive, a @ b for 2-D operands, as it was."""
-    return a @ b
-
-
-def _matmul_node_backward(aux, g, out, need, a, b):
-    return g @ b.T if need[0] else None, a.T @ g if need[1] else None
 
 
 def _tap_columns(planes, grid):
@@ -421,36 +423,57 @@ def _tap_columns(planes, grid):
                      for dj in range(3)], axis=1).reshape(9 * len(planes), -1)
 
 
-def _conv1_index_tables():
-    """The flat indices into a (16 out, 18 in * 9 taps) conv1 weight of its
-    projection taps as (16 in, 16 out * 9 taps) and of its data taps as
-    (16 out, 18), as the head gathered them before conv1 read the weight."""
-    c, o, t = np.ix_(range(16), range(16), range(9))
-    return ((o * 162 + c * 9 + t).reshape(16, 144),
-            np.arange(16)[:, None] * 162 + 144 + np.arange(18))
+def _proj_taps(w, p):
+    return w[:, : 9 * p].reshape(len(w), p, 9).swapaxes(0, 1).reshape(p, -1)
+
+
+# The former `conv1` and `conv2` primitives, each one node, as they were.
+def _conv1_node(planes, w, b, proj):
+    (k, p), o, grid = proj.shape, w.shape[0], planes.shape[-1]
+    per_tap = (proj @ _proj_taps(w, p)).reshape(k, o, 9).swapaxes(0, 1).reshape(o * k, 9)
+    out = w[:, 9 * p :].copy() @ _tap_columns(planes, grid)
+    out += b[:, None]
+    out += (per_tap @ _tap_columns(np.ones((1, 1, grid, grid)), grid)).reshape(o, -1)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _conv1_node_backward(planes, g, out, need, w, b, proj):
+    (k, p), o, grid = proj.shape, w.shape[0], planes.shape[-1]
+    g = g * (out > 0.0)
+    g_tap = (g.reshape(o * k, -1) @ _tap_columns(np.ones((1, 1, grid, grid)), grid).T
+             ).reshape(o, k, 9).swapaxes(0, 1).reshape(k, o * 9)
+    gw = None
+    if need[0]:
+        gw = np.zeros_like(w)
+        blocks = gw.reshape(o, -1, 9)
+        blocks[:, :p] += (proj.T @ g_tap).reshape(p, o, 9).swapaxes(0, 1)
+        blocks[:, p:] += (g @ _tap_columns(planes, grid).T).reshape(o, -1, 9)
+    return (gw, g.sum(axis=1) if need[1] else None,
+            g_tap @ _proj_taps(w, p).T if need[2] else None)
+
+
+def _conv2_node(grid, w, b, h):
+    out = _tap_sum_node((w.reshape(-1, 9).T.copy() @ h).reshape(9, -1, grid, grid))
+    out += b
+    return out
+
+
+def _conv2_node_backward(grid, g, out, need, w, b, h):
+    gz = _tap_columns(g[None], grid)[::-1].copy()
+    taps = w.reshape(-1, 9).T.copy()
+    return ((gz @ h.T).T.reshape(w.shape) if need[0] else None,
+            g.sum(axis=(0, 1)).sum(axis=0, keepdims=True) if need[1] else None,
+            taps.T @ gz if need[2] else None)
 
 
 def _mask_convs(fused: bool, t: dict, planes, grid: int):
-    """(h, logits) of the mask head's convolutions: the conv1 and conv2 nodes,
-    or the chain of nodes they replace, which gathers and swaps the stored
-    weights into place and is fed the planes' float columns and the in-grid
-    tap columns as constant tensors."""
+    """(h, logits) of the mask head's convolutions: the mask_convs node (h
+    None: the node keeps none), or the conv1 -> conv2 two-node chain it
+    replaces, which keeps h on the tape."""
     if fused:
-        h = nc.conv1(t["w1"], t["b1"], t["proj"], planes)
-        return h, nc.conv2(t["w2"], t["b2"], h, grid)
-    k = t["proj"].shape[0]
-    proj_taps, data_taps = _conv1_index_tables()
-    w1 = nc.reshape(t["w1"], (-1,))
-    p = nc.reshape(nc._run("matmul", (t["proj"], nc.gather(w1, proj_taps))), (k, 16, 9))
-    p = nc.reshape(nc.swapaxes01(p), (16 * k, 9))
-    cols = Tensor(_tap_columns(planes, grid))
-    taps = Tensor(_tap_columns(np.ones((1, 1, grid, grid)), grid))
-    h_proj = nc.reshape(nc._run("matmul", (p, taps)), (16, -1))
-    h_data = nc._run("matmul", (nc.gather(w1, data_taps), cols))
-    h = nc.relu(h_proj + (h_data + nc.reshape(t["b1"], (16, 1))))
-    w2 = nc.swapaxes01(nc.reshape(t["w2"], (16, 9)))
-    z = nc.reshape(nc._run("matmul", (w2, h)), (9, -1, grid, grid))
-    return h, nc._run("tap_sum3x3", (z,)) + t["b2"]
+        return None, nc.mask_convs(t["w1"], t["b1"], t["proj"], t["w2"], t["b2"], planes)
+    h = nc._run("conv1", (t["w1"], t["b1"], t["proj"]), planes)
+    return h, nc._run("conv2", (t["w2"], t["b2"], h), grid)
 
 
 def _same_bits(a, b):
@@ -461,8 +484,8 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("grid", [4, 6, 24])
 @pytest.mark.parametrize("k", [1, 3, 14])
 def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
-    for op, fwd, bwd in (("tap_sum3x3", _tap_sum_node, _tap_sum_node_backward),
-                         ("matmul", _matmul_node, _matmul_node_backward)):
+    for op, fwd, bwd in (("conv1", _conv1_node, _conv1_node_backward),
+                         ("conv2", _conv2_node, _conv2_node_backward)):
         monkeypatch.setitem(nc._FORWARD, op, fwd)
         monkeypatch.setitem(nc._BACKWARD, op, bwd)
     rng = np.random.default_rng(100 * k + grid)
@@ -479,55 +502,52 @@ def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
             h, logits = _mask_convs(fused, t, planes, grid)
             out = nc.reshape(nc.tsum(logits * Tensor(probe)), ())
         backward(tape, out)  # every input's gradient
-        swept = [h.data, logits.data, h.grad] + [t[name].grad for name in shapes]
+        swept = [logits.data] + [t[name].grad for name in shapes]
         grads = backward(tape, out, store)  # only what a parameter reaches
         runs.append(swept + [grads[name] for name in store.names()])
         tape.replay()
-    assert 0.0 < np.mean(runs[0][0] > 0.0) < 1.0  # the relu mask has both sides
+    assert 0.0 < np.mean(h.data > 0.0) < 1.0  # the relu mask has both sides
     for i, (a, b) in enumerate(zip(*runs)):
         assert _same_bits(a, b), i
-
-
-# conv1 test shapes: O = 2 outputs, P = 3 projection channels, C = 2 planes
-# of K = 3 tracks
-_CONV1_SHAPES = dict(w=(2, 45), b=(2,), proj=(3, 3))
 
 
 def test_conv1_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     store = ParamStore()
-    for name, shape in _CONV1_SHAPES.items():
+    for name, shape in _CONV_SHAPES.items():
         store.add(name, rng.normal(size=shape))
     planes = rng.integers(0, 2, size=(2, 3, 4, 4), dtype=np.uint8)
-    probe = Tensor(rng.normal(size=(2, 48)))
+    probe = Tensor(rng.normal(size=(3, 4, 4)))
 
     def fn(p):
-        h = nc.conv1(p["w"], p["b"], p["proj"], planes)
-        return nc.reshape(nc.tsum(h * probe), ())
+        logits = nc.mask_convs(p["w1"], p["b1"], p["proj"], p["w2"], p["b2"], planes)
+        return nc.reshape(nc.tsum(logits * probe), ())
 
     assert grad_check(fn, store) < 1e-8
+    w2, b2 = store["w2"], store["b2"]
     for shapes in (((2, 45, 1), (2,), (3, 3)),    # w not 2-D
                    ((2, 45), (2, 1), (3, 3)),     # bias shape
                    ((2, 45), (2,), (4, 3)),       # proj rows against the tracks
                    ((2, 45), (2,), (3, 4)),       # proj channels against w
                    ((2, 45), (2,), (9,))):        # proj not 2-D
         w, b, proj = (Tensor(np.zeros(s)) for s in shapes)
-        with pytest.raises(NumericError):
-            nc.conv1(w, b, proj, planes)
+        with pytest.raises(NumericError, match="conv1 expects"):
+            nc.mask_convs(w, b, proj, w2, b2, planes)
 
 
 def test_conv1_keeps_its_planes_off_the_inputs():
     rng = np.random.default_rng(29)
     store = ParamStore()
-    for name, shape in _CONV1_SHAPES.items():
+    for name, shape in _CONV_SHAPES.items():
         store.add(name, rng.normal(size=shape))
     planes = rng.integers(0, 2, size=(2, 3, 3, 3), dtype=np.uint8)
     with Tape() as tape:
-        h = nc.conv1(store["w"], store["b"], store["proj"], planes)
-        out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
-    [node] = [node for node in tape.nodes if node.op == "conv1"]
+        logits = nc.mask_convs(*store.tensors(), planes)
+        out = nc.reshape(nc.tsum(logits * Tensor(rng.normal(size=logits.shape))), ())
+    [node] = [node for node in tape.nodes if node.op == "mask_convs"]
     assert node.aux is planes
-    assert node.inputs == (store["w"], store["b"], store["proj"])
+    assert node.inputs == tuple(store.tensors())
+    assert node.output is logits and logits.shape == (3, 3, 3)  # h is not kept
     assert not any(np.shares_memory(t.data, planes) for t in node.inputs)
     backward(tape, out)  # no store: every input takes a gradient, the planes none
     assert all(t.grad.shape == t.shape for t in node.inputs)
@@ -535,15 +555,15 @@ def test_conv1_keeps_its_planes_off_the_inputs():
 
 
 def test_conv1_rejects_planes_that_do_not_fit():
-    w, b, proj = (Tensor(np.zeros(s)) for s in _CONV1_SHAPES.values())
-    nc.conv1(w, b, proj, np.zeros((2, 3, 4, 4), dtype=np.uint8))
+    tensors = [Tensor(np.zeros(s)) for s in _CONV_SHAPES.values()]
+    nc.mask_convs(*tensors, np.zeros((2, 3, 4, 4), dtype=np.uint8))
     for planes in (np.zeros((1, 3, 4, 4), dtype=np.uint8),    # channels against w
                    np.zeros((2, 2, 4, 4), dtype=np.uint8),    # tracks against proj
                    np.zeros((2, 3, 4, 5), dtype=np.uint8),    # not square
                    np.zeros((2, 3, 16), dtype=np.uint8),      # not 4-D
                    np.zeros((2, 3, 4, 4))):                   # float64, not uint8
-        with pytest.raises(NumericError):
-            nc.conv1(w, b, proj, planes)
+        with pytest.raises(NumericError, match="conv1 expects"):
+            nc.mask_convs(*tensors, planes)
 
 
 def test_param_store_flat_roundtrip():
@@ -666,20 +686,22 @@ def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
     store = ParamStore()
     store.add("w", rng.normal(size=(3, 16)))
     store.add("b", rng.normal(size=3))
-    data = Tensor(rng.normal(size=(9, 2 * 4 * 4)))
+    planes = rng.integers(0, 3, size=(9, 2, 4, 4), dtype=np.uint8)
     calls = []
-    real = nc._BACKWARD["conv2"]
-    monkeypatch.setitem(nc._BACKWARD, "conv2",
+    real = nc._BACKWARD["mask_convs"]
+    monkeypatch.setitem(nc._BACKWARD, "mask_convs",
                         lambda *args: calls.append(1) or real(*args))
     with Tape() as tape:
-        conv = nc.conv2(Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)), data, 4)
+        conv1 = _pass_through(planes)
+        conv = nc.mask_convs(*conv1, Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)),
+                             planes)
         h = nc.tanh(linear(store["w"], store["b"], nc.reshape(conv, (2, 16))))
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
     pruned = backward(tape, out, store)
-    assert calls == [] and data.grad is None
+    assert calls == [] and conv1[0].grad is None
     store.zero_grads()
     backward(tape, out)  # no store: every participating tensor is swept
-    assert calls == [1] and data.grad is not None
+    assert calls == [1] and conv1[0].grad is not None
     for name, t in store.items():
         np.testing.assert_array_equal(pruned[name], t.grad)
 
@@ -692,26 +714,34 @@ def test_backward_forms_no_product_for_inputs_no_parameter_reaches(monkeypatch):
     store.add("w2", rng.normal(size=(1, 18)))
     store.add("b2", rng.normal(size=1))
     x = Tensor(rng.normal(size=(6, 4)))
-    h = Tensor(rng.normal(size=(2, 3 * 4 * 4)))
+    w1, b1, proj = (Tensor(rng.normal(size=s)) for s in ((2, 45), (2,), (3, 3)))
+    planes = rng.integers(0, 2, size=(2, 3, 4, 4), dtype=np.uint8)
     formed = {}
-    for op in ("conv2", "affine"):
+    for op in ("mask_convs", "affine"):
         def record(*args, real=nc._BACKWARD[op], op=op):
             formed[op] = real(*args)
             return formed[op]
 
         monkeypatch.setitem(nc._BACKWARD, op, record)
+    conv1_sweeps = []
+    real_conv1 = nc._conv1_backward
+    monkeypatch.setattr(nc, "_conv1_backward",
+                        lambda *args: conv1_sweeps.append(1) or real_conv1(*args))
     with Tape() as tape:
-        m = nc.tsum(nc.tanh(nc.conv2(store["w2"], store["b2"], h, 4)))
+        m = nc.tsum(nc.tanh(nc.mask_convs(w1, b1, proj, store["w2"], store["b2"], planes)))
         out = m * nc.tsum(nc.tanh(linear(store["w"], store["bias"], x)))
     pruned = backward(tape, out, store)
-    assert formed["conv2"][0] is not None and formed["conv2"][2] is None
+    assert formed["mask_convs"][:3] == (None, None, None)
+    assert all(g is not None for g in formed["mask_convs"][3:])
+    assert conv1_sweeps == []  # no gradient of h: conv1's backward is not run
     assert formed["affine"][0] is None
-    assert h.grad is None and x.grad is None
+    assert w1.grad is None and proj.grad is None and x.grad is None
     formed.clear()
     store.zero_grads()
     backward(tape, out)  # no store: every participating tensor gets a gradient
     assert len(formed) == 2 and all(g is not None for op in formed for g in formed[op])
-    assert h.grad is not None and x.grad is not None
+    assert conv1_sweeps == [1]
+    assert w1.grad is not None and proj.grad is not None and x.grad is not None
     for name, t in store.items():
         np.testing.assert_array_equal(pruned[name], t.grad)
 

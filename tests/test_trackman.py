@@ -223,8 +223,41 @@ def test_run_sequence_under_tape_replays_bit_exactly():
         memory, outputs = tm.run_sequence(det.frames, model, mode="train")
     assert len(memory) > 0 and outputs[-1].num_tracks > 0
     ops = {node.op for node in tape.nodes}
-    assert {"affine", "gather", "slot_sum", "conv1", "conv2"} <= ops
+    assert {"affine", "gather", "slot_sum", "mask_convs"} <= ops
     tape.replay()
+
+
+@pytest.mark.parametrize("flags", [{}, {"num_blocks": 1}, {"limited_gnn": True},
+                                   {"interleave_residuals": False}])
+def test_last_block_detection_update_runs_only_for_births(flags):
+    # The last block's detection update feeds only newborn rows: a frame
+    # without a birth records none of its nodes, a frame with one does, and
+    # the earlier blocks' detection updates run either way.
+    config = small_config(**flags)
+    model = tm.build_model(config, seed=9)
+    params = model.params
+    last = 0 if config.limited_gnn else config.num_blocks - 1
+    frame = make_frame([make_det([0.3, 0.4, 0.2, 0.2], one_hot(0), [1.0, 0.0, 0.5]),
+                        make_det([0.7, 0.6, 0.2, 0.3], one_hot(2), [0.0, 1.0, -0.5])])
+    branch = {params[f"block{last}/g_delta/l1/w"], params[f"block{last}/f_delta/w"]}
+    if config.interleave_residuals:
+        branch.add(params[f"res{last}/dets/l1/w"])
+    earlier = {params[f"block{k}/f_delta/w"] for k in range(last)}
+
+    def read(init_bias):
+        for head in ("init_head", "init_feat_head"):
+            force_head(params, head, 0.0, init_bias)
+        with nc.Tape() as tape:
+            _, out = tm.step([], frame, model, tm.Thresholds(), "train", 0)
+        return out, {id(t) for node in tape.nodes for t in node.inputs}
+
+    out, used = read(-30.0)  # no births
+    assert len(out.born) == 0
+    assert not {id(t) for t in branch} & used
+    assert {id(t) for t in earlier} <= used
+    out, used = read(0.0)  # p = 0.5: both detections are born
+    assert len(out.born) == 2
+    assert {id(t) for t in branch | earlier} <= used
 
 
 def test_memory_rows_stay_aligned_with_track_table():
@@ -553,8 +586,8 @@ def test_mask_head_builds_no_grid_constant_on_the_tape():
 
 
 def test_mask_head_moves_no_channel_expanded_tensor():
-    # The head records its two layers and the two convolution nodes, which
-    # read the stored weights, and no layout node but the concat that
+    # The head records its two layers and the one node of both convolutions,
+    # which reads the stored weights, and no layout node but the concat that
     # prepends the background row to build the returned (K+1, G, G) stack.
     k, grid = 5, 24
     config = small_config(mask_grid=grid)
@@ -563,13 +596,12 @@ def test_mask_head_moves_no_channel_expanded_tensor():
     with nc.Tape() as tape:
         _, stack = tm.reweight_masks(Tensor(rng.normal(size=(k, config.embed_dim))),
                                      masks, boxes, model.params, grid)
-    assert [node.op for node in tape.nodes] == ["affine", "relu", "conv1", "conv2", "concat"]
+    assert [node.op for node in tape.nodes] == ["affine", "relu", "mask_convs", "concat"]
     assert tape.nodes[-1].output is stack
     params = model.params
-    assert tape.nodes[2].inputs[:2] == (params["mask_head/conv1/w"],
-                                        params["mask_head/conv1/b"])
-    assert tape.nodes[3].inputs[:2] == (params["mask_head/conv2/w"],
-                                        params["mask_head/conv2/b"])
+    assert tape.nodes[2].inputs == (
+        params["mask_head/conv1/w"], params["mask_head/conv1/b"], tape.nodes[1].output,
+        params["mask_head/conv2/w"], params["mask_head/conv2/b"])
 
 
 def test_reweight_tie_between_track_rows_goes_to_the_earlier_row():

@@ -96,16 +96,18 @@ def cmd_generate(args) -> int:
         "crossing": args.crossing,
     }
     _apply_overrides(config, args.override)
+    _check_generate_config(config)
+    world = sw.WorldConfig(seed=args.seed, **config["world"])
+    noise = sw.NoiseConfig(**config["noise"])
     out = Path(args.out)
     single_file = out.suffix == ".jsonl" and config["sequences"] == 1
     if not single_file:
         out.mkdir(parents=True, exist_ok=True)
     for k in range(config["sequences"]):
-        wc = sw.WorldConfig(seed=args.seed + 17 * k, **config["world"])
+        wc = dataclasses.replace(world, seed=args.seed + 17 * k)
         gt = (sw.crossing_sequence(wc) if config["crossing"]
               else sw.generate_sequence(wc))
-        det = sw.corrupt(gt, sw.NoiseConfig(**config["noise"]),
-                         seed=args.seed + 17 * k + 7)
+        det = sw.corrupt(gt, noise, seed=args.seed + 17 * k + 7)
         if single_file:
             det_path = out
             gt_path = out.with_suffix("").with_suffix(".gt.jsonl") \
@@ -119,6 +121,37 @@ def cmd_generate(args) -> int:
     _write_json(stamp_path, _stamp("generate", config, args.seed))
     print(f"wrote {config['sequences']} sequence(s) under {out}")
     return EXIT_OK
+
+
+def _check_generate_config(config: dict):
+    """Data errors (exit 2) that name the key, for the generate config values
+    that WorldConfig and NoiseConfig do not check themselves: the sequence
+    count, the crossing switch, unknown keys, and the type of each float or
+    range field (a number >= 0, or a pair of them; never a bool or a string)."""
+    sequences, crossing = config["sequences"], config["crossing"]
+    if type(sequences) is not int or sequences < 1:
+        raise sw.DataError(f"sequences must be an integer >= 1, got {sequences!r}")
+    if type(crossing) is not bool:
+        raise sw.DataError(f"crossing must be true or false, got {crossing!r}")
+    for section, cls in (("world", sw.WorldConfig), ("noise", sw.NoiseConfig)):
+        values = config[section]
+        if not isinstance(values, dict):
+            raise sw.DataError(f"{section} must be an object of {cls.__name__} fields, "
+                               f"got {values!r}")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for key, v in values.items():
+            name = f"{section}.{key}"
+            if name == "world.seed":
+                raise sw.DataError("world.seed cannot be overridden: sequence k takes "
+                                   "--seed + 17k")
+            if key not in defaults:
+                raise sw.DataError(f"unknown key {name}; {section} takes {sorted(defaults)}")
+            kind = type(defaults[key])
+            if kind is float and not (learn.is_number(v) and v >= 0):
+                raise sw.DataError(f"{name} must be a number >= 0, got {v!r}")
+            if kind is tuple and not (isinstance(v, list) and len(v) == 2 and all(
+                    learn.is_number(x) and x >= 0 for x in v)):
+                raise sw.DataError(f"{name} must be a pair of numbers >= 0, got {v!r}")
 
 
 def _load_pairs(data_dir: Path, config: ModelConfig):

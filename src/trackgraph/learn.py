@@ -18,6 +18,7 @@ on top in the gt maps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,16 +331,31 @@ _TRAIN_KEYS = {"iterations": int, "batch_size": int, "lr": float, "weight_decay"
                "seed": int}
 
 
+def is_number(v) -> bool:
+    """A finite JSON number: an int or a float, not a bool or a string."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def train_config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig, tm.Thresholds]:
     """External training-config schema: {"T", "batch_size", "lr",
     "weight_decay", "lambdas", "seed", "D", "blocks", "ablations": {...}}.
     An omitted key keeps the ModelConfig, TrainConfig or LossConfig default;
     "T" is accepted, but the data sets the sequence length.  Unknown keys are
-    rejected."""
+    rejected, and so is a value of the wrong type: an integer key that is not
+    a JSON integer, a number that is not one, or lambdas that are not four
+    numbers >= 0."""
     unknown = set(d) - {"T", "lambdas", "ablations", *_MODEL_KEYS, *_TRAIN_KEYS}
     if unknown:
         raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-    model_kw = {field: int(d[key]) for key, field in _MODEL_KEYS.items() if key in d}
+    for key, v in d.items():
+        kind = int if key in _MODEL_KEYS else _TRAIN_KEYS.get(key)
+        if (kind is int and type(v) is not int) or (kind is float and not is_number(v)):
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {v!r}")
+    if "lambdas" in d and not (isinstance(d["lambdas"], (list, tuple)) and len(d["lambdas"]) == 4
+                               and all(is_number(v) and v >= 0 for v in d["lambdas"])):
+        raise ValueError(f"lambdas must be four numbers >= 0, got {d['lambdas']!r}")
+    model_kw = {field: d[key] for key, field in _MODEL_KEYS.items() if key in d}
     ablations = d.get("ablations", {})
     if not isinstance(ablations, dict):
         raise ValueError(f"ablations must be an object of model config keys, got {ablations!r}")

@@ -19,11 +19,12 @@ summation, which is deterministic for a fixed shape; `slot_sum` additionally
 fixes the accumulation order to ascending slot index, so a graph node's
 aggregate is one sequential sum however large the graph is.
 
-`backward` with a `ParamStore` accumulates: each parameter's gradient is
-added onto the `.grad` it holds until `ParamStore.zero_grads()`, so a batch
-can be swept one tape at a time.  Other gradients live only from the sweep of
-their first consumer to the sweep of the node that made them; afterwards only
-parameters hold `.grad`.
+`backward` is one reverse sweep, always onto a `ParamStore`: it sweeps only
+the nodes a parameter reaches, and it accumulates, adding each parameter's
+gradient onto the `.grad` it holds until `ParamStore.zero_grads()`, so a
+batch can be swept one tape at a time.  Other gradients live only from the
+sweep of their first consumer to the sweep of the node that made them;
+afterwards only parameters hold `.grad`.
 
 Importing the module also sets glibc's heap policy once, so that the memory
 a frame frees stays in the heap for the next frame.  By default glibc hands
@@ -713,14 +714,13 @@ def swapaxes01(a: Tensor) -> Tensor:
 # backward sweep
 
 
-def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
-    """Reverse sweep from a scalar output.
+def backward(tape: Tape, output: Tensor, params: ParamStore):
+    """Reverse sweep from a scalar output onto the parameters in `params`.
 
-    Without a ParamStore, sets `.grad` on every tensor that participates,
-    replacing what it held.  With one, only tensors that descend from a
-    parameter in the store receive gradient: a node none of whose inputs
-    does is never swept, and a swept node forms no gradient for an input
-    that does not.  Each parameter's gradient is then added onto the `.grad`
+    Only tensors that descend from a parameter receive gradient: one forward
+    pass lists the nodes a parameter reaches, a node that no parameter
+    reaches is never swept, and a swept node forms no gradient for an input
+    that none reaches.  Each parameter's gradient is added onto the `.grad`
     it already holds (`zero_grads()` starts a new sum), contribution by
     contribution in sweep order, and a node's output gradient is dropped once
     that node is swept, so the sweep holds only the gradients it still owes
@@ -728,40 +728,28 @@ def backward(tape: Tape, output: Tensor, params: "ParamStore | None" = None):
     the store, with zeros for parameters that hold no gradient."""
     if output.data.shape != ():
         raise NumericError(f"backward needs a scalar output, got shape {output.shape}")
-    if params is None:
-        needs = [[True] * len(node.inputs) for node in tape.nodes]
-        grads: dict[int, Array] = {}
-    else:
-        live = {id(t) for t in params.tensors()}
-        needs = []
-        for node in tape.nodes:
-            need = [id(t) in live for t in node.inputs]
-            if True in need:
-                live.add(id(node.output))
-            needs.append(need)
-        grads = {id(t): t.grad for t in params.tensors() if t.grad is not None}
+    live = {id(t) for t in params.tensors()}
+    swept = []
+    for node in tape.nodes:
+        keys = [id(t) for t in node.inputs]
+        need = [key in live for key in keys]
+        if True in need:
+            out = id(node.output)
+            live.add(out)
+            swept.append((node, out, keys, need))
+    grads = {id(t): t.grad for t in params.tensors() if t.grad is not None}
     grads[id(output)] = np.ones((), dtype=np.float64)
-    touched: dict[int, Tensor] = {id(output): output}
-    take = grads.get if params is None else grads.pop
-    for node, need in zip(reversed(tape.nodes), reversed(needs)):
-        g = take(id(node.output), None)
+    for node, out, keys, need in reversed(swept):
+        g = grads.pop(out, None)
         if g is None:
             continue
         in_grads = _BACKWARD[node.op](
             node.aux, g, node.output.data, need, *[t.data for t in node.inputs]
         )
-        for t, keep, ig in zip(node.inputs, need, in_grads):
-            if not keep:
-                continue
-            if id(t) in grads:
-                grads[id(t)] = grads[id(t)] + ig
-            else:
-                grads[id(t)] = ig
-                touched[id(t)] = t
-    if params is None:
-        for key, t in touched.items():
-            t.grad = grads[key]
-        return None
+        for key, keep, ig in zip(keys, need, in_grads):
+            if keep:
+                prev = grads.get(key)
+                grads[key] = ig if prev is None else prev + ig
     for t in params.tensors():
         t.grad = grads.get(id(t))
     return {

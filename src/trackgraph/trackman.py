@@ -124,7 +124,6 @@ class FrameOutput:
     row_detections[num_tracks:], and the active rows, row_detections >= 0,
     are the seg_tracks in order."""
 
-    frame: int
     num_tracks: int
     num_dets: int
     detections: DetectionFrame
@@ -382,7 +381,6 @@ def step(memory: TrackMemory, frame: DetectionFrame, model: TrackModel,
         track.records.append(record)
 
     output = FrameOutput(
-        frame=frame_index,
         num_tracks=m,
         num_dets=n,
         detections=frame,

@@ -59,10 +59,24 @@ def test_generate_reproducible(tmp_path):
     ("world.appearance_dim=0", "world appearance_dim must be an integer >= 1, got 0"),
     ("world.entry_window=0", "world entry_window must be an integer >= 1, got 0"),
     ("world.max_objects=-1", "world max_objects must be an integer >= 0, got -1"),
+    ("world.seed=5", "world.seed cannot be overridden: sequence k takes --seed + 17k"),
+    ("world.bogus=1", "unknown key world.bogus"),
+    ("noise.bogus=1", "unknown key noise.bogus"),
+    ("world=3", "world must be an object of WorldConfig fields, got 3"),
+    ('world.exit_prob="x"', "world.exit_prob must be a number >= 0, got 'x'"),
+    ("world.turn_sigma=-1", "world.turn_sigma must be a number >= 0, got -1"),
+    ("world.speed_range=3", "world.speed_range must be a pair of numbers >= 0, got 3"),
+    ('world.size_range=[0.1,true]', "world.size_range must be a pair of numbers >= 0"),
+    ('noise.miss_prob="x"', "noise.miss_prob must be a number >= 0, got 'x'"),
+    ("noise.box_jitter=null", "noise.box_jitter must be a number >= 0, got None"),
+    ("sequences=2.5", "sequences must be an integer >= 1, got 2.5"),
+    ("sequences=-1", "sequences must be an integer >= 1, got -1"),
+    ('crossing="no"', "crossing must be true or false, got 'no'"),
 ])
 def test_generate_rejects_a_broken_world_config(tmp_path, capsys, override, message):
-    # the parent wrote empty masks for a zero grid and ended in a TypeError
-    # traceback for a string frame count
+    # the parent wrote empty masks for a zero grid, ended in a TypeError
+    # traceback for a string frame count, a seed or an unknown key, and wrote
+    # nothing with exit 0 for a negative sequence count
     out = tmp_path / "world.det.jsonl"
     assert run(["generate", "--seed", "1", "--out", str(out), "--override", override]) == 2
     assert message in capsys.readouterr().err
@@ -149,11 +163,23 @@ def test_usage_errors_exit_one(tmp_path):
     'ablations.max_tracks="x"',     # a count that is not an integer
     "ablations.limited_gnn=1",      # a switch that is not a boolean
     "ablations=1",                  # not an object of model config keys
+    "D=2.5",                        # model sizes were truncated by int()
+    "blocks=true",
+    "batch_size=2.7",               # and so were the training counts
+    "iterations=true",
+    'seed="1"',
+    'lr="x"',
+    "lambdas=3",                    # not four loss weights
+    'lambdas=[1,2,3,"x"]',
+    "lambdas=[1,2,3,-1]",
 ])
 def test_config_errors_exit_one_before_training(tmp_path, capsys, override):
     _, ckpt, argv = train_argv(tmp_path)
     assert run(argv + ["--override", override]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    key = override.split("=", 1)[0]
+    # a top-level key leads its message; a model key under ablations names its field
+    assert f"error: {key} " in err or key.startswith("ablations.") and "error:" in err
     assert not ckpt.exists()
 
 

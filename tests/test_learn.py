@@ -225,11 +225,12 @@ def test_lovasz_rows_in_one_pass_match_class_loop_bit_for_bit(k):
     data = np.round(rng.normal(size=(k + 1, 6, 6)), 1)
     results = []
     for fn in (learn.lovasz_softmax_frame, lovasz_softmax_frame_loop):
-        logits = Tensor(data.copy())
+        store = nc.ParamStore()
+        logits = store.add("logits", data.copy())
         with nc.Tape() as tape:
             loss = fn(logits, labels)
         if k:
-            nc.backward(tape, loss)
+            nc.backward(tape, loss, store)
         results.append((loss.data, logits.grad))
     (l_vec, g_vec), (l_loop, g_loop) = results
     assert l_vec.shape == () and np.array_equal(l_vec, l_loop)
@@ -248,11 +249,12 @@ def test_lovasz_error_map_is_the_two_term_form_bit_for_bit():
     runs = []
     for form in (lambda p: p * Tensor(1.0 - 2.0 * fg) + Tensor(fg),
                  lambda p: Tensor(fg) * (1.0 - p) + Tensor(1.0 - fg) * p):
-        p = Tensor(p_data.copy())
+        store = nc.ParamStore()
+        p = store.add("p", p_data.copy())
         with nc.Tape() as tape:
             errors = form(p)
             out = nc.tsum(errors * probe)
-        nc.backward(tape, out)
+        nc.backward(tape, out, store)
         runs.append([errors.data, p.grad])
     for a, b in zip(*runs):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -497,7 +499,7 @@ def _train_each_ablation(monkeypatch, visit):
     tape goes to `visit` before the tape is swept."""
     real_backward = nc.backward
 
-    def spy(tape, output, params=None):
+    def spy(tape, output, params):
         for node in tape.nodes:
             visit(node)
         return real_backward(tape, output, params)

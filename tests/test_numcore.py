@@ -64,16 +64,15 @@ def test_linear_leading_axes_one_node_same_bits_as_flat_chain():
     store = ParamStore()
     w = store.add("w", rng.normal(size=(4, 7)))
     b = store.add("b", rng.uniform(-0.5, 0.5, size=4))
-    x = Tensor(rng.normal(size=(2, 3, 7)))
+    x = store.add("x", rng.normal(size=(2, 3, 7)))
     probe = Tensor(rng.normal(size=(2, 3, 4)))
 
     def run(affine):
-        for t in (x, w, b):
-            t.grad = None
+        store.zero_grads()
         with Tape() as tape:
             y = affine(x)
             total = nc.reshape(nc.tsum(y * probe), ())
-        backward(tape, total)
+        backward(tape, total, store)
         return tape, y, (x.grad, w.grad, b.grad)
 
     tape, y, grads = run(lambda v: linear(w, b, v))
@@ -87,7 +86,7 @@ def test_linear_leading_axes_one_node_same_bits_as_flat_chain():
     for got, want in zip(grads, grads_chain):
         np.testing.assert_array_equal(got, want)
     err = grad_check(lambda p: nc.reshape(nc.tsum(linear(p["w"], p["b"], x) * probe), ()),
-                     store)
+                     store.subset(lambda name: name != "x"))
     assert err < 1e-6
 
 
@@ -137,27 +136,30 @@ def test_sigmoid_equals_two_branch_form_bit_for_bit():
 
 
 def test_backward_square():
-    x = Tensor(3.0)
+    store = ParamStore()
+    x = store.add("x", 3.0)
     with Tape() as tape:
         y = x * x
-    backward(tape, y)
-    assert x.grad == pytest.approx(6.0)
+    grads = backward(tape, y, store)
+    assert grads["x"] is x.grad and x.grad == pytest.approx(6.0)
 
 
 def test_backward_sigmoid_at_zero():
-    x = Tensor(0.0)
+    store = ParamStore()
+    x = store.add("x", 0.0)
     with Tape() as tape:
         y = nc.sigmoid(x)
-    backward(tape, y)
+    backward(tape, y, store)
     assert x.grad == pytest.approx(0.25)
 
 
 def test_backward_requires_scalar():
-    x = Tensor([1.0, 2.0])
+    store = ParamStore()
+    x = store.add("x", [1.0, 2.0])
     with Tape() as tape:
         y = x * x
     with pytest.raises(NumericError):
-        backward(tape, y)
+        backward(tape, y, store)
 
 
 def test_backward_two_layer_net_matches_finite_differences():
@@ -276,23 +278,25 @@ def test_slot_sum_padding_bit_exact():
 
 def test_slot_sum_gradient():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.normal(size=(3, 5)))
+    store = ParamStore()
+    x = store.add("x", rng.normal(size=(3, 5)))
     w = Tensor(rng.normal(size=3))
     with Tape() as tape:
         out = nc.reshape(nc.tsum(nc.slot_sum(x, axis=1) * w), ())
-    backward(tape, out)
+    backward(tape, out, store)
     expect = np.repeat(w.data[:, None], 5, axis=1)
     np.testing.assert_allclose(x.grad, expect, atol=1e-15)
 
 
 def test_gather_rows_and_grads():
-    x = Tensor(np.arange(12.0).reshape(4, 3))
+    store = ParamStore()
+    x = store.add("x", np.arange(12.0).reshape(4, 3))
     g = nc.gather(x, [2, 0])
     np.testing.assert_array_equal(g.data, [[6, 7, 8], [0, 1, 2]])
     assert nc.gather(x, []).shape == (0, 3)
     with Tape() as tape:
         out = nc.reshape(nc.tsum(nc.gather(x, [1, 1, 3])), ())
-    backward(tape, out)
+    backward(tape, out, store)
     np.testing.assert_array_equal(x.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
@@ -387,9 +391,10 @@ def test_conv2_gradient_matches_finite_differences():
     assert grad_check(fn, store) < 1e-8
     # with h the planes, w2's gradient is the transpose of the oracle's
     # linear map: entry 9c + t sums plane c shifted through tap t times g
+    store.zero_grads()
     with Tape() as tape:
         out = fn(store)
-    backward(tape, out)
+    backward(tape, out, store)
     want = np.zeros((2, 9))
     for c in range(2):
         for t in range(9):
@@ -501,10 +506,9 @@ def test_mask_convs_match_the_node_chain_bit_for_bit(monkeypatch, k, grid):
         with Tape() as tape:
             h, logits = _mask_convs(fused, t, planes, grid)
             out = nc.reshape(nc.tsum(logits * Tensor(probe)), ())
-        backward(tape, out)  # every input's gradient
-        swept = [logits.data] + [t[name].grad for name in shapes]
-        grads = backward(tape, out, store)  # only what a parameter reaches
-        runs.append(swept + [grads[name] for name in store.names()])
+        first = backward(tape, out, store)  # every leaf is a parameter
+        second = backward(tape, out, store)  # adds onto the first sweep's
+        runs.append([logits.data] + [g[name] for g in (first, second) for name in shapes])
         tape.replay()
     assert 0.0 < np.mean(h.data > 0.0) < 1.0  # the relu mask has both sides
     for i, (a, b) in enumerate(zip(*runs)):
@@ -549,7 +553,7 @@ def test_conv1_keeps_its_planes_off_the_inputs():
     assert node.inputs == tuple(store.tensors())
     assert node.output is logits and logits.shape == (3, 3, 3)  # h is not kept
     assert not any(np.shares_memory(t.data, planes) for t in node.inputs)
-    backward(tape, out)  # no store: every input takes a gradient, the planes none
+    backward(tape, out, store)  # every input takes a gradient, the planes none
     assert all(t.grad.shape == t.shape for t in node.inputs)
     tape.replay()
 
@@ -648,12 +652,13 @@ def test_concat_backward_hands_each_part_its_slice(axis):
     shapes = [[2, 3, 4] for _ in range(3)]
     for shape, size in zip(shapes, (1, 3, 2)):
         shape[axis] = size
-    parts = [Tensor(rng.normal(size=s)) for s in shapes]
+    store = ParamStore()
+    parts = [store.add(f"part{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
     with Tape() as tape:
         joined = nc.concat(parts, axis=axis)
         probe = rng.normal(size=joined.shape)
         out = nc.reshape(nc.tsum(joined * Tensor(probe)), ())
-    backward(tape, out)
+    backward(tape, out, store)
     bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
     for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
         np.testing.assert_array_equal(p.grad, np.take(probe, np.arange(lo, hi), axis=axis))
@@ -683,38 +688,41 @@ def test_backward_with_store_adds_onto_parameter_grads_and_keeps_no_other():
 
 def test_backward_skips_nodes_no_parameter_reaches(monkeypatch):
     rng = np.random.default_rng(7)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(3, 16)))
-    store.add("b", rng.normal(size=3))
+    full = ParamStore()  # every leaf: the unpruned reference sweep
+    full.add("w", rng.normal(size=(3, 16)))
+    full.add("b", rng.normal(size=3))
+    store = full.subset(lambda name: name in ("w", "b"))
     planes = rng.integers(0, 3, size=(9, 2, 4, 4), dtype=np.uint8)
     calls = []
     real = nc._BACKWARD["mask_convs"]
     monkeypatch.setitem(nc._BACKWARD, "mask_convs",
                         lambda *args: calls.append(1) or real(*args))
+    conv1 = [full.add(f"conv1/{i}", t.data) for i, t in enumerate(_pass_through(planes))]
+    conv2 = full.add("conv2/w", np.eye(9).reshape(1, 81)), full.add("conv2/b", np.zeros(1))
     with Tape() as tape:
-        conv1 = _pass_through(planes)
-        conv = nc.mask_convs(*conv1, Tensor(np.eye(9).reshape(1, 81)), Tensor(np.zeros(1)),
-                             planes)
+        conv = nc.mask_convs(*conv1, *conv2, planes)
         h = nc.tanh(linear(store["w"], store["b"], nc.reshape(conv, (2, 16))))
         out = nc.reshape(nc.tsum(h * Tensor(rng.normal(size=h.shape))), ())
     pruned = backward(tape, out, store)
     assert calls == [] and conv1[0].grad is None
     store.zero_grads()
-    backward(tape, out)  # no store: every participating tensor is swept
+    swept = backward(tape, out, full)
     assert calls == [1] and conv1[0].grad is not None
-    for name, t in store.items():
-        np.testing.assert_array_equal(pruned[name], t.grad)
+    for name in store.names():
+        np.testing.assert_array_equal(pruned[name], swept[name])
 
 
 def test_backward_forms_no_product_for_inputs_no_parameter_reaches(monkeypatch):
     rng = np.random.default_rng(8)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(2, 4)))
-    store.add("bias", rng.normal(size=2))
-    store.add("w2", rng.normal(size=(1, 18)))
-    store.add("b2", rng.normal(size=1))
-    x = Tensor(rng.normal(size=(6, 4)))
-    w1, b1, proj = (Tensor(rng.normal(size=s)) for s in ((2, 45), (2,), (3, 3)))
+    full = ParamStore()  # every leaf: the unpruned reference sweep
+    full.add("w", rng.normal(size=(2, 4)))
+    full.add("bias", rng.normal(size=2))
+    full.add("w2", rng.normal(size=(1, 18)))
+    full.add("b2", rng.normal(size=1))
+    store = full.subset(lambda name: name in ("w", "bias", "w2", "b2"))
+    x = full.add("x", rng.normal(size=(6, 4)))
+    w1, b1, proj = (full.add(name, rng.normal(size=s))
+                    for name, s in (("w1", (2, 45)), ("b1", (2,)), ("proj", (3, 3))))
     planes = rng.integers(0, 2, size=(2, 3, 4, 4), dtype=np.uint8)
     formed = {}
     for op in ("mask_convs", "affine"):
@@ -738,12 +746,12 @@ def test_backward_forms_no_product_for_inputs_no_parameter_reaches(monkeypatch):
     assert w1.grad is None and proj.grad is None and x.grad is None
     formed.clear()
     store.zero_grads()
-    backward(tape, out)  # no store: every participating tensor gets a gradient
+    swept = backward(tape, out, full)
     assert len(formed) == 2 and all(g is not None for op in formed for g in formed[op])
     assert conv1_sweeps == [1]
     assert w1.grad is not None and proj.grad is not None and x.grad is not None
-    for name, t in store.items():
-        np.testing.assert_array_equal(pruned[name], t.grad)
+    for name in store.names():
+        np.testing.assert_array_equal(pruned[name], swept[name])
 
 
 def test_broadcast_to_is_a_read_only_view_with_unchanged_gradients(monkeypatch):
@@ -755,13 +763,14 @@ def test_broadcast_to_is_a_read_only_view_with_unchanged_gradients(monkeypatch):
         if copy:  # the former forward, which returned a copy
             monkeypatch.setitem(nc._FORWARD, "broadcast_to",
                                 lambda shape, a: np.broadcast_to(a, shape).copy())
-        a = Tensor(a_data.copy())
+        store = ParamStore()
+        a = store.add("a", a_data.copy())
         with Tape() as tape:
             b = nc.broadcast_to(a, (3, 5, 4))
             out = nc.tsum(nc.tanh(nc.concat([b, other], axis=1)) * probe)
         tape.replay()
-        backward(tape, out)
-        runs.append((a, b, out.data, a.grad, b.grad))
+        backward(tape, out, store)
+        runs.append((a, b, out.data, a.grad))
     (a, view, *swept), (_, _, *copied) = runs
     assert not view.data.flags.writeable and np.shares_memory(view.data, a.data)
     for x, y in zip(swept, copied):
@@ -779,20 +788,22 @@ def test_heap_policy_is_quiet_without_mallopt(monkeypatch):
 
 
 def test_broadcast_add_gradients():
-    a = Tensor(np.ones((3, 4)))
-    b = Tensor(np.ones(4))
+    store = ParamStore()
+    a = store.add("a", np.ones((3, 4)))
+    b = store.add("b", np.ones(4))
     with Tape() as tape:
         out = nc.reshape(nc.tsum(a + b), ())
-    backward(tape, out)
+    backward(tape, out, store)
     np.testing.assert_array_equal(b.grad, [3.0] * 4)
     np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
 
 
 def test_clip_gradient_masks_saturated_entries():
-    x = Tensor(np.array([0.5, 2.0, -3.0]))
+    store = ParamStore()
+    x = store.add("x", np.array([0.5, 2.0, -3.0]))
     with Tape() as tape:
         out = nc.reshape(nc.tsum(nc.clip(x, 0.0, 1.0)), ())
-    backward(tape, out)
+    backward(tape, out, store)
     np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
 
 

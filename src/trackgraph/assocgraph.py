@@ -22,7 +22,7 @@ import numpy as np
 from . import appearance as ap
 from . import numcore as nc
 from .numcore import ParamStore, Tensor
-from .synthworld import DetectionFrame
+from .synthworld import DetectionFrame, check_fields
 
 EDGE_FEATURES = 2  # [appearance log-likelihood / A, IoU]  (row 0: [0, top score])
 GATE_MODES = ("lstm", "simple")
@@ -51,15 +51,11 @@ class ModelConfig:
     sigma0: float = 1e-3
 
     def __post_init__(self):
-        for name, f in self.__dataclass_fields__.items():
-            v = getattr(self, name)
-            if type(f.default) is bool and type(v) is not bool:
-                raise ValueError(f"{name} must be true or false, got {v!r}")
-            if type(f.default) is int and (type(v) is not int or v < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        check_fields(self, ValueError)
         if self.gate_mode not in GATE_MODES:
-            raise ValueError(f"unknown gate mode {self.gate_mode!r}; "
-                             f"choose from {list(GATE_MODES)}")
+            raise ValueError(f"gate_mode must be one of {GATE_MODES}, got {self.gate_mode!r}")
+        if self.sigma0 <= 0:
+            raise ValueError(f"sigma0 must be a number > 0, got {self.sigma0!r}")
 
     @property
     def det_input_dim(self) -> int:

@@ -124,15 +124,12 @@ def cmd_generate(args) -> int:
 
 
 def _check_generate_config(config: dict):
-    """Data errors (exit 2) that name the key, for the generate config values
-    that WorldConfig and NoiseConfig do not check themselves: the sequence
-    count, the crossing switch, unknown keys, and the type of each float or
-    range field (a number >= 0, or a pair of them; never a bool or a string)."""
-    sequences, crossing = config["sequences"], config["crossing"]
-    if type(sequences) is not int or sequences < 1:
-        raise sw.DataError(f"sequences must be an integer >= 1, got {sequences!r}")
-    if type(crossing) is not bool:
-        raise sw.DataError(f"crossing must be true or false, got {crossing!r}")
+    """Data errors (exit 2) that name the key as typed, before any world is
+    built: a section that is not an object, an unknown key, world.seed, and a
+    value that synthworld.check_value rejects for its field (sequences as a
+    count, crossing as a switch)."""
+    sw.check_value("sequences", config["sequences"], 1)
+    sw.check_value("crossing", config["crossing"], False)
     for section, cls in (("world", sw.WorldConfig), ("noise", sw.NoiseConfig)):
         values = config[section]
         if not isinstance(values, dict):
@@ -146,12 +143,7 @@ def _check_generate_config(config: dict):
                                    "--seed + 17k")
             if key not in defaults:
                 raise sw.DataError(f"unknown key {name}; {section} takes {sorted(defaults)}")
-            kind = type(defaults[key])
-            if kind is float and not (learn.is_number(v) and v >= 0):
-                raise sw.DataError(f"{name} must be a number >= 0, got {v!r}")
-            if kind is tuple and not (isinstance(v, list) and len(v) == 2 and all(
-                    learn.is_number(x) and x >= 0 for x in v)):
-                raise sw.DataError(f"{name} must be a pair of numbers >= 0, got {v!r}")
+            sw.check_value(name, v, defaults[key])
 
 
 def _load_pairs(data_dir: Path, config: ModelConfig):
@@ -280,14 +272,15 @@ def cmd_ablate(args) -> int:
     }
     _apply_overrides(settings, args.override)
     run = dict(settings)
-    n_train, n_eval = int(run.pop("train_sequences")), int(run.pop("eval_sequences"))
-    model_config, train_config, _ = learn.train_config_from_dict(run)
+    for key in ("train_sequences", "eval_sequences"):
+        sw.check_value(key, run.pop(key), 1, UsageError)
+    model_config, train_config, _ = learn.train_config_from_dict(run)  # checks T
     seed = train_config.seed
-    world = dict(num_classes=model_config.num_classes, frames=int(settings["T"]),
+    world = dict(num_classes=model_config.num_classes, frames=settings["T"],
                  appearance_dim=model_config.appearance_dim,
                  mask_grid=model_config.mask_grid)
-    train_suite = ek.make_crossing_suite(n_train, seed=seed, **world)
-    heldout = ek.make_crossing_suite(n_eval, seed=seed + 90001, **world)
+    train_suite = ek.make_crossing_suite(settings["train_sequences"], seed=seed, **world)
+    heldout = ek.make_crossing_suite(settings["eval_sequences"], seed=seed + 90001, **world)
     model = tm.build_model(model_config, seed=seed)
     curve = learn.train(train_suite, model, train_config)
     report = ek.evaluate_model_on_suite(model, heldout)
@@ -306,6 +299,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.epsilon < float("inf"):
+        raise UsageError(f"--epsilon must be a finite number > 0, got {args.epsilon!r}")
     names = sorted(gradchecks.TARGETS) if args.target == "all" else [args.target]
     worst = 0.0
     for name in names:

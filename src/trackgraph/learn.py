@@ -18,7 +18,6 @@ on top in the gt maps.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from . import numcore as nc
 from . import trackman as tm
 from .assocgraph import ModelConfig
 from .numcore import ParamStore, Tensor
+from .synthworld import check_fields, check_value
 
 PROB_CLAMP = 1e-7
 
@@ -49,8 +49,8 @@ class LossConfig:
     sequence_length: int = 10  # read by nothing (the data sets it); perfbench/ passes it
 
     def __post_init__(self):
-        if any(l < 0 for l in self.lambdas):
-            raise ValueError("loss weights must be nonnegative")
+        check_fields(self, ValueError)
+        self.lambdas = tuple(self.lambdas)  # a JSON list holds them in a config file
 
 
 @dataclass
@@ -72,10 +72,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        check_fields(self, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -324,45 +321,33 @@ def _sweep_sequence(sequence, model: tm.TrackModel, config: TrainConfig,
 # config and checkpoint files
 
 
-# external training-config keys that set a ModelConfig or TrainConfig field
-_MODEL_KEYS = {"D": "embed_dim", "blocks": "num_blocks", "num_classes": "num_classes",
-               "appearance_dim": "appearance_dim", "mask_grid": "mask_grid"}
-_TRAIN_KEYS = {"iterations": int, "batch_size": int, "lr": float, "weight_decay": float,
-               "seed": int}
-
-
-def is_number(v) -> bool:
-    """A finite JSON number: an int or a float, not a bool or a string."""
-    return type(v) in (int, float) and math.isfinite(v)
+# each external training-config key: the config class and the field it sets
+_KEYS = {"D": (ModelConfig, "embed_dim"), "blocks": (ModelConfig, "num_blocks"),
+         "T": (LossConfig, "sequence_length"), "lambdas": (LossConfig, "lambdas"),
+         **{k: (ModelConfig, k) for k in "num_classes appearance_dim mask_grid".split()},
+         **{k: (TrainConfig, k) for k in "iterations batch_size lr weight_decay seed".split()}}
 
 
 def train_config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig, tm.Thresholds]:
-    """External training-config schema: {"T", "batch_size", "lr",
-    "weight_decay", "lambdas", "seed", "D", "blocks", "ablations": {...}}.
-    An omitted key keeps the ModelConfig, TrainConfig or LossConfig default;
-    "T" is accepted, but the data sets the sequence length.  Unknown keys are
-    rejected, and so is a value of the wrong type: an integer key that is not
-    a JSON integer, a number that is not one, or lambdas that are not four
-    numbers >= 0."""
-    unknown = set(d) - {"T", "lambdas", "ablations", *_MODEL_KEYS, *_TRAIN_KEYS}
+    """The configs of an external training-config dict: the keys of _KEYS and
+    "ablations", an object of ModelConfig fields by name.  An omitted key
+    keeps its field's default; "T" sets LossConfig.sequence_length, which
+    nothing reads (the data sets the sequence length).  An unknown key, or a
+    value that synthworld.check_value rejects for its field, raises a
+    ValueError that names the key as given ("D", not embed_dim)."""
+    unknown = set(d) - {"ablations", *_KEYS}
     if unknown:
         raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-    for key, v in d.items():
-        kind = int if key in _MODEL_KEYS else _TRAIN_KEYS.get(key)
-        if (kind is int and type(v) is not int) or (kind is float and not is_number(v)):
-            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                             f"got {v!r}")
-    if "lambdas" in d and not (isinstance(d["lambdas"], (list, tuple)) and len(d["lambdas"]) == 4
-                               and all(is_number(v) and v >= 0 for v in d["lambdas"])):
-        raise ValueError(f"lambdas must be four numbers >= 0, got {d['lambdas']!r}")
-    model_kw = {field: d[key] for key, field in _MODEL_KEYS.items() if key in d}
+    kwargs = {ModelConfig: {}, TrainConfig: {}, LossConfig: {}}
+    for key, (cls, name) in _KEYS.items():
+        if key in d:
+            check_value(key, d[key], cls.__dataclass_fields__[name].default, ValueError)
+            kwargs[cls][name] = d[key]
     ablations = d.get("ablations", {})
     if not isinstance(ablations, dict):
         raise ValueError(f"ablations must be an object of model config keys, got {ablations!r}")
-    model_kw.update(ablations)
-    loss = LossConfig(**({"lambdas": tuple(d["lambdas"])} if "lambdas" in d else {}))
-    train_kw = {key: cast(d[key]) for key, cast in _TRAIN_KEYS.items() if key in d}
-    return (ModelConfig.from_dict(model_kw), TrainConfig(**train_kw, loss=loss),
+    return (ModelConfig.from_dict({**kwargs[ModelConfig], **ablations}),
+            TrainConfig(**kwargs[TrainConfig], loss=LossConfig(**kwargs[LossConfig])),
             tm.Thresholds())
 
 

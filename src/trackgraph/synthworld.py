@@ -40,6 +40,42 @@ class DataError(ValueError):
 
 MAX_FRAMES = 100_000  # frame indices lie in [0, MAX_FRAMES), in a world and in a stream
 
+_COUNT_FLOORS = {"seed": None, "max_objects": 0}  # other counts are >= 1; None: any
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and type(v) is not bool and math.isfinite(v) and v >= 0
+
+
+def check_value(key: str, value, default, error=DataError):
+    """The one rule for a config value, from its field's default: a bool field
+    takes true or false; an int, an integer (not a bool) at or above the count
+    floor of the field that ends `key`; a float, a finite number >= 0; a tuple,
+    that many such numbers.  Else raises `error`("<key> must be <what>, got <value>")."""
+    kind = type(default)
+    if kind is bool:
+        ok, want = type(value) is bool, "true or false"
+    elif kind is int:
+        low = _COUNT_FLOORS.get(key.rpartition(".")[2], 1)
+        ok = type(value) is int and (low is None or value >= low)
+        want = "an integer" if low is None else f"an integer >= {low}"
+    elif kind is float:
+        ok, want = _is_number(value), "a number >= 0"
+    elif kind is tuple:
+        n = len(default)
+        ok = isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_number, value))
+        want = f"{'a pair of' if n == 2 else n} numbers >= 0"
+    else:
+        return  # a string or a nested config: its class checks it
+    if not ok:
+        raise error(f"{key} must be {want}, got {value!r}")
+
+
+def check_fields(config, error=DataError):
+    """check_value on each field of the config dataclass instance `config`."""
+    for name, f in config.__dataclass_fields__.items():
+        check_value(name, getattr(config, name), f.default, error)
+
 
 @dataclass
 class WorldConfig:
@@ -56,16 +92,7 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every int field is an integer (not a bool); the sizes are >= 1
-        for name, f in self.__dataclass_fields__.items():
-            v = getattr(self, name)
-            if type(f.default) is not int:
-                continue
-            low = {"max_objects": 0, "seed": None}.get(name, 1)
-            if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
-                    or (low is not None and v < low)):
-                bound = "" if low is None else f" >= {low}"
-                raise DataError(f"world {name} must be an integer{bound}, got {v!r}")
+        check_fields(self)
         if self.frames > MAX_FRAMES:
             raise DataError(f"frames must be at most MAX_FRAMES = {MAX_FRAMES}")
 
@@ -80,14 +107,10 @@ class NoiseConfig:
     duplicate_prob: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("miss_prob", "duplicate_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DataError(f"{name} must be a probability, got {v}")
-        for name in ("false_positive_rate", "class_temperature", "box_jitter",
-                     "appearance_noise"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be nonnegative")
+            if getattr(self, name) > 1:
+                raise DataError(f"{name} must be a probability, got {getattr(self, name)}")
 
 
 # The noise of `trackgraph generate` and of evalkit.make_crossing_suite.

@@ -52,13 +52,13 @@ def test_generate_reproducible(tmp_path):
 
 
 @pytest.mark.parametrize("override,message", [
-    ("world.mask_grid=0", "world mask_grid must be an integer >= 1, got 0"),
-    ('world.frames="x"', "world frames must be an integer >= 1, got 'x'"),
-    ("world.frames=2.5", "world frames must be an integer >= 1, got 2.5"),
-    ("world.num_classes=true", "world num_classes must be an integer >= 1, got True"),
-    ("world.appearance_dim=0", "world appearance_dim must be an integer >= 1, got 0"),
-    ("world.entry_window=0", "world entry_window must be an integer >= 1, got 0"),
-    ("world.max_objects=-1", "world max_objects must be an integer >= 0, got -1"),
+    ("world.mask_grid=0", "world.mask_grid must be an integer >= 1, got 0"),
+    ('world.frames="x"', "world.frames must be an integer >= 1, got 'x'"),
+    ("world.frames=2.5", "world.frames must be an integer >= 1, got 2.5"),
+    ("world.num_classes=true", "world.num_classes must be an integer >= 1, got True"),
+    ("world.appearance_dim=0", "world.appearance_dim must be an integer >= 1, got 0"),
+    ("world.entry_window=0", "world.entry_window must be an integer >= 1, got 0"),
+    ("world.max_objects=-1", "world.max_objects must be an integer >= 0, got -1"),
     ("world.seed=5", "world.seed cannot be overridden: sequence k takes --seed + 17k"),
     ("world.bogus=1", "unknown key world.bogus"),
     ("noise.bogus=1", "unknown key noise.bogus"),
@@ -172,6 +172,12 @@ def test_usage_errors_exit_one(tmp_path):
     "lambdas=3",                    # not four loss weights
     'lambdas=[1,2,3,"x"]',
     "lambdas=[1,2,3,-1]",
+    'ablations.sigma0="x"',         # a TypeError traceback at the parent
+    "ablations.sigma0=-1",          # exit 3 at the first birth
+    "ablations.sigma0=true",        # trained with sigma0 = 1
+    "lr=-1",                        # these three trained and exited 0
+    "weight_decay=-5",
+    "T=2.5",
 ])
 def test_config_errors_exit_one_before_training(tmp_path, capsys, override):
     _, ckpt, argv = train_argv(tmp_path)
@@ -179,8 +185,31 @@ def test_config_errors_exit_one_before_training(tmp_path, capsys, override):
     err = capsys.readouterr().err
     key = override.split("=", 1)[0]
     # a top-level key leads its message; a model key under ablations names its field
-    assert f"error: {key} " in err or key.startswith("ablations.") and "error:" in err
+    assert f"error: {key} " in err or (key.startswith("ablations.") and "error:" in err
+                                       and key.split(".")[1] in err)
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("override", [
+    "train_sequences=2.5",          # the parent trained on 2 sequences of 3 frames
+    "T=3.7",
+    "train_sequences=0",            # the parent ended in numpy's "high <= 0"
+    'train_sequences="x"',          # and here in int()'s message
+    "eval_sequences=true",
+])
+def test_ablate_rejects_a_count_before_training(tmp_path, capsys, override):
+    out = tmp_path / "abl"
+    assert run(["ablate", "--name", "full", "--out", str(out), "--override", override]) == 1
+    key = override.split("=", 1)[0]
+    assert f"error: {key} must be an integer >= 1, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_gradcheck_rejects_an_epsilon_that_is_not_positive(capsys, epsilon):
+    # the parent ended in a ZeroDivisionError traceback for 0 and exited 3 for nan
+    assert run(["gradcheck", "--target", "linear", f"--epsilon={epsilon}"]) == 1
+    assert "error: --epsilon must be a finite number > 0, got " in capsys.readouterr().err
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

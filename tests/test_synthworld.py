@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trackgraph import assocgraph as ag
+from trackgraph import learn
 from trackgraph import synthworld as sw
 
 from oracles import render_mask
@@ -424,3 +425,38 @@ def test_invalid_configs_rejected():
         sw.NoiseConfig(miss_prob=1.5)
     with pytest.raises(sw.DataError):
         sw.NoiseConfig(box_jitter=-0.1)
+
+
+# each config dataclass and the error its __post_init__ raises
+CONFIG_ERRORS = {sw.WorldConfig: sw.DataError, sw.NoiseConfig: sw.DataError,
+                 ag.ModelConfig: ValueError, learn.TrainConfig: ValueError,
+                 learn.LossConfig: ValueError}
+
+
+def _wrong_values(f):
+    """Values of the wrong kind for field `f`, and one below its bound."""
+    kind = type(f.default)
+    if kind is bool:
+        return ["x", 1]
+    if kind is int:
+        low = {"seed": None, "max_objects": 0}.get(f.name, 1)
+        return ["x", True, 2.5] + ([] if low is None else [low - 1])
+    if kind is float:
+        return ["x", True, float("nan"), -1.0]
+    if kind is tuple:
+        return ["x", [0.5] * (len(f.default) + 1), [-1.0, *f.default[1:]]]
+    return []  # a string or a nested config: its class checks it
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    pytest.param(cls, f.name, v, id=f"{cls.__name__}.{f.name}={v!r}")
+    for cls in CONFIG_ERRORS for f in dataclasses.fields(cls) for v in _wrong_values(f)])
+def test_every_config_field_rejects_a_value_of_the_wrong_kind(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+        cls(**{name: value})
+    assert type(info.value) is CONFIG_ERRORS[cls]
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_ERRORS), ids=lambda cls: cls.__name__)
+def test_every_config_constructs_from_its_defaults(cls):
+    cls()
